@@ -4,7 +4,7 @@ Exit codes: 0 for a passing verdict or a computed value, 1 for a failing
 verdict, 2 for structural problems (bad files, violated constraints,
 unsupported inputs), 3 when the working precision cannot certify an answer.
 Reports go to stdout as canonical JSON (or aligned text with --format text);
-diagnostics go to stderr.  For a fixed instance, seed, and precision the
+diagnostics go to stderr.  For a fixed instance and precision the
 report bytes are identical run to run, and batch output does not depend on
 the worker count.
 """
@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cohomology import cup, satisfies_colmez_condition
+from .cohomology import cup
 from .colmez import colmez_form, degenerate_form, gamma_consistency, solve_ell_scalar
 from .errors import (
     ParseError,
@@ -53,7 +53,6 @@ from .serial import (
 @dataclass(frozen=True)
 class Options:
     precision: int | None = None
-    seed: int = 0
     fmt: str = "json"
     jobs: int = 1
     timing: bool = False
@@ -151,9 +150,7 @@ def _cmd_admissible(instance, options):
 
 def _cmd_build_monodromy(instance, options):
     _need(instance, "build-monodromy", "monodromy")
-    record = instance.objects["monodromy"]
-    builder = build_degenerate if record.degenerate else build_monodromy
-    module, fil = builder(record)
+    module, fil = _realized(instance, "build-monodromy")
     value = {"module": dump_module(module), "filtration": dump_filtration(fil)}
     return None, value, None
 
@@ -245,6 +242,24 @@ _HANDLERS = {
 }
 
 
+def _report(command: str, precision) -> dict:
+    return {
+        "command": command,
+        "verdict": None,
+        "value": None,
+        "witness": None,
+        "error": None,
+        "precision": precision,
+        "timing_ms": None,
+    }
+
+
+def _error_report(command: str, precision, exc: PhinError) -> tuple[dict, int]:
+    report = _report(command, precision)
+    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    return report, 3 if isinstance(exc, PrecisionLoss) else 2
+
+
 def run(command: str, instance: Instance, options: Options) -> tuple[dict, int]:
     """Execute one command against a parsed instance.  Returns the report
     and the process exit code; package errors become error reports rather
@@ -253,59 +268,36 @@ def run(command: str, instance: Instance, options: Options) -> tuple[dict, int]:
     if handler is None:
         raise UnknownCommand(f"unknown command {command!r}")
     started = time.perf_counter()
-    report = {
-        "command": command,
-        "verdict": None,
-        "value": None,
-        "witness": None,
-        "error": None,
-        "precision": instance.desc.default_prec,
-        "seed": options.seed,
-        "timing_ms": None,
-    }
     try:
         verdict, value, witness = handler(instance, options)
     except PhinError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 3 if isinstance(exc, PrecisionLoss) else 2
+        report, code = _error_report(command, instance.desc.default_prec, exc)
     else:
-        report["verdict"] = verdict
-        report["value"] = value
-        report["witness"] = witness
+        report = _report(command, instance.desc.default_prec)
+        report.update(verdict=verdict, value=value, witness=witness)
         code = 0 if verdict in (None, True) else 1
     if options.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return report, code
 
 
-def _error_report(command: str, exc: PhinError, options: Options) -> tuple[dict, int]:
-    report = {
-        "command": command,
-        "verdict": None,
-        "value": None,
-        "witness": None,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-        "precision": options.precision,
-        "seed": options.seed,
-        "timing_ms": None,
-    }
-    return report, 3 if isinstance(exc, PrecisionLoss) else 2
+def _is_path(source) -> bool:
+    """A Path, or a string that does not open a JSON object."""
+    return isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{"))
 
 
 def execute(command: str, source, options: Options) -> tuple[dict, int]:
     """Parse a source (path, text, bytes, or decoded object) and run."""
     if command not in _HANDLERS:
-        return _error_report(command, UnknownCommand(f"unknown command {command!r}"), options)
+        return _error_report(command, options.precision, UnknownCommand(f"unknown command {command!r}"))
     try:
-        if isinstance(source, (str, Path)) and not (
-            isinstance(source, str) and source.lstrip().startswith("{")
-        ):
+        if _is_path(source):
             source = Path(source).read_text("utf-8")
         instance = parse_instance(source, options.precision)
     except OSError as exc:
-        return _error_report(command, ParseError(f"cannot read instance: {exc}"), options)
+        return _error_report(command, options.precision, ParseError(f"cannot read instance: {exc}"))
     except PhinError as exc:
-        return _error_report(command, exc, options)
+        return _error_report(command, options.precision, exc)
     return run(command, instance, options)
 
 
@@ -313,7 +305,7 @@ def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, separators=(",", ":"))
     parts = [report["command"]]
-    for key in ("verdict", "value", "witness", "error", "precision", "seed", "timing_ms"):
+    for key in ("verdict", "value", "witness", "error", "precision", "timing_ms"):
         if report.get(key) is not None:
             parts.append(f"{key}={json.dumps(report[key], sort_keys=True, separators=(',', ':'))}")
     return "  ".join(parts)
@@ -329,9 +321,7 @@ def run_batch(manifest_source, options: Options, base_dir: Path | None = None):
     Output order follows the manifest regardless of worker count; each
     entry's failure is isolated into its own report.
     """
-    if isinstance(manifest_source, (str, Path)) and not (
-        isinstance(manifest_source, str) and manifest_source.lstrip().startswith("{")
-    ):
+    if _is_path(manifest_source):
         path = Path(manifest_source)
         base_dir = base_dir or path.parent
         manifest_source = path.read_text("utf-8")
@@ -352,8 +342,8 @@ def run_batch(manifest_source, options: Options, base_dir: Path | None = None):
         if not isinstance(entry, dict) or "command" not in entry or "instance" not in entry:
             return _error_report(
                 str(entry.get("command", "?")) if isinstance(entry, dict) else "?",
+                options.precision,
                 ParseError("manifest entry needs command and instance keys"),
-                options,
             )
         source = entry["instance"]
         if isinstance(source, str):
@@ -383,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", help="one of: %s, batch" % ", ".join(sorted(_HANDLERS)))
     parser.add_argument("path", help="instance file (or manifest for batch)")
     parser.add_argument("--precision", type=int, default=None, help="working p-adic digits")
-    parser.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     parser.add_argument("--jobs", type=int, default=1, help="batch worker count")
     parser.add_argument("--timing", action="store_true", help="include wall time in reports")
@@ -392,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    options = Options(args.precision, args.seed, args.fmt, max(1, args.jobs), args.timing)
+    options = Options(precision=args.precision, fmt=args.fmt, jobs=max(1, args.jobs), timing=args.timing)
     if args.command == "batch":
         try:
             reports, code = run_batch(args.path, options)

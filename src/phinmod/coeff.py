@@ -160,13 +160,8 @@ class ProductElement:
         comps = tuple(self.comps[i] for i in range(self.shape.f) for _ in range(self.shape.e))
         return ProductElement(self.desc, self.shape, "K", comps)
 
-    def at(self, i: int, j: int = 0) -> FieldElement:
-        if self.level == "K0":
-            return self.comps[i % self.shape.f]
-        return self.comps[self.shape.index(i, j)]
-
     def is_zero(self) -> bool:
-        return all(c.is_exact_zero() or c.is_zero_at_prec() for c in self.comps)
+        return all(c.is_zero_at_prec() for c in self.comps)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -86,6 +86,11 @@ class H2Class:
     c: FieldElement
 
 
+def _reciprocal(desc: LocalFieldDesc, n: int) -> FieldElement:
+    """1/n, exact when n = 1 and at working precision otherwise."""
+    return desc.from_rational(Fraction(1, n)) if n > 1 else desc.from_int(1, INF)
+
+
 def cup(x: H1Trivial, y: H1Tate) -> H2Class:
     """Pair the unramified values directly and the exponential parts through
     the normalized trace."""
@@ -93,8 +98,7 @@ def cup(x: H1Trivial, y: H1Tate) -> H2Class:
         raise ShapeMismatch("classes live over different shapes")
     if x.desc is not y.desc:
         raise FieldMismatch("classes use different coefficient fields")
-    n = x.shape.n
-    scale = x.desc.from_rational(Fraction(1, n)) if n > 1 else x.desc.from_int(1, INF)
+    scale = _reciprocal(x.desc, x.shape.n)
     return H2Class(x.a1 * y.b1 - scale * (x.a2 * y.b2).trace())
 
 
@@ -103,21 +107,14 @@ def pairing_is_perfect(desc: LocalFieldDesc, shape: GaloisShape) -> bool:
     n = shape.n
     one, zero = desc.from_int(1, INF), desc.zero()
 
-    def triv(i):
+    def basis(cls, i):
+        # i = -1 is the scalar direction, i >= 0 the i-th exponential one
         comps = [one if t == i else zero for t in range(n)]
-        if i < 0:
-            return H1Trivial(one, ProductElement.constant(desc, shape, "K", zero))
-        return H1Trivial(zero, ProductElement.from_components(desc, shape, "K", comps))
-
-    def tate(i):
-        comps = [one if t == i else zero for t in range(n)]
-        if i < 0:
-            return H1Tate(one, ProductElement.constant(desc, shape, "K", zero))
-        return H1Tate(zero, ProductElement.from_components(desc, shape, "K", comps))
+        return cls(one if i < 0 else zero, ProductElement.from_components(desc, shape, "K", comps))
 
     rows = []
     for i in range(-1, n):
-        rows.append([cup(triv(i), tate(j)).c for j in range(-1, n)])
+        rows.append([cup(basis(H1Trivial, i), basis(H1Tate, j)).c for j in range(-1, n)])
     gram = mat(rows)
     ker = right_kernel(gram, desc)
     return len(ker) == 0
@@ -135,9 +132,7 @@ def satisfies_colmez_condition(x: H1Trivial, ell: ProductElement) -> bool:
     marked slopes; equivalent to cup-vanishing against (1, ell)."""
     if x.shape != ell.shape:
         raise ShapeMismatch("class and marked slopes live over different shapes")
-    n = x.shape.n
-    scale = x.desc.from_rational(Fraction(1, n)) if n > 1 else x.desc.from_int(1, INF)
-    return x.a1 == scale * (x.a2 * ell).trace()
+    return x.a1 == _reciprocal(x.desc, x.shape.n) * (x.a2 * ell).trace()
 
 
 def degenerate_condition(x: H1Trivial, ell: ProductElement) -> bool:
@@ -176,7 +171,6 @@ def unipotent_extension_class(
     coeff = solve_columns([sub_vec], defect, desc)
     if coeff is None:
         raise NotUnipotent("cycle defect leaves the fixed line")
-    f_inv = desc.from_rational(Fraction(-1, shape.f)) if shape.f > 1 else -desc.from_int(1, INF)
     return H1Trivial(
-        f_inv * coeff[0], ProductElement.constant(desc, shape, "K", desc.zero())
+        -_reciprocal(desc, shape.f) * coeff[0], ProductElement.constant(desc, shape, "K", desc.zero())
     )

@@ -20,7 +20,6 @@ from .errors import (
     SingularDirection,
     ValidationError,
     ZeroEll,
-    ZeroInput,
 )
 from .padic import FieldElement
 
@@ -66,29 +65,20 @@ class FamilyGerm:
         return self.ell.shape
 
 
-def _unit_center(g: FamilyGerm) -> FieldElement:
-    """The slope center, certified to be a unit."""
-    try:
-        v = g.alpha.a0.valuation()
-    except ZeroInput as exc:
-        raise ValidationError("slope center vanishes") from exc
-    if v != 0:
+def _scalar_part(g: FamilyGerm) -> FieldElement:
+    """alpha'/(f*alpha0) + delta'/2, after certifying the slope center alpha0
+    is a unit."""
+    desc = g.desc
+    a0 = g.alpha.a0
+    if a0.valuation() != 0:
         raise ValidationError("slope center must be a unit")
-    return g.alpha.a0
+    return g.alpha.a1 / (desc.from_int(g.shape.f) * a0) + desc.from_rational(Fraction(1, 2)) * g.delta.a1
 
 
 def colmez_form(g: FamilyGerm) -> FieldElement:
     """alpha'/(f*alpha0) + delta'/2 - (1/(2n)) tr(ell * kappa')."""
-    desc, shape = g.desc, g.shape
-    a0 = _unit_center(g)
-    f_a0 = desc.from_int(shape.f) * a0
-    half = desc.from_rational(Fraction(1, 2))
-    tr = (g.ell * g.kappa.a1).trace()
-    return (
-        g.alpha.a1 / f_a0
-        + half * g.delta.a1
-        - desc.from_rational(Fraction(1, 2 * shape.n)) * tr
-    )
+    scale = g.desc.from_rational(Fraction(1, 2 * g.shape.n))
+    return _scalar_part(g) - scale * (g.ell * g.kappa.a1).trace()
 
 
 def degenerate_form(g: FamilyGerm) -> FieldElement:
@@ -102,16 +92,9 @@ def gamma_consistency(g: FamilyGerm) -> tuple[ProductElement, FieldElement]:
     """Candidate exponential part gamma = -kappa'/2 and the residual of the
     form rewritten through the trace against gamma; the residual equals
     colmez_form identically."""
-    desc, shape = g.desc, g.shape
-    a0 = _unit_center(g)
-    gamma = g.kappa.a1 * desc.from_rational(Fraction(-1, 2))
-    half = desc.from_rational(Fraction(1, 2))
-    residual = (
-        half * g.delta.a1
-        + desc.from_rational(Fraction(1, shape.n)) * (gamma * g.ell).trace()
-        + g.alpha.a1 / (desc.from_int(shape.f) * a0)
-    )
-    return gamma, residual
+    scalar = _scalar_part(g)
+    gamma = g.kappa.a1 * g.desc.from_rational(Fraction(-1, 2))
+    return gamma, scalar + g.desc.from_rational(Fraction(1, g.shape.n)) * (gamma * g.ell).trace()
 
 
 def solve_ell_scalar(g: FamilyGerm, direction: ProductElement) -> FieldElement:
@@ -123,13 +106,11 @@ def solve_ell_scalar(g: FamilyGerm, direction: ProductElement) -> FieldElement:
         raise LevelMismatch("direction must be a K-level product element")
     if direction.shape != shape:
         raise ShapeMismatch("direction uses a different shape")
-    a0 = _unit_center(g)
+    top = _scalar_part(g)
     denom = (direction * g.kappa.a1).trace()
     try:
         if denom.valuation() != 0:
             raise SingularDirection("trace against the direction is not a unit")
-    except (ZeroInput, PrecisionLoss) as exc:
+    except PrecisionLoss as exc:
         raise SingularDirection("trace against the direction is not a unit at precision") from exc
-    half = desc.from_rational(Fraction(1, 2))
-    top = g.alpha.a1 / (desc.from_int(shape.f) * a0) + half * g.delta.a1
     return desc.from_int(2 * shape.n) * top / denom

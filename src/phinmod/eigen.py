@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import RootLiftingError, UnsupportedEnumeration
+from .errors import PhinError, RootLiftingError, UnsupportedEnumeration
 from .linalg import (
     Matrix,
     Subspace,
@@ -24,13 +24,12 @@ from .linalg import (
     identity,
     inv,
     is_zero_matrix,
-    mat,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
+    restrict_operator,
     right_kernel,
-    solve_columns,
     trace,
 )
 from .modules import PhiNModule, frobenius_composite
@@ -60,6 +59,14 @@ def cycle_roots(m: PhiNModule) -> list[FieldElement]:
 
 def _scaled_identity(desc, d, lam):
     return mat_scale(lam, identity(desc, d))
+
+
+def eigenline(a: Matrix, lam: FieldElement, desc, error: type[PhinError]) -> Vector:
+    """Generator of the kernel of a - lam; raises error unless it is a line."""
+    kern = right_kernel(mat_sub(a, _scaled_identity(desc, len(a), lam)), desc)
+    if len(kern) != 1:
+        raise error("cycle eigenspace is not a line")
+    return kern[0]
 
 
 def _deflate(coeffs, lam):
@@ -102,17 +109,6 @@ def propagate_space(m: PhiNModule, space0: Subspace) -> tuple[Subspace, ...] | N
     return tuple(spaces)
 
 
-def _restrict_to(space_src: Subspace, space_dst: Subspace, op: Matrix, desc) -> Matrix | None:
-    cols = []
-    for g in space_src.gens:
-        x = solve_columns([tuple(h) for h in space_dst.gens], mat_vec(op, g), desc)
-        if x is None:
-            return None
-        cols.append(x)
-    r = space_src.dim
-    return mat([[cols[j][i] for j in range(r)] for i in range(space_dst.dim)])
-
-
 def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
     spaces = propagate_space(m, space0)
     if spaces is None:
@@ -124,8 +120,8 @@ def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
                 return None
     phi_r, n_r = [], []
     for i in range(f):
-        pm = _restrict_to(spaces[i], spaces[(i + 1) % f], m.phi[i], m.desc)
-        nm = _restrict_to(spaces[i], spaces[i], m.nmat[i], m.desc)
+        pm = restrict_operator(m.phi[i], spaces[i].gens, spaces[(i + 1) % f].gens, m.desc)
+        nm = restrict_operator(m.nmat[i], spaces[i].gens, spaces[i].gens, m.desc)
         if pm is None or nm is None:
             return None
         phi_r.append(pm)
@@ -134,7 +130,8 @@ def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
     return StableSubmodule(space0.dim, spaces, sub)
 
 
-def _pull_to_slot_zero(m: PhiNModule, v: Vector, slot: int) -> Vector:
+def pull_to_slot_zero(m: PhiNModule, v: Vector, slot: int) -> Vector:
+    """Carry a slot vector back to slot 0 through the inverse transitions."""
     w = v
     for i in range(slot - 1, -1, -1):
         w = mat_vec(inv(m.phi[i]), w)
@@ -175,7 +172,7 @@ def enumerate_submodules(
             kern = right_kernel(m.nmat[slot], desc)
             if len(kern) != 1:
                 raise UnsupportedEnumeration("slot operator kernel is not a line")
-            line_vecs = [_pull_to_slot_zero(m, kern[0], slot)]
+            line_vecs = [pull_to_slot_zero(m, kern[0], slot)]
         elif is_zero_matrix(mat_mul(b, b)):
             kern = right_kernel(b, desc)
             if len(kern) != 1:
@@ -186,11 +183,7 @@ def enumerate_submodules(
     else:
         if (d == 2 and len(roots) == 1) or (d == 3 and len(roots) == 2):
             raise UnsupportedEnumeration("inconsistent root count for the cycle")
-        for lam in roots:
-            kern = right_kernel(mat_sub(a, _scaled_identity(desc, d, lam)), desc)
-            if len(kern) != 1:
-                raise UnsupportedEnumeration("cycle eigenspace is not a line")
-            line_vecs.append(kern[0])
+        line_vecs = [eigenline(a, lam, desc, UnsupportedEnumeration) for lam in roots]
         if d == 3 and len(roots) == 1:
             quad = _deflate(cp, roots[0])
             kern = right_kernel(_poly_of_matrix(quad, a), desc)

@@ -30,10 +30,6 @@ class LevelMismatch(PhinError):
     """Product-algebra operands have different levels (length f vs length n)."""
 
 
-class BaseMismatch(PhinError):
-    """Dual-number operands are built over incompatible base rings."""
-
-
 class ShapeMismatch(PhinError):
     """Operands carry different Galois shapes (e, f)."""
 

@@ -18,9 +18,10 @@ from .eigen import (
     StableSubmodule,
     enumerate_submodules,
     propagate_space,
+    pull_to_slot_zero,
 )
 from .errors import ValidationError
-from .linalg import Subspace, inv, mat_vec
+from .linalg import Subspace, solve_columns
 from .modules import PhiNModule, newton_number
 from .padic import LocalFieldDesc
 
@@ -96,23 +97,25 @@ def _dedupe(steps: list[tuple[int, Subspace]]) -> tuple[tuple[int, Subspace], ..
     return tuple(out)
 
 
+def restrict_steps(sig: SigmaSteps, span: Subspace, coord_basis, desc: LocalFieldDesc) -> SigmaSteps:
+    """Cut every step down to span and write it in coordinates on
+    coord_basis, a list of vectors spanning it."""
+    collected = []
+    for jump, v in sig:
+        coords = [solve_columns(coord_basis, g, desc) for g in v.intersect(span).gens]
+        if any(c is None for c in coords):
+            raise ValidationError("filtration step leaves the subspace it is restricted to")
+        collected.append((jump, Subspace.from_vectors(desc, len(coord_basis), [tuple(c) for c in coords])))
+    return _dedupe(collected)
+
+
 def induce_on_submodule(fil: Filtration, sub: StableSubmodule) -> Filtration:
     """Intersect every step with the submodule fibers, in fiber coordinates."""
-    shape = fil.shape
-    new_steps = []
-    for (i, j) in shape.sigmas():
-        w = sub.slot_spaces[i]
-        sig = fil.sigma_steps(i, j)
-        collected = []
-        for jump, v in sig:
-            meet = v.intersect(w)
-            coords = [w.coords_of(g) for g in meet.gens]
-            if any(c is None for c in coords):
-                raise ValidationError("intersection left the submodule fiber")
-            piece = Subspace.from_vectors(fil.desc, w.dim, [tuple(c) for c in coords])
-            collected.append((jump, piece))
-        new_steps.append(_dedupe(collected))
-    return Filtration(fil.desc, shape, sub.rank, tuple(new_steps))
+    new_steps = tuple(
+        restrict_steps(fil.sigma_steps(i, j), sub.slot_spaces[i], sub.slot_spaces[i].gens, fil.desc)
+        for (i, j) in fil.shape.sigmas()
+    )
+    return Filtration(fil.desc, fil.shape, sub.rank, new_steps)
 
 
 def dual_filtration(fil: Filtration) -> Filtration:
@@ -229,19 +232,10 @@ def _family_certificate(
     d = m.rank
     # pull every proper step back to slot 0 through the transition chain
     specials: list[Subspace] = []
-    inv_chain = []
-    for i in range(m.shape.f):
-        inv_chain.append([inv(m.phi[k]) for k in range(i - 1, -1, -1)])
     for (i, j) in m.shape.sigmas():
         for jump, v in fil.sigma_steps(i, j):
             if 0 < v.dim < d:
-                gens = []
-                for g in v.gens:
-                    w = g
-                    for mtx in inv_chain[i]:
-                        w = mat_vec(mtx, w)
-                    gens.append(w)
-                cand = Subspace.from_vectors(desc, d, gens)
+                cand = Subspace.from_vectors(desc, d, [pull_to_slot_zero(m, g, i) for g in v.gens])
                 if all(cand != s for s in specials):
                     specials.append(cand)
     generic = None

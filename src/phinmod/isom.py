@@ -11,21 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eigen import cycle_roots
+from .eigen import cycle_roots, eigenline
 from .errors import RootLiftingError, UnsupportedEnumeration, ValidationError
 from .filtration import Filtration
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    identity,
     inv,
     mat_from_cols,
     mat_mul,
     mat_vec,
-    right_kernel,
-    mat_sub,
-    mat_scale,
 )
 from .modules import PhiNModule, frobenius_composite
 from .padic import FieldElement
@@ -36,10 +32,6 @@ class IsoVerdict:
     isomorphic: bool
     reason: str | None = None
     scaling: tuple[FieldElement, ...] | None = None
-
-
-def _nz(x: FieldElement) -> bool:
-    return not (x.is_exact_zero() or x.is_zero_at_prec())
 
 
 def _root_key(x: FieldElement):
@@ -57,13 +49,7 @@ def _eigen_frames(m: PhiNModule) -> tuple[list[FieldElement], list[Matrix]]:
     if len(roots) != m.rank:
         raise UnsupportedEnumeration("cycle spectrum does not split simply")
     roots = sorted(roots, key=_root_key)
-    cols = []
-    for lam in roots:
-        shifted = mat_sub(a, mat_scale(lam, identity(m.desc, m.rank)))
-        kern = right_kernel(shifted, m.desc)
-        if len(kern) != 1:
-            raise UnsupportedEnumeration("cycle eigenspace is not a line")
-        cols.append(kern[0])
+    cols = [eigenline(a, lam, m.desc, UnsupportedEnumeration) for lam in roots]
     frames = [mat_from_cols(cols)]
     for i in range(m.shape.f - 1):
         frames.append(mat_mul(m.phi[i], frames[-1]))
@@ -105,29 +91,19 @@ class _RatioGraph:
 
 
 def _zero_pattern(vec) -> tuple[bool, ...]:
-    return tuple(_nz(x) for x in vec)
+    return tuple(x.is_zero_at_prec() for x in vec)
 
 
 def _line_constraints(graph, v1: Vector, v2: Vector) -> bool:
+    """Impose that the diagonal scaling carries the line of v1 to that of v2;
+    a hyperplane's covectors transform inversely, so pass them swapped."""
     if _zero_pattern(v1) != _zero_pattern(v2):
         return False
-    support = [a for a, x in enumerate(v1) if _nz(x)]
+    support = [a for a, x in enumerate(v1) if not x.is_zero_at_prec()]
     base = support[0]
     q_base = v2[base] / v1[base]
     for a in support[1:]:
         if not graph.relate(a, base, (v2[a] / v1[a]) / q_base):
-            return False
-    return True
-
-
-def _covector_constraints(graph, u1: Vector, u2: Vector) -> bool:
-    if _zero_pattern(u1) != _zero_pattern(u2):
-        return False
-    support = [a for a, x in enumerate(u1) if _nz(x)]
-    base = support[0]
-    q_base = u1[base] / u2[base]
-    for a in support[1:]:
-        if not graph.relate(a, base, (u1[a] / u2[a]) / q_base):
             return False
     return True
 
@@ -174,9 +150,9 @@ def is_isomorphic(
         n2 = mat_mul(inv2[i], mat_mul(m2.nmat[i], frames2[i]))
         for a in range(d):
             for b in range(d):
-                if _nz(n1[a][b]) != _nz(n2[a][b]):
+                if n1[a][b].is_zero_at_prec() != n2[a][b].is_zero_at_prec():
                     return IsoVerdict(False, "slot operator supports differ")
-                if _nz(n1[a][b]):
+                if not n1[a][b].is_zero_at_prec():
                     if not graph.relate(a, b, n2[a][b] / n1[a][b]):
                         return IsoVerdict(False, "slot operator ratios are inconsistent")
 
@@ -198,7 +174,7 @@ def is_isomorphic(
             elif v1.dim == d - 1:
                 u1 = c1.annihilator().gens[0]
                 u2 = c2.annihilator().gens[0]
-                if not _covector_constraints(graph, u1, u2):
+                if not _line_constraints(graph, u2, u1):
                     return IsoVerdict(False, "filtration hyperplanes cannot be aligned")
             else:
                 raise UnsupportedEnumeration(

@@ -27,12 +27,6 @@ def identity(desc: LocalFieldDesc, n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zero_matrix(desc: LocalFieldDesc, n: int, m: int | None = None) -> Matrix:
-    zero = desc.zero()
-    m = n if m is None else m
-    return tuple(tuple(zero for _ in range(m)) for _ in range(n))
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -73,20 +67,12 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(x + y for x, y in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def vec_scale(c: FieldElement, v: Vector) -> Vector:
     return tuple(c * x for x in v)
 
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
-
-
-def mat_cols(a: Matrix) -> list[Vector]:
-    return [tuple(r[j] for r in a) for j in range(len(a[0]))] if a else []
 
 
 def mat_from_cols(cols) -> Matrix:
@@ -117,11 +103,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def is_zero_matrix(a: Matrix) -> bool:
-    return all(x.is_exact_zero() or x.is_zero_at_prec() for r in a for x in r)
-
-
-def _nonzero(x: FieldElement) -> bool:
-    return not (x.is_exact_zero() or x.is_zero_at_prec())
+    return all(x.is_zero_at_prec() for r in a for x in r)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +127,7 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
     for c in range(ncols):
         best = None
         for i in range(r, len(rows)):
-            if _nonzero(rows[i][c]):
+            if not rows[i][c].is_zero_at_prec():
                 v = rows[i][c].valuation()
                 if best is None or v < best[0]:
                     best = (v, i)
@@ -156,7 +138,7 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
         inv = rows[r][c].inverse()
         rows[r] = [x * inv for x in rows[r]]
         for k in range(len(rows)):
-            if k != r and _nonzero(rows[k][c]):
+            if k != r and not rows[k][c].is_zero_at_prec():
                 f = rows[k][c]
                 rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
@@ -186,7 +168,7 @@ def solve_columns(cols, v: Vector, desc: LocalFieldDesc):
     """Solve sum_j x_j cols[j] = v.  Returns the canonical solution with free
     coordinates zero, or None when the residual is certified nonzero."""
     if not cols:
-        return None if any(_nonzero(x) for x in v) else []
+        return [] if all(x.is_zero_at_prec() for x in v) else None
     n = len(v)
     aug = [[cols[j][i] for j in range(len(cols))] + [v[i]] for i in range(n)]
     rows, pivots = rref(aug)
@@ -197,6 +179,18 @@ def solve_columns(cols, v: Vector, desc: LocalFieldDesc):
     for r, pc in zip(rows, pivots):
         x[pc] = r[-1]
     return x
+
+
+def restrict_operator(op: Matrix, src, dst, desc: LocalFieldDesc) -> Matrix | None:
+    """Matrix of op from the span of the vectors src into the span of the
+    vectors dst, on those generators; None when an image leaves that span."""
+    cols = []
+    for g in src:
+        x = solve_columns(dst, mat_vec(op, g), desc)
+        if x is None:
+            return None
+        cols.append(x)
+    return mat_from_cols(cols)
 
 
 def det(a: Matrix) -> FieldElement:
@@ -270,11 +264,6 @@ class Subspace:
         return cls(desc, ambient, tuple(tuple(r) for r in rows), tuple(pivots))
 
     @classmethod
-    def from_cols(cls, desc: LocalFieldDesc, basis_matrix: Matrix) -> "Subspace":
-        ambient = len(basis_matrix)
-        return cls.from_vectors(desc, ambient, mat_cols(basis_matrix)) if basis_matrix and basis_matrix[0] else cls.from_vectors(desc, ambient, [])
-
-    @classmethod
     def full(cls, desc: LocalFieldDesc, ambient: int) -> "Subspace":
         return cls.from_vectors(desc, ambient, [tuple(r) for r in identity(desc, ambient)])
 
@@ -294,12 +283,12 @@ class Subspace:
         w = list(v)
         for g, pc in zip(self.gens, self.pivots):
             c = w[pc]
-            if _nonzero(c):
+            if not c.is_zero_at_prec():
                 w = [x - c * y for x, y in zip(w, g)]
         return tuple(w)
 
     def contains_vector(self, v: Vector) -> bool:
-        return all(not _nonzero(x) for x in self.reduce_vector(v))
+        return all(x.is_zero_at_prec() for x in self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(g) for g in other.gens)
@@ -342,9 +331,7 @@ class Subspace:
 
     def coords_of(self, v: Vector):
         """Coefficients of v on the stored generators, or None."""
-        return solve_columns([tuple(g) for g in self.gens], v, self.desc) if self.gens else (
-            [] if all(not _nonzero(x) for x in v) else None
-        )
+        return solve_columns(self.gens, v, self.desc)
 
     def quotient_coords(self, v: Vector) -> Vector:
         """Coordinates of v + (this subspace) on the complementary standard

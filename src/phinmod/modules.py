@@ -29,18 +29,17 @@ from .linalg import (
     inv,
     is_zero_matrix,
     kron,
-    mat,
     mat_add,
     mat_eq,
     mat_mul,
     mat_neg,
     mat_scale,
     det,
+    restrict_operator,
     right_kernel,
-    solve_columns,
     transpose,
 )
-from .padic import INF, FieldElement, LocalFieldDesc
+from .padic import INF, LocalFieldDesc
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,32 +167,16 @@ def end0_module(m: PhiNModule) -> tuple[PhiNModule, list[Vector]]:
     d = m.rank
     h = hom_module(m, m)
     basis = end0_basis(m.desc, d)
-    phi, nmat = [], []
-    for i in range(m.shape.f):
-        phi.append(_restrict(h.phi[i], basis, m.desc))
-        nmat.append(_restrict(h.nmat[i], basis, m.desc))
-    return PhiNModule(m.desc, m.shape, d * d - 1, tuple(phi), tuple(nmat)), basis
 
-
-def _restrict(big: Matrix, basis: list[Vector], desc: LocalFieldDesc) -> Matrix:
-    cols = []
-    for b in basis:
-        image = tuple(
-            _dot_row(r, b) for r in big
-        )
-        x = solve_columns(basis, image, desc)
-        if x is None:
+    def restrict(op: Matrix) -> Matrix:
+        r = restrict_operator(op, basis, basis, m.desc)
+        if r is None:
             raise RelationViolation("subspace is not stable under the operator")
-        cols.append(x)
-    return mat([[cols[j][i] for j in range(len(cols))] for i in range(len(basis))])
+        return r
 
-
-def _dot_row(row, v) -> FieldElement:
-    acc = None
-    for x, y in zip(row, v):
-        t = x * y
-        acc = t if acc is None else acc + t
-    return acc
+    phi = tuple(restrict(a) for a in h.phi)
+    nmat = tuple(restrict(a) for a in h.nmat)
+    return PhiNModule(m.desc, m.shape, d * d - 1, phi, nmat), basis
 
 
 def n_kernel_flag(m: PhiNModule) -> tuple[Subspace, ...]:

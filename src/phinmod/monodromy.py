@@ -27,18 +27,15 @@ from .errors import (
     ValidationError,
     ZeroEll,
 )
-from .eigen import cycle_roots
-from .filtration import Filtration, _dedupe, dual_filtration, tensor_filtration
+from .eigen import cycle_roots, eigenline
+from .filtration import Filtration, dual_filtration, restrict_steps, tensor_filtration
 from .isom import IsoVerdict, is_isomorphic
 from .linalg import (
     Subspace,
-    identity,
     is_zero_matrix,
     mat,
     mat_eq,
     mat_mul,
-    mat_scale,
-    mat_sub,
     mat_vec,
     right_kernel,
     solve_columns,
@@ -48,7 +45,6 @@ from .modules import (
     PhiNModule,
     end0_module,
     frobenius_composite,
-    hom_module,
     validate_module,
 )
 from .padic import INF, FieldElement
@@ -155,19 +151,26 @@ def _flag_steps(data: MonodromyData):
     return tuple(steps)
 
 
-def build_monodromy(data: MonodromyData, check: bool = True) -> tuple[PhiNModule, Filtration]:
-    """Module with N(e2) = e1 and the marked-line flag; basis order (e2, e1)."""
-    if data.degenerate:
-        raise ValidationError("parameters are marked degenerate; use build_degenerate")
+def _build(data: MonodromyData, check: bool) -> tuple[PhiNModule, Filtration]:
+    """Shared body of the builders: the operator sends e2 to e1 unless the
+    record is degenerate, where it vanishes."""
     if check:
         check_constraints(data)
     desc, shape = data.desc, data.shape
-    one, zero = desc.from_int(1, INF), desc.zero()
-    nm = mat([[zero, zero], [one, zero]])
+    zero = desc.zero()
+    low = zero if data.degenerate else desc.from_int(1, INF)
+    nm = mat([[zero, zero], [low, zero]])
     module = PhiNModule(
         desc, shape, 2, _phi_mats(data), tuple(nm for _ in range(shape.f))
     )
     return module, Filtration(desc, shape, 2, _flag_steps(data))
+
+
+def build_monodromy(data: MonodromyData, check: bool = True) -> tuple[PhiNModule, Filtration]:
+    """Module with N(e2) = e1 and the marked-line flag; basis order (e2, e1)."""
+    if data.degenerate:
+        raise ValidationError("parameters are marked degenerate; use build_degenerate")
+    return _build(data, check)
 
 
 def build_degenerate(data: MonodromyData, check: bool = True) -> tuple[PhiNModule, Filtration]:
@@ -176,15 +179,7 @@ def build_degenerate(data: MonodromyData, check: bool = True) -> tuple[PhiNModul
         raise ValidationError("parameters are not marked degenerate")
     if data.ell.is_zero():
         raise ZeroEll("the marked slope must not vanish")
-    if check:
-        check_constraints(data)
-    desc, shape = data.desc, data.shape
-    zero = desc.zero()
-    nm = mat([[zero, zero], [zero, zero]])
-    module = PhiNModule(
-        desc, shape, 2, _phi_mats(data), tuple(nm for _ in range(shape.f))
-    )
-    return module, Filtration(desc, shape, 2, _flag_steps(data))
+    return _build(data, check)
 
 
 def build_w(ell: ProductElement, k) -> tuple[PhiNModule, Filtration]:
@@ -242,14 +237,6 @@ def _cycle_slopes(m: PhiNModule):
     return light, heavy
 
 
-def _eigvec(m: PhiNModule, lam: FieldElement):
-    a = frobenius_composite(m)
-    ker = right_kernel(mat_sub(a, mat_scale(lam, identity(m.desc, m.rank))), m.desc)
-    if len(ker) != 1:
-        raise NotMonodromyType("cycle eigenspace is not a line")
-    return ker[0]
-
-
 def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
     """Recover (alpha, m, k, ell) from any basis presentation.
 
@@ -271,9 +258,10 @@ def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
     degenerate = all(is_zero_matrix(nm) for nm in m.nmat)
     light, heavy = _cycle_slopes(m)
     alpha = light
-    e2 = _eigvec(m, heavy)
+    cycle = frobenius_composite(m)
+    e2 = eigenline(cycle, heavy, desc, NotMonodromyType)
     if degenerate:
-        e1 = _eigvec(m, light)
+        e1 = eigenline(cycle, light, desc, NotMonodromyType)
     else:
         ker = right_kernel(m.nmat[0], desc)
         if len(ker) != 1:
@@ -366,20 +354,8 @@ def end0_with_filtration(m: PhiNModule, fil: Filtration) -> tuple[PhiNModule, Fi
     desc = m.desc
     hfil = tensor_filtration(dual_filtration(fil), fil)
     span = Subspace.from_vectors(desc, m.rank * m.rank, basis)
-    steps = []
-    for (i, j) in m.shape.sigmas():
-        collected = []
-        for jump, v in hfil.sigma_steps(i, j):
-            meet = v.intersect(span)
-            vecs = []
-            for g in meet.gens:
-                c = solve_columns(basis, g, desc)
-                if c is None:
-                    raise ValidationError("hom step leaves the trace-zero fiber")
-                vecs.append(tuple(c))
-            collected.append((jump, Subspace.from_vectors(desc, e0.rank, vecs)))
-        steps.append(_dedupe(collected))
-    return e0, Filtration(desc, m.shape, e0.rank, tuple(steps))
+    steps = tuple(restrict_steps(hfil.sigma_steps(i, j), span, basis, desc) for (i, j) in m.shape.sigmas())
+    return e0, Filtration(desc, m.shape, e0.rank, steps)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import (
     FieldMismatch,
@@ -56,7 +57,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalFieldDesc:
     """Description of the coefficient field as a two-step tower over Q_p.
 
@@ -66,6 +67,9 @@ class LocalFieldDesc:
         integer vector on the theta-basis of the unramified step.  Non-leading
         coefficients need valuation >= 1 and the constant term valuation
         exactly 1; its root is called pi.
+
+    Descriptors are interned: parameters that agree after normalization give
+    back the same object, so field identity is always tested with ``is``.
     """
 
     p: int
@@ -75,6 +79,30 @@ class LocalFieldDesc:
     eis_poly: tuple[tuple[int, ...], ...]
     default_prec: int = DEFAULT_PRECISION
 
+    _interned: ClassVar[dict] = {}
+
+    def __new__(cls, p, f_l, e_l, unram_poly, eis_poly, default_prec=DEFAULT_PRECISION):
+        up = tuple(int(c) for c in unram_poly)
+        ep = tuple(
+            tuple(int(c) for c in row) if isinstance(row, (tuple, list)) else (int(row),) + (0,) * (f_l - 1)
+            for row in eis_poly
+        )
+        key = (p, f_l, e_l, up, ep, default_prec)
+        found = cls._interned.get(key)
+        if found is not None:
+            return found
+        self = object.__new__(cls)
+        for name, value in zip(("p", "f_l", "e_l", "unram_poly", "eis_poly", "default_prec"), key):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+        # a concurrent construction of the same tower may have won the race;
+        # only a fully certified descriptor is ever published
+        return cls._interned.setdefault(key, self)
+
+    def __reduce__(self):
+        # copies and unpickled descriptors are interned like any construction
+        return (LocalFieldDesc, (self.p, self.f_l, self.e_l, self.unram_poly, self.eis_poly, self.default_prec))
+
     def __post_init__(self):
         if self.p < 2:
             raise ValidationError("p must be at least 2")
@@ -82,21 +110,15 @@ class LocalFieldDesc:
             raise ValidationError("tower degrees must be positive")
         if self.default_prec < 1:
             raise ValidationError("default precision must be positive")
-        up = tuple(int(c) for c in self.unram_poly)
+        up, ep = self.unram_poly, self.eis_poly
         if len(up) != self.f_l + 1 or up[-1] != 1:
             raise ValidationError("unramified polynomial must be monic of the stated degree")
-        ep = tuple(
-            tuple(int(c) for c in row) if isinstance(row, (tuple, list)) else (int(row),) + (0,) * (self.f_l - 1)
-            for row in self.eis_poly
-        )
         if len(ep) != self.e_l + 1:
             raise ValidationError("Eisenstein polynomial must have degree equal to the ramification index")
         if any(len(row) != self.f_l for row in ep):
             raise ValidationError("Eisenstein coefficients must be vectors over the unramified step")
         if ep[-1] != (1,) + (0,) * (self.f_l - 1):
             raise ValidationError("Eisenstein polynomial must be monic")
-        object.__setattr__(self, "unram_poly", up)
-        object.__setattr__(self, "eis_poly", ep)
         self._certify()
         object.__setattr__(self, "_theta_red", self._build_theta_table())
         object.__setattr__(self, "_pi_red", self._build_pi_table())
@@ -369,7 +391,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.desc != self.desc:
+            if other.desc is not self.desc:
                 raise FieldMismatch("operands belong to different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -486,30 +508,15 @@ class FieldElement:
             raise ZeroInput("inverting exact zero")
         v = self.valuation()  # PrecisionLoss propagates
         desc = self.desc
-        e = desc.e_l
-        q_part = math.floor(v)
-        r_part = int((v - q_part) * e)
-        if r_part == 0:
-            unit = self.scale_p(-q_part)
-            back_q, back_r = -q_part, 0
-        else:
-            unit = self * desc.uniformizer(INF) ** (e - r_part)
-            unit = unit.scale_p(-q_part - 1)
-            back_q, back_r = -q_part - 1, e - r_part
+        unit = _times_monomial(self, -v)
         rel = unit.prec  # = self.prec - v, the relative precision
         if rel is INF:
             rel = Fraction(desc.default_prec)
             unit = make_element(desc, [list(r) for r in unit.mant], unit.shift, rel)
-        if rel * e < 1:
+        if rel * desc.e_l < 1:
             raise PrecisionLoss("no relative precision left for inversion")
-        y = _unit_inverse(unit, rel)
-        # x^{-1} = y * pi^back_r * p^back_q
-        out = y
-        if back_r:
-            out = out * desc.uniformizer(INF) ** back_r
-        if back_q:
-            out = out.scale_p(back_q)
-        return out
+        # x^{-1} = unit^{-1} * (monomial of valuation -v)
+        return _times_monomial(_unit_inverse(unit, rel), -v)
 
     # -- comparison -------------------------------------------------------
 
@@ -517,8 +524,6 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.desc != self.desc:
-            return False
         pr = min(self.prec, o.prec)
         a = make_element(self.desc, [list(r) for r in self.mant], self.shift, pr)
         b = make_element(self.desc, [list(r) for r in o.mant], o.shift, pr)
@@ -573,6 +578,21 @@ def _raw_mul(desc: LocalFieldDesc, x, y):
                         z[a][b] += prod[b]
                 z[k] = [0] * (2 * f - 1)
     return [row[:f] for row in z[:e]]
+
+
+def _times_monomial(x: FieldElement, v) -> FieldElement:
+    """x times the monomial p^q * pi^r of valuation v = q + r/e_l, 0 <= r < e_l.
+
+    The pi-power goes through one multiplication, the p-power through
+    scale_p, which only moves the mantissa scale."""
+    desc = x.desc
+    q = math.floor(v)
+    r = int((v - q) * desc.e_l)
+    if r:
+        x = x * desc.uniformizer(INF) ** r
+    if q:
+        x = x.scale_p(q)
+    return x
 
 
 def _residue_vec(x: FieldElement) -> tuple[int, ...]:
@@ -640,15 +660,7 @@ def sample_element(desc: LocalFieldDesc, valuation, seed: int, prec=None) -> Fie
     cap = desc.p ** math.ceil(pr)
     mant = [[rng.randrange(cap) for _ in range(desc.f_l)] for _ in range(e)]
     mant[0][0] = rng.randrange(1, desc.p) + desc.p * rng.randrange(cap // desc.p)
-    unit = make_element(desc, mant, 0, pr)
-    q = math.floor(v)
-    r = int((v - q) * e)
-    out = unit
-    if r:
-        out = out * desc.uniformizer(INF) ** r
-    if q:
-        out = out.scale_p(q)
-    return out
+    return _times_monomial(make_element(desc, mant, 0, pr), v)
 
 
 def sample_unit(desc: LocalFieldDesc, seed: int, prec=None) -> FieldElement:
@@ -727,17 +739,9 @@ def newton_slopes(coeffs):
 
 def _scale_elt(desc: LocalFieldDesc, v: Fraction) -> FieldElement:
     """An exact monomial of valuation v (a power of p times a power of pi)."""
-    e = desc.e_l
-    if (v * e).denominator != 1:
+    if (v * desc.e_l).denominator != 1:
         raise InvalidValuation(f"valuation {v} not attainable")
-    q = math.floor(v)
-    r = int((v - q) * e)
-    out = desc.from_int(1, INF)
-    if r:
-        out = out * desc.uniformizer(INF) ** r
-    if q:
-        out = out.scale_p(q)
-    return out
+    return _times_monomial(desc.from_int(1, INF), v)
 
 
 def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
@@ -748,7 +752,7 @@ def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
     last = None
     for _ in range(max_iter):
         fx = poly_eval(coeffs, x)
-        if fx.is_exact_zero() or fx.is_zero_at_prec():
+        if fx.is_zero_at_prec():
             return x
         v = fx.valuation()
         if last is not None and v <= last:
@@ -814,29 +818,20 @@ def roots_in_field(coeffs) -> list[FieldElement]:
     return roots
 
 
+def _gfq_eval(desc: LocalFieldDesc, poly, vec):
+    """Value at vec of a residue polynomial with ascending theta-vector coefficients."""
+    acc = (0,) * desc.f_l
+    power = (1,) + (0,) * (desc.f_l - 1)
+    for c in poly:
+        term = _gfq_mul(desc, c, power)
+        acc = tuple((a + t) % desc.p for a, t in zip(acc, term))
+        power = _gfq_mul(desc, power, vec)
+    return acc
+
+
 def _simple_residue_roots(desc: LocalFieldDesc, res_poly):
     """Nonzero simple roots of a residue polynomial by exhaustive search."""
-
-    def ev(vec):
-        acc = (0,) * desc.f_l
-        power = (1,) + (0,) * (desc.f_l - 1)
-        for c in res_poly:
-            term = _gfq_mul(desc, c, power)
-            acc = tuple((a + t) % desc.p for a, t in zip(acc, term))
-            power = _gfq_mul(desc, power, vec)
-        return acc
-
     dres = [tuple(i * c % desc.p for c in vec) for i, vec in enumerate(res_poly)][1:]
-
-    def evd(vec):
-        acc = (0,) * desc.f_l
-        power = (1,) + (0,) * (desc.f_l - 1)
-        for c in dres:
-            term = _gfq_mul(desc, c, power)
-            acc = tuple((a + t) % desc.p for a, t in zip(acc, term))
-            power = _gfq_mul(desc, power, vec)
-        return acc
-
     found = []
     saw_multiple = False
     for idx in range(1, desc.p ** desc.f_l):
@@ -846,8 +841,8 @@ def _simple_residue_roots(desc: LocalFieldDesc, res_poly):
             vec.append(k % desc.p)
             k //= desc.p
         vec = tuple(vec)
-        if not any(ev(vec)):
-            if any(evd(vec)):
+        if not any(_gfq_eval(desc, res_poly, vec)):
+            if any(_gfq_eval(desc, dres, vec)):
                 found.append(vec)
             else:
                 saw_multiple = True

@@ -8,6 +8,7 @@ fraction string, or "inf".  One parse/emit cycle is idempotent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,7 +78,11 @@ def _prec_out(prec):
 # ---------------------------------------------------------------------------
 # field and shape
 
-_FIELD_CACHE: dict = {}
+# Reports print every mantissa as a decimal integer, and Python refuses
+# int-to-str conversions beyond 4300 digits.  A mantissa at precision prec
+# has about prec * log10(p) digits, so that product is capped well below the
+# limit, leaving room for the powers of p a computation puts in denominators.
+MAX_PREC_DIGITS = 3000
 
 
 def parse_field(data, path: str = "/field", override_prec: int | None = None) -> LocalFieldDesc:
@@ -114,18 +119,12 @@ def parse_field(data, path: str = "/field", override_prec: int | None = None) ->
         prec = override_prec
     if not isinstance(prec, int) or prec < 1:
         _fail(path + "/prec", "expected a positive integer")
-    key = (p, f_l, e_l, unram, eis, prec)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if prec * math.log10(p) > MAX_PREC_DIGITS:
+        _fail(path + "/prec", f"precision {prec} exceeds the bound prec * log10(p) <= {MAX_PREC_DIGITS}")
     try:
-        desc = LocalFieldDesc(p, f_l, e_l, unram, eis, prec)
+        return LocalFieldDesc(p, f_l, e_l, unram, eis, prec)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    # element descs compare by identity, so two parses of the same tower
-    # must hand back the same object
-    _FIELD_CACHE[key] = desc
-    return desc
 
 
 def dump_field(desc: LocalFieldDesc) -> dict:
@@ -282,7 +281,7 @@ def parse_filtration(
 def dump_filtration(fil: Filtration) -> list:
     return [
         [
-            {"jump": jump, "basis": [[dump_element(x) for x in g] for g in v.gens]}
+            {"jump": jump, "basis": dump_subspace(v)}
             for jump, v in sig
         ]
         for sig in fil.steps

@@ -59,7 +59,7 @@ def test_embed_and_trace_scaling(q3):
     emb = x.embed_K()
     assert emb.level == "K" and len(emb.comps) == 6
     assert emb.trace() == q3.from_int(3 * (5 + 1))
-    assert emb.at(1, 2) == q3.from_int(1)
+    assert emb.comps[s.index(1, 2)] == q3.from_int(1)
 
 
 def test_ring_operations_and_broadcast(q5_unr):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from phinmod.coeff import GaloisShape, ProductElement
 from phinmod.errors import (
     InvalidValuation,
     PrecisionLoss,
@@ -21,6 +26,7 @@ from phinmod.padic import (
     sample_element,
     sample_unit,
 )
+from phinmod.serial import parse_field
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +110,42 @@ def test_bad_fields_rejected():
         LocalFieldDesc(3, 1, 2, ((0, 1)), ((-9,), (0,), (1,)))  # constant valuation 2
     with pytest.raises(ValidationError):
         LocalFieldDesc(3, 1, 2, (0, 1), ((-1,), (0,), (1,)))  # constant is a unit
+
+
+def test_descriptor_identity_is_one_rule():
+    a = LocalFieldDesc(3, 1, 2, (0, 1), ((-3,), (0,), (1,)))
+    b = LocalFieldDesc(3, 1, 2, [0, 1], [-3, 0, 1])
+    c = parse_field({"p": 3, "eL": 2, "eis_poly": [[-3], [0], [1]]})
+    assert a is b and b is c
+    # an element of one construction mixes freely with another construction
+    x = ProductElement.from_components(c, GaloisShape(1, 1), "K", [a.from_int(2)])
+    assert (x + b.from_int(1)).comps[0] == c.from_int(3)
+    assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+    assert LocalFieldDesc(3, 1, 2, (0, 1), ((-3,), (0,), (1,)), 80) is not a
+
+
+def test_concurrent_construction_yields_one_descriptor():
+    workers = 8
+    barrier = threading.Barrier(workers, timeout=30)
+    built = [None] * workers
+
+    def build(i):
+        barrier.wait()
+        built[i] = LocalFieldDesc(7, 1, 1, (0, 1), ((-7,), (1,)), 41)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert built[0] is not None and all(d is built[0] for d in built)
+    assert built[0] is LocalFieldDesc(7, 1, 1, (0, 1), ((-7,), (1,)), 41)
 
 
 def test_tower_relations(q3_ram, q3_mixed):
