@@ -46,6 +46,7 @@ from .serial import (
     dump_product,
     dump_subspace,
     fraction_out,
+    load_json,
     parse_instance,
 )
 
@@ -292,7 +293,7 @@ def execute(command: str, source, options: Options) -> tuple[dict, int]:
         return _error_report(command, options.precision, UnknownCommand(f"unknown command {command!r}"))
     try:
         if _is_path(source):
-            source = Path(source).read_text("utf-8")
+            source = Path(source).read_bytes()
         instance = parse_instance(source, options.precision)
     except OSError as exc:
         return _error_report(command, options.precision, ParseError(f"cannot read instance: {exc}"))
@@ -324,14 +325,12 @@ def run_batch(manifest_source, options: Options, base_dir: Path | None = None):
     if _is_path(manifest_source):
         path = Path(manifest_source)
         base_dir = base_dir or path.parent
-        manifest_source = path.read_text("utf-8")
-    if isinstance(manifest_source, (bytes, bytearray)):
-        manifest_source = manifest_source.decode("utf-8")
-    if isinstance(manifest_source, str):
         try:
-            manifest = json.loads(manifest_source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"/: manifest is not valid JSON ({exc.msg})") from exc
+            manifest_source = path.read_bytes()
+        except OSError as exc:
+            raise ParseError(f"/: cannot read manifest: {exc}") from exc
+    if isinstance(manifest_source, (bytes, bytearray, str)):
+        manifest = load_json(manifest_source, "manifest is not valid JSON")
     else:
         manifest = manifest_source
     if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):

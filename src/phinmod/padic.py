@@ -13,12 +13,17 @@ minimum of its per-monomial valuations, exactly, whenever at least one
 stored coefficient survives reduction at the working precision.  Every
 verdict in the package builds on that fact; nothing here estimates.
 
-Precision model: each element carries an absolute precision floor, a
-rational with denominator dividing the ramification degree, meaning the
-element is known modulo everything of valuation >= floor.  The literal zero
-from LocalFieldDesc.zero() is exact and reports valuation infinity; a
-computed value that merely reduced to zero at its floor refuses to produce a
-valuation and raises PrecisionLoss instead.
+Precision model: each element carries an absolute precision floor, meaning
+the element is known modulo everything of valuation >= floor.  Inside this
+module floors and valuations are integer counts of pi-adic digits (units of
+1/e_l), so the hot path never builds a Fraction; at the API (.prec,
+.valuation(), .val_floor(), coefficients()) they are rationals with
+denominator dividing the ramification degree.  A requested floor that is not
+a multiple of 1/e_l is rounded up to the next digit, which names the same
+lattice.  The literal zero from LocalFieldDesc.zero() is exact and reports
+valuation and floor infinity; a computed value that merely reduced to zero
+at its floor refuses to produce a valuation and raises PrecisionLoss
+instead.
 """
 from __future__ import annotations
 
@@ -44,6 +49,14 @@ DEFAULT_PRECISION = 60
 # Brute-force residue root search is only attempted for residue fields up to
 # this size; larger repeated-slope segments fail loudly instead.
 _RESIDUE_SEARCH_CAP = 4096
+
+# Distinct precisions whose coefficient moduli a tower keeps cached; a
+# computation touches a few dozen, so the table is dropped when it overflows.
+_MODULI_CACHE_SIZE = 1024
+
+
+def _ceil_div(n: int, d: int) -> int:
+    return -(-n // d)
 
 
 def _vp(n: int, p: int) -> int:
@@ -121,7 +134,8 @@ class LocalFieldDesc:
             raise ValidationError("Eisenstein polynomial must be monic")
         self._certify()
         object.__setattr__(self, "_theta_red", self._build_theta_table())
-        object.__setattr__(self, "_pi_red", self._build_pi_table())
+        object.__setattr__(self, "_mul_table", self._build_mul_table())
+        object.__setattr__(self, "_moduli_cache", {})
         object.__setattr__(self, "_zero", None)
         object.__setattr__(self, "_one", None)
 
@@ -212,77 +226,108 @@ class LocalFieldDesc:
             rows.append(tuple(cur))
         return tuple(rows)
 
+    def _build_mul_table(self):
+        # entry [i][j]: the product of the basis monomials with flat indices
+        # i and j (index a*f + b for pi^a theta^b) reduced onto the basis, as
+        # sparse ((index, coefficient), ...)
+        e, f = self.e_l, self.f_l
+        pi_rows = self._build_pi_table()
+        one, zero = (1,) + (0,) * (f - 1), (0,) * f
+
+        def reduced(a, b):
+            # pi^a theta^b for a <= 2e-2, b <= 2f-2
+            pi_a = pi_rows[a - e] if a >= e else [one if i == a else zero for i in range(e)]
+            theta_b = self._theta_red[b - f] if b >= f else [int(i == b) for i in range(f)]
+            flat = [c for row in pi_a for c in self._umul(row, theta_b)]
+            return tuple((i, c) for i, c in enumerate(flat) if c)
+
+        basis = [(a, b) for a in range(e) for b in range(f)]
+        return tuple(tuple(reduced(a1 + a2, b1 + b2) for a2, b2 in basis) for a1, b1 in basis)
+
+    def _moduli(self, k: int) -> tuple[int, ...]:
+        """Per-coefficient moduli of the lattice pi^k O on the flat monomial
+        basis: p^ceil((k - a)/e_l) for the pi^a entries, 1 where a row
+        vanishes.  One cached tuple per k."""
+        mods = self._moduli_cache.get(k)
+        if mods is None:
+            e, f, p = self.e_l, self.f_l, self.p
+            mods = tuple(p ** max(0, _ceil_div(k - a, e)) for a in range(e) for _ in range(f))
+            if len(self._moduli_cache) >= _MODULI_CACHE_SIZE:
+                self._moduli_cache.clear()
+            self._moduli_cache[k] = mods
+        return mods
+
     # -- basic constructors ----------------------------------------------
 
     @property
     def degree(self) -> int:
         return self.e_l * self.f_l
 
-    def _prec(self, prec) -> Fraction:
+    def _digits(self, prec):
+        """An absolute precision (None for the default) as a count of
+        pi-adic digits, rounded up to the next one; INF stays INF."""
         if prec is None:
-            return Fraction(self.default_prec)
+            return self.default_prec * self.e_l
         if prec is INF:
             return INF
-        return Fraction(prec)
+        return math.ceil(Fraction(prec) * self.e_l)
 
     def zero(self) -> "FieldElement":
-        z = object.__getattribute__(self, "_zero")
+        z = self._zero
         if z is None:
-            mant = tuple(tuple(0 for _ in range(self.f_l)) for _ in range(self.e_l))
-            z = FieldElement(self, mant, 0, INF)
+            z = FieldElement(self, (0,) * self.degree, 0, INF)
             object.__setattr__(self, "_zero", z)
         return z
 
     def one(self) -> "FieldElement":
-        o = object.__getattribute__(self, "_one")
+        o = self._one
         if o is None:
             o = self.from_int(1)
             object.__setattr__(self, "_one", o)
         return o
 
+    def _monomial_mant(self, index: int, c: int) -> list[int]:
+        mant = [0] * self.degree
+        mant[index] = c
+        return mant
+
     def from_int(self, n: int, prec=None) -> "FieldElement":
-        if int(n) == 0:
+        n = int(n)
+        if n == 0:
             return self.zero()
-        mant = [[0] * self.f_l for _ in range(self.e_l)]
-        mant[0][0] = int(n)
-        return make_element(self, mant, 0, self._prec(prec))
+        return make_element(self, self._monomial_mant(0, n), 0, self._digits(prec))
 
     def from_rational(self, r, prec=None) -> "FieldElement":
-        r = Fraction(r)
+        return self._from_rational(Fraction(r), self._digits(prec))
+
+    def _from_rational(self, r: Fraction, k) -> "FieldElement":
         if r == 0:
-            return self.from_int(0, prec)
+            return self.zero()
         num, den = r.numerator, r.denominator
         s = _vp(den, self.p) if den % self.p == 0 else 0
         den //= self.p ** s
-        pr = self._prec(prec)
         if den != 1:
             # invert the prime-to-p part of the denominator modulo p^cap
-            cap = max(1, math.ceil(pr) + s + 1) if pr is not INF else None
-            if cap is None:
+            if k is INF:
                 raise ValidationError("cannot invert a denominator at infinite precision")
-            num = num * pow(den, -1, self.p ** cap)
-        mant = [[0] * self.f_l for _ in range(self.e_l)]
-        mant[0][0] = num
-        return make_element(self, mant, s, pr)
+            num = num * pow(den, -1, self.p ** max(1, _ceil_div(k, self.e_l) + s + 1))
+        return make_element(self, self._monomial_mant(0, num), s, k)
 
     def uniformizer(self, prec=None) -> "FieldElement":
         if self.e_l == 1:
             # pi is the negated Eisenstein constant term, a valuation-1 scalar
-            mant = [list(-c for c in self.eis_poly[0])]
-            return make_element(self, mant, 0, self._prec(prec))
-        mant = [[0] * self.f_l for _ in range(self.e_l)]
-        mant[1][0] = 1
-        return make_element(self, mant, 0, self._prec(prec))
+            mant = [-c for c in self.eis_poly[0]]
+        else:
+            mant = self._monomial_mant(self.f_l, 1)
+        return make_element(self, mant, 0, self._digits(prec))
 
     def unram_gen(self, prec=None) -> "FieldElement":
         if self.f_l == 1:
             # theta is the negated root of the degree-one polynomial
-            mant = [[0] for _ in range(self.e_l)]
-            mant[0][0] = -self.unram_poly[0]
-            return make_element(self, mant, 0, self._prec(prec))
-        mant = [[0] * self.f_l for _ in range(self.e_l)]
-        mant[0][1] = 1
-        return make_element(self, mant, 0, self._prec(prec))
+            mant = self._monomial_mant(0, -self.unram_poly[0])
+        else:
+            mant = self._monomial_mant(1, 1)
+        return make_element(self, mant, 0, self._digits(prec))
 
     def element(self, coords, prec=None) -> "FieldElement":
         """Build an element from a 2-D array of rationals indexed [pi-power][theta-power]."""
@@ -290,102 +335,120 @@ class LocalFieldDesc:
         if len(rows) != self.e_l or any(len(r) != self.f_l for r in rows):
             raise ValidationError("coordinate array must be e_l rows of f_l entries")
         out = self.zero()
-        pr = self._prec(prec)
+        k = self._digits(prec)
         for a, row in enumerate(rows):
             for b, c in enumerate(row):
                 c = Fraction(c)
                 if c == 0:
                     continue
-                mono = self.from_int(1, INF)
-                if a:
-                    mono = mono * self.uniformizer(INF) ** a
-                if b:
-                    mono = mono * self.unram_gen(INF) ** b
-                out = out + self.from_rational(c, pr) * mono
+                # pi^a theta^b with a < e_l, b < f_l is the basis monomial itself
+                mono = make_element(self, self._monomial_mant(a * self.f_l + b, 1), 0, INF)
+                out = out + self._from_rational(c, k) * mono
         return out
 
-    def valuation_lattice_exponent(self, prec: Fraction, a: int) -> int:
-        """Mantissa cap exponent for the pi^a row at absolute precision prec."""
-        return math.ceil(prec - Fraction(a, self.e_l))
 
-
-def make_element(desc: LocalFieldDesc, mant, shift: int, prec) -> "FieldElement":
-    """Canonical constructor: caps each coefficient at the precision lattice
-    and strips common powers of p between the mantissa and the shift."""
-    e, f, p = desc.e_l, desc.f_l, desc.p
-    rows = [list(r) for r in mant]
-    if prec is not INF:
-        for a in range(e):
-            cap = desc.valuation_lattice_exponent(prec, a) + shift
-            if cap <= 0:
-                rows[a] = [0] * f
-            else:
-                mod = p ** cap
-                rows[a] = [c % mod for c in rows[a]]
-    nz = [c for r in rows for c in r if c]
-    if not nz:
-        return FieldElement(desc, tuple(tuple(r) for r in rows), 0, prec)
-    if shift > 0:
-        t = min(shift, min(_vp(c, p) for c in nz))
-        if t:
+def make_element(desc: LocalFieldDesc, mant, shift: int, k) -> "FieldElement":
+    """Canonical constructor from a flat mantissa (index a*f_l + b), a p-power
+    shift >= 0 and an absolute floor of k pi-adic digits (INF when exact):
+    caps each coefficient at the lattice pi^k, so any surviving coefficient
+    has valuation below the floor, and strips common powers of p between the
+    mantissa and the shift."""
+    if k is not INF:
+        mant = [c % m for c, m in zip(mant, desc._moduli(k + desc.e_l * shift))]
+    if shift:
+        g = math.gcd(*mant)
+        if not g:
+            shift = 0
+        elif g % desc.p == 0:
+            p, t = desc.p, 0
+            while t < shift and g % p == 0:
+                g //= p
+                t += 1
             q = p ** t
-            rows = [[c // q for c in r] for r in rows]
+            mant = [c // q for c in mant]
             shift -= t
-    return FieldElement(desc, tuple(tuple(r) for r in rows), shift, prec)
+    return FieldElement(desc, tuple(mant), shift, k)
 
 
-@dataclass(frozen=True, eq=False)
 class FieldElement:
     """An element of the coefficient field, known modulo valuation >= prec.
 
-    mant holds integers; the element is (1/p^shift) * sum of
-    mant[a][b] * pi^a * theta^b.  Instances are produced canonically by
-    make_element and must be treated as immutable.
+    mant is a flat tuple of integers indexed a*f_l + b; the element is
+    (1/p^shift) * sum of mant[a*f_l + b] * pi^a * theta^b.  The absolute
+    floor is kept as k pi-adic digits (INF when exact) and exposed as the
+    rational .prec.  Instances are produced canonically by make_element and
+    must be treated as immutable; the valuation is computed once, on demand.
     """
 
-    desc: LocalFieldDesc
-    mant: tuple[tuple[int, ...], ...]
-    shift: int
-    prec: Fraction | float
+    __slots__ = ("desc", "mant", "shift", "_k", "_v")
+
+    def __init__(self, desc: LocalFieldDesc, mant: tuple[int, ...], shift: int, k):
+        self.desc = desc
+        self.mant = mant
+        self.shift = shift
+        self._k = k
+        self._v = None
+
+    @property
+    def prec(self) -> Fraction | float:
+        k = self._k
+        return INF if k is INF else Fraction(k, self.desc.e_l)
 
     # -- predicates -------------------------------------------------------
 
     def is_exact_zero(self) -> bool:
-        return self.prec is INF and not any(c for r in self.mant for c in r)
+        return self._k is INF and not any(self.mant)
 
     def is_zero_at_prec(self) -> bool:
         """True when no stored coefficient certifies the element nonzero."""
-        return not any(c for r in self.mant for c in r)
+        return not any(self.mant)
 
     # -- valuation --------------------------------------------------------
+
+    def _val(self):
+        """Valuation in pi-adic digits: INF for the literal zero, None when
+        the element is indistinguishable from zero at its floor."""
+        v = self._v
+        if v is None:
+            if not any(self.mant):
+                return INF if self._k is INF else None
+            desc = self.desc
+            p, e, f = desc.p, desc.e_l, desc.f_l
+            mant = self.mant
+            for a in range(e):
+                g = math.gcd(*mant[a * f : (a + 1) * f])
+                if g:
+                    n = a - e * self.shift
+                    while g % p == 0:
+                        g //= p
+                        n += e
+                    if v is None or n < v:
+                        v = n
+            self._v = v
+        return v
+
+    def _certified_val(self):
+        v = self._val()
+        if v is None:
+            raise PrecisionLoss(f"element indistinguishable from zero at precision {self.prec}")
+        return v
+
+    def _floor(self):
+        """Certified lower bound for the valuation, in pi-adic digits."""
+        v = self._val()
+        return self._k if v is None else v
 
     def valuation(self) -> Fraction | float:
         """Exact valuation; INF for the literal zero; PrecisionLoss when the
         element is indistinguishable from zero at its floor."""
-        if self.is_exact_zero():
-            return INF
-        best = None
-        p, e = self.desc.p, self.desc.e_l
-        for a, row in enumerate(self.mant):
-            for c in row:
-                if c:
-                    v = Fraction(_vp(c, p) - self.shift) + Fraction(a, e)
-                    if best is None or v < best:
-                        best = v
-        if best is None:
-            raise PrecisionLoss(
-                f"element indistinguishable from zero at precision {self.prec}"
-            )
-        return best
+        v = self._certified_val()
+        return INF if v is INF else Fraction(v, self.desc.e_l)
 
-    def val_floor(self) -> Fraction:
+    def val_floor(self) -> Fraction | float:
         """Certified lower bound for the valuation (the valuation itself when
         available, the precision floor otherwise)."""
-        try:
-            v = self.valuation()
-        except PrecisionLoss:
-            return self.prec
-        return self.prec if v is INF else v
+        v = self._floor()
+        return INF if v is INF else Fraction(v, self.desc.e_l)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -394,15 +457,16 @@ class FieldElement:
             if other.desc is not self.desc:
                 raise FieldMismatch("operands belong to different fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            den = r.denominator
+        if isinstance(other, int):
+            return self.desc.from_int(other, INF)
+        if isinstance(other, Fraction):
+            den = other.denominator
             while den % self.desc.p == 0:
                 den //= self.desc.p
             if den == 1:
-                return self.desc.from_rational(r, INF)
-            pr = self.prec if self.prec is not INF else None
-            return self.desc.from_rational(r, pr)
+                return self.desc._from_rational(other, INF)
+            k = self._k if self._k is not INF else self.desc._digits(None)
+            return self.desc._from_rational(other, k)
         return None
 
     def __add__(self, other):
@@ -413,22 +477,24 @@ class FieldElement:
             return o
         if o.is_exact_zero():
             return self
-        s = max(self.shift, o.shift)
-        pa = self.desc.p ** (s - self.shift)
-        pb = self.desc.p ** (s - o.shift)
-        rows = [
-            [ca * pa + cb * pb for ca, cb in zip(ra, rb)]
-            for ra, rb in zip(self.mant, o.mant)
-        ]
-        return make_element(self.desc, rows, s, min(self.prec, o.prec))
+        s, t = self.shift, o.shift
+        if s == t:
+            mant = [a + b for a, b in zip(self.mant, o.mant)]
+        elif s > t:
+            q = self.desc.p ** (s - t)
+            mant = [a + b * q for a, b in zip(self.mant, o.mant)]
+        else:
+            q = self.desc.p ** (t - s)
+            mant = [a * q + b for a, b in zip(self.mant, o.mant)]
+            s = t
+        return make_element(self.desc, mant, s, min(self._k, o._k))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_exact_zero():
             return self
-        rows = [[-c for c in r] for r in self.mant]
-        return make_element(self.desc, rows, self.shift, self.prec)
+        return make_element(self.desc, [-c for c in self.mant], self.shift, self._k)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -448,17 +514,14 @@ class FieldElement:
             return NotImplemented
         if self.is_exact_zero() or o.is_exact_zero():
             return self.desc.zero()
-        rows = _raw_mul(self.desc, self.mant, o.mant)
-        shift = self.shift + o.shift
-        if self.prec is INF and o.prec is INF:
-            prec = INF
-        elif self.prec is INF:
-            prec = self.val_floor() + o.prec
-        elif o.prec is INF:
-            prec = o.val_floor() + self.prec
+        ka, kb = self._k, o._k
+        if ka is INF:
+            k = kb if kb is INF else self._floor() + kb
+        elif kb is INF:
+            k = o._floor() + ka
         else:
-            prec = min(self.val_floor() + o.prec, o.val_floor() + self.prec)
-        return make_element(self.desc, rows, shift, prec)
+            k = min(self._floor() + kb, o._floor() + ka)
+        return make_element(self.desc, _raw_mul(self.desc, self.mant, o.mant), self.shift + o.shift, k)
 
     __rmul__ = __mul__
 
@@ -493,28 +556,28 @@ class FieldElement:
         if self.is_exact_zero() or k == 0:
             return self
         shift = self.shift - k
-        rows = self.mant
+        mant = self.mant
         if shift < 0:
             q = self.desc.p ** (-shift)
-            rows = [[c * q for c in r] for r in rows]
+            mant = [c * q for c in mant]
             shift = 0
-        prec = self.prec if self.prec is INF else self.prec + k
-        return make_element(self.desc, [list(r) for r in rows], shift, prec)
+        prec = self._k if self._k is INF else self._k + self.desc.e_l * k
+        return make_element(self.desc, mant, shift, prec)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse by Newton iteration from the residue of the
         unit part.  Relative precision is preserved."""
         if self.is_exact_zero():
             raise ZeroInput("inverting exact zero")
-        v = self.valuation()  # PrecisionLoss propagates
+        v = self._certified_val()
         desc = self.desc
         unit = _times_monomial(self, -v)
-        rel = unit.prec  # = self.prec - v, the relative precision
+        # the relative precision in digits; a certified valuation lies at
+        # least one digit below the floor, so rel >= 1
+        rel = unit._k
         if rel is INF:
-            rel = Fraction(desc.default_prec)
-            unit = make_element(desc, [list(r) for r in unit.mant], unit.shift, rel)
-        if rel * desc.e_l < 1:
-            raise PrecisionLoss("no relative precision left for inversion")
+            rel = desc._digits(None)
+            unit = make_element(desc, unit.mant, unit.shift, rel)
         # x^{-1} = unit^{-1} * (monomial of valuation -v)
         return _times_monomial(_unit_inverse(unit, rel), -v)
 
@@ -524,9 +587,9 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        pr = min(self.prec, o.prec)
-        a = make_element(self.desc, [list(r) for r in self.mant], self.shift, pr)
-        b = make_element(self.desc, [list(r) for r in o.mant], o.shift, pr)
+        k = min(self._k, o._k)
+        a = make_element(self.desc, self.mant, self.shift, k)
+        b = make_element(self.desc, o.mant, o.shift, k)
         return a.mant == b.mant and a.shift == b.shift
 
     __hash__ = None
@@ -541,55 +604,35 @@ class FieldElement:
 
     def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
         """Coordinates on the pi^a theta^b basis as exact fractions."""
-        d = Fraction(1, self.desc.p ** self.shift)
-        return tuple(tuple(c * d for c in row) for row in self.mant)
+        d = self.desc.p ** self.shift
+        f = self.desc.f_l
+        m = self.mant
+        return tuple(tuple(Fraction(c, d) for c in m[i : i + f]) for i in range(0, len(m), f))
 
 
-def _raw_mul(desc: LocalFieldDesc, x, y):
-    e, f = desc.e_l, desc.f_l
-    z = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
-    for a1, row1 in enumerate(x):
-        for b1, c1 in enumerate(row1):
-            if not c1:
-                continue
-            for a2, row2 in enumerate(y):
-                for b2, c2 in enumerate(row2):
-                    if c2:
-                        z[a1 + a2][b1 + b2] += c1 * c2
-    # fold theta powers back under the unramified relation
-    if f > 1:
-        for row in z:
-            for k in range(2 * f - 2, f - 1, -1):
-                c = row[k]
-                if c:
-                    red = desc._theta_red[k - f]
-                    for b in range(f):
-                        row[b] += c * red[b]
-                    row[k] = 0
-    # fold pi powers back under the Eisenstein relation
-    if e > 1:
-        for k in range(2 * e - 2, e - 1, -1):
-            row = z[k]
-            if any(row[:f]):
-                table = desc._pi_red[k - e]
-                for a in range(e):
-                    prod = desc._umul(row[:f], table[a])
-                    for b in range(f):
-                        z[a][b] += prod[b]
-                z[k] = [0] * (2 * f - 1)
-    return [row[:f] for row in z[:e]]
+def _raw_mul(desc: LocalFieldDesc, x, y) -> list[int]:
+    """Product of two flat mantissas on the monomial basis, exact integers."""
+    out = [0] * len(x)
+    for row, c1 in zip(desc._mul_table, x):
+        if c1:
+            for terms, c2 in zip(row, y):
+                if c2:
+                    c = c1 * c2
+                    for i, r in terms:
+                        out[i] += c * r
+    return out
 
 
-def _times_monomial(x: FieldElement, v) -> FieldElement:
-    """x times the monomial p^q * pi^r of valuation v = q + r/e_l, 0 <= r < e_l.
+def _times_monomial(x: FieldElement, n: int) -> FieldElement:
+    """x times the monomial p^q * pi^r of valuation n/e_l, n = q*e_l + r with
+    0 <= r < e_l.
 
-    The pi-power goes through one multiplication, the p-power through
-    scale_p, which only moves the mantissa scale."""
+    The pi-power, a basis monomial, goes through one multiplication, the
+    p-power through scale_p, which only moves the mantissa scale."""
     desc = x.desc
-    q = math.floor(v)
-    r = int((v - q) * desc.e_l)
+    q, r = divmod(n, desc.e_l)
     if r:
-        x = x * desc.uniformizer(INF) ** r
+        x = x * make_element(desc, desc._monomial_mant(r * desc.f_l, 1), 0, INF)
     if q:
         x = x.scale_p(q)
     return x
@@ -600,7 +643,7 @@ def _residue_vec(x: FieldElement) -> tuple[int, ...]:
     p, s = x.desc.p, x.shift
     q = p ** s
     out = []
-    for c in x.mant[0]:
+    for c in x.mant[: x.desc.f_l]:
         if c % q:
             raise PrecisionLoss("residue of a non-integral element")
         out.append((c // q) % p)
@@ -621,24 +664,46 @@ def _gfq_pow(desc: LocalFieldDesc, u, k: int):
         k >>= 1
     return out
 
+
 def _gfq_inv(desc: LocalFieldDesc, u):
     if not any(c % desc.p for c in u):
         raise ZeroInput("inverting zero residue")
+    if desc.f_l == 1:
+        return (pow(u[0], -1, desc.p),)
     return _gfq_pow(desc, u, desc.p ** desc.f_l - 2)
 
 
-def _unit_inverse(u: FieldElement, rel: Fraction) -> FieldElement:
+def _unit_inverse(u: FieldElement, k: int) -> FieldElement:
+    """Inverse of a unit known to k >= 1 pi-adic digits, on raw integers.
+
+    On Q_p the integer is inverted modulo p^top, top = ceil(k/e_l).
+    Elsewhere Newton's y <- y(2 - uy) runs from the residue inverse; each
+    step doubles the number of correct pi-adic digits (Caruso-Roe-Vaccon,
+    arXiv:1402.0619), with coefficients reduced modulo
+    p^min(top, ceil(digits/e_l) + 1).  The result is checked, u*y == 1 at k
+    digits, before it is used."""
     desc = u.desc
-    res = _residue_vec(u)
-    inv0 = _gfq_inv(desc, res)
-    mant = [[0] * desc.f_l for _ in range(desc.e_l)]
-    mant[0] = list(inv0)
-    y = make_element(desc, mant, 0, rel)
-    two = desc.from_int(2, INF)
-    steps = max(1, math.ceil(math.log2(float(rel * desc.e_l)))) + 2
-    for _ in range(steps):
-        y = y * (two - u * y)
-    return y
+    p, e = desc.p, desc.e_l
+    q = p ** u.shift
+    c = [x // q for x in u.mant]  # a unit's mantissa is divisible by p^shift
+    top = _ceil_div(k, e)  # p^top lies in the lattice pi^k O
+    if len(c) == 1:
+        y = [pow(c[0], -1, p**top)]
+    else:
+        y = [0] * len(c)
+        y[: desc.f_l] = _gfq_inv(desc, c[: desc.f_l])
+        digits = 1
+        while digits < k:
+            digits *= 2
+            mod = p ** min(top, _ceil_div(digits, e) + 1)
+            t = [-v % mod for v in _raw_mul(desc, c, y)]
+            t[0] += 2
+            y = [v % mod for v in _raw_mul(desc, y, t)]
+    check = _raw_mul(desc, c, y)
+    check[0] -= 1
+    if any(v % m for v, m in zip(check, desc._moduli(k))):
+        raise PrecisionLoss("unit inverse failed its check u*y == 1")
+    return make_element(desc, y, 0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +717,15 @@ def sample_element(desc: LocalFieldDesc, valuation, seed: int, prec=None) -> Fie
     residue, then the result is scaled by the right power of p and pi.
     """
     v = Fraction(valuation)
-    e = desc.e_l
-    if (v * e).denominator != 1:
-        raise InvalidValuation(f"valuation {v} is not a multiple of 1/{e}")
+    n = v * desc.e_l
+    if n.denominator != 1:
+        raise InvalidValuation(f"valuation {v} is not a multiple of 1/{desc.e_l}")
     rng = random.Random(seed)
-    pr = desc._prec(prec)
-    cap = desc.p ** math.ceil(pr)
-    mant = [[rng.randrange(cap) for _ in range(desc.f_l)] for _ in range(e)]
-    mant[0][0] = rng.randrange(1, desc.p) + desc.p * rng.randrange(cap // desc.p)
-    return _times_monomial(make_element(desc, mant, 0, pr), v)
+    k = desc._digits(prec)
+    cap = desc.p ** _ceil_div(k, desc.e_l)
+    mant = [rng.randrange(cap) for _ in range(desc.degree)]
+    mant[0] = rng.randrange(1, desc.p) + desc.p * rng.randrange(cap // desc.p)
+    return _times_monomial(make_element(desc, mant, 0, k), int(n))
 
 
 def sample_unit(desc: LocalFieldDesc, seed: int, prec=None) -> FieldElement:
@@ -739,27 +804,39 @@ def newton_slopes(coeffs):
 
 def _scale_elt(desc: LocalFieldDesc, v: Fraction) -> FieldElement:
     """An exact monomial of valuation v (a power of p times a power of pi)."""
-    if (v * desc.e_l).denominator != 1:
+    n = v * desc.e_l
+    if n.denominator != 1:
         raise InvalidValuation(f"valuation {v} not attainable")
-    return _times_monomial(desc.from_int(1, INF), v)
+    return _times_monomial(desc.from_int(1, INF), int(n))
 
 
 def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
-    """Newton-lift a simple root from a starting point where the derivative
-    is a unit relative to the function value."""
+    """Newton-lift a simple root from a start x0 that satisfies Hensel's
+    condition v(f(x0)) > 2 v(f'(x0)).
+
+    Returns only a root certified by f(x) == 0 at the working precision.
+    Raises RootLiftingError when the start fails Hensel's condition or
+    max_iter lifts end first.  Under the condition every lift raises the
+    residual valuation, so a residual that stops rising means the working
+    precision ran out: PrecisionLoss."""
     deriv = poly_derivative(coeffs)
     x = x0
     last = None
-    for _ in range(max_iter):
+    for step in range(max_iter + 1):
         fx = poly_eval(coeffs, x)
         if fx.is_zero_at_prec():
             return x
-        v = fx.valuation()
-        if last is not None and v <= last:
-            return x
+        if step == max_iter:
+            raise RootLiftingError(f"no root within {max_iter} Newton lifts")
+        v = fx._certified_val()
+        dfx = poly_eval(deriv, x)
+        if last is None:
+            if v <= 2 * dfx._certified_val():
+                raise RootLiftingError("start point fails Hensel's condition")
+        elif v <= last:
+            raise PrecisionLoss(f"Newton lift stalled with residual valuation {fx.valuation()}")
         last = v
-        x = x - fx / poly_eval(deriv, x)
-    return x
+        x = x - fx / dfx
 
 
 def roots_in_field(coeffs) -> list[FieldElement]:
@@ -769,7 +846,9 @@ def roots_in_field(coeffs) -> list[FieldElement]:
     Raises RootLiftingError when a segment cannot be resolved (repeated
     residue roots, slopes outside the value group, or residue fields too
     large to search).  Used by the eigenvalue machinery, which maps the
-    failure onto its own unsupported-regime error.
+    failure onto its own unsupported-regime error.  A segment whose residue
+    polynomial is not determined at the working precision raises
+    PrecisionLoss instead.
     """
     desc = coeffs[0].desc
     segs, _hull = newton_slopes(coeffs)
@@ -788,6 +867,9 @@ def roots_in_field(coeffs) -> list[FieldElement]:
         )
         norm = _scale_elt(desc, -mu)
         h = [c * norm for c in scaled]
+        k = min(c._k for c in h)
+        if k < 1:
+            raise PrecisionLoss("residue polynomial of a Newton segment not determined at this precision")
         res_poly = []
         for c in h:
             if c.is_zero_at_prec():
@@ -808,9 +890,9 @@ def roots_in_field(coeffs) -> list[FieldElement]:
                 # a repeated residue root may hide any number of field roots
                 unresolved += 1
         for rbar in starts:
-            mant = [[0] * desc.f_l for _ in range(desc.e_l)]
-            mant[0] = list(rbar)
-            x0 = make_element(desc, mant, 0, min(c.prec for c in h))
+            mant = desc._monomial_mant(0, 0)
+            mant[: desc.f_l] = rbar
+            x0 = make_element(desc, mant, 0, k)
             root_scaled = hensel_root(h, x0)
             roots.append(root_scaled * u)
     if unresolved:

@@ -47,6 +47,26 @@ def _expect_list(data, path: str, length: int | None = None) -> list:
     return data
 
 
+def load_json(source, what: str):
+    """Decode UTF-8 bytes or text as JSON.  Every failure is a ParseError at
+    /, including the ones json.loads does not report as JSONDecodeError: an
+    integer literal past Python's 4300-digit int-to-str limit (a plain
+    ValueError) and nesting past the recursion limit."""
+    try:
+        if isinstance(source, (bytes, bytearray)):
+            source = source.decode("utf-8")
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        reason = f"{exc.msg} at line {exc.lineno}"
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    except ValueError:
+        reason = "integer literal too long"
+    except RecursionError:
+        reason = "nested too deeply"
+    raise ParseError(f"/: {what} ({reason})")
+
+
 def parse_fraction(data, path: str) -> Fraction:
     if isinstance(data, bool) or not isinstance(data, (int, str)):
         _fail(path, "expected an integer or a fraction string")
@@ -376,13 +396,8 @@ class Instance:
 def parse_instance(source, override_prec: int | None = None) -> Instance:
     """Parse bytes, text, or an already-decoded object into a validated
     Instance; the payload kind is inferred from the keys present."""
-    if isinstance(source, (bytes, bytearray)):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"/: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
+    if isinstance(source, (bytes, bytearray, str)):
+        data = load_json(source, "invalid JSON")
     else:
         data = source
     data = _expect_dict(data, "")

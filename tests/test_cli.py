@@ -125,6 +125,52 @@ def test_unprintable_precision_rejected_at_parse(capsys):
     assert parse_field({"p": 3, "prec": 2000}).default_prec == 2000
 
 
+def _with_raw_value(name: str, literal: str) -> str:
+    """A fixture's JSON text with one more key holding the raw literal."""
+    return (FIXTURES / name).read_text("utf-8").rstrip()[:-1] + f', "junk": {literal}}}'
+
+
+# literals json.loads refuses with a plain ValueError or a RecursionError,
+# not a JSONDecodeError; built as text, never as Python values
+HOSTILE_LITERALS = {
+    "integer literal too long": "7" * 5000,
+    "nested too deeply": "[" * 100000 + "]" * 100000,
+}
+
+
+@pytest.mark.parametrize("reason", sorted(HOSTILE_LITERALS))
+def test_undecodable_instance_exits_two(reason, tmp_path, capsys):
+    bad = tmp_path / "germ.json"
+    bad.write_text(_with_raw_value("germ_vanishing.json", HOSTILE_LITERALS[reason]), "utf-8")
+    code = main(["colmez", str(bad)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == {"type": "ParseError", "message": f"/: invalid JSON ({reason})"}
+    # inside a batch the entry fails alone
+    manifest = {"entries": [{"command": "colmez", "instance": "germ.json"},
+                            {"command": "colmez", "instance": str(FIXTURES / "germ_vanishing.json")}]}
+    reports, code = run_batch(manifest, Options(), base_dir=tmp_path)
+    assert code == 2
+    assert reports[0]["error"]["type"] == "ParseError" and reports[1]["error"] is None
+
+
+@pytest.mark.parametrize("reason", sorted(HOSTILE_LITERALS))
+def test_undecodable_manifest_exits_two(reason, tmp_path, capsys):
+    bad = tmp_path / "manifest.json"
+    bad.write_text('{"entries": [], "junk": ' + HOSTILE_LITERALS[reason] + "}", "utf-8")
+    assert main(["batch", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: /: manifest is not valid JSON ({reason})\n"
+
+
+def test_unreadable_sources_exit_two(tmp_path, capsys):
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b'{"field": "\xff"}')
+    report, code = execute("colmez", raw, Options())
+    assert code == 2 and report["error"]["message"] == "/: invalid JSON (not UTF-8 text)"
+    assert main(["batch", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read manifest" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_batch_stdout_matches_golden(jobs, capsys):
     code = main(["batch", str(FIXTURES / "manifest.json"), "--jobs", jobs])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import itertools
+import math
 import pickle
 import sys
 import threading
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from phinmod import padic
 from phinmod.coeff import GaloisShape, ProductElement
 from phinmod.errors import (
     InvalidValuation,
@@ -26,7 +29,7 @@ from phinmod.padic import (
     sample_element,
     sample_unit,
 )
-from phinmod.serial import parse_field
+from phinmod.serial import dump_element, parse_field
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,98 @@ def test_inverse_errors(q3):
         (x - x).inverse()
 
 
+def oracle_inverse(x):
+    """The inverse by the former algorithm, kept as an oracle: Newton with
+    FieldElement operators from a brute-force residue inverse, a fixed
+    ceil(log2(digits)) + 2 steps at full precision."""
+    desc = x.desc
+    e = desc.e_l
+    q, r = divmod(int(x.valuation() * e), e)
+    if r:
+        q, r = q + 1, e - r
+    # x * pi^r / p^q is a unit
+    scale = desc.uniformizer(INF) ** r * desc.from_rational(Fraction(1, desc.p) ** q, INF)
+    u = x * scale
+    y = None
+    for digits in itertools.product(range(desc.p), repeat=desc.f_l):
+        t = desc.element([list(digits)] + [[0] * desc.f_l] * (e - 1), INF)
+        if (u * t - 1).val_floor() > 0:
+            y = t
+            break
+    two = desc.from_int(2, INF)
+    for _ in range(math.ceil(math.log2(u.prec * e)) + 2):
+        y = y * (two - u * y)
+    return y * scale
+
+
+INVERSE_TOWERS = {
+    "q2": (2, 1, 1, (0, 1), ((-2,), (1,))),
+    "q3": (3, 1, 1, (0, 1), ((-3,), (1,))),
+    "q3ram": (3, 1, 2, (0, 1), ((-3,), (0,), (1,))),
+    "q9": (3, 2, 1, (1, 0, 1), ((-3, 0), (1, 0))),
+    # e = f = 2: products fold both theta and pi powers
+    "q9ram": (3, 2, 2, (1, 0, 1), ((-3, 0), (0, 0), (1, 0))),
+}
+
+
+@pytest.mark.parametrize("prec", [60, 2000])
+@pytest.mark.parametrize("tower", sorted(INVERSE_TOWERS))
+def test_inverse_properties(tower, prec):
+    desc = LocalFieldDesc(*INVERSE_TOWERS[tower])
+    e = desc.e_l
+    for n in range(-4, 9):
+        v = Fraction(n, e)
+        x = sample_element(desc, v, seed=1000 * n + prec, prec=prec)
+        inv = x.inverse()
+        assert x * inv == 1
+        assert inv.valuation() == -v
+        assert inv.prec == x.prec - 2 * v
+        expected = oracle_inverse(x)
+        assert inv == expected and inv.prec == expected.prec
+
+
+def test_inverse_needs_relative_precision(all_fields):
+    for desc in all_fields:
+        e = desc.e_l
+        # relative precision below one pi-adic digit: p^2 known mod p^2
+        with pytest.raises(PrecisionLoss):
+            desc.from_int(desc.p**2, prec=2).inverse()
+        # exactly one digit is enough, and the floor rule still holds
+        x = desc.from_int(desc.p**2, prec=Fraction(2 * e + 1, e))
+        inv = x.inverse()
+        assert inv.prec == x.prec - 4
+        assert x * inv == 1
+
+
+def test_unit_inverse_is_checked(q3_ram, monkeypatch):
+    x = sample_unit(q3_ram, seed=3)
+    good = x.inverse()
+    # a wrong residue start makes Newton converge to nothing; the check
+    # refuses the result instead of returning it
+    monkeypatch.setattr(padic, "_gfq_inv", lambda desc, u: (1,) if u[0] % 3 == 2 else (2,))
+    with pytest.raises(PrecisionLoss):
+        x.inverse()
+    monkeypatch.undo()
+    assert x.inverse() == good
+
+
+def test_api_precision_types(q3_ram):
+    e = q3_ram.e_l
+    x = q3_ram.one() * q3_ram.uniformizer(INF).inverse()
+    for value in (x.prec, x.valuation(), x.val_floor()):
+        assert isinstance(value, Fraction) and e % value.denominator == 0
+    assert (x.prec, x.valuation()) == (Fraction(119, 2), Fraction(-1, 2))
+    assert dump_element(x) == {"c": [["0"], ["1/3"]], "prec": "119/2"}
+    assert all(isinstance(c, Fraction) for row in x.coefficients() for c in row)
+    gone = x - x
+    assert isinstance(gone.val_floor(), Fraction) and gone.val_floor() == Fraction(119, 2)
+    zero = q3_ram.zero()
+    assert zero.prec is INF and zero.valuation() is INF and zero.val_floor() is INF
+    assert dump_element(zero)["prec"] == "inf"
+    # a floor between two digits names the lattice of the next digit
+    assert q3_ram.from_int(1, prec=Fraction(1, 3)).prec == Fraction(1, 2)
+
+
 def test_rational_embedding(q3):
     half = q3.from_rational(Fraction(1, 2))
     assert half * 2 == q3.one()
@@ -404,3 +499,32 @@ def test_hensel_root_quadratic(q2):
     coeffs = [q2.from_int(-9), q2.zero(), one]
     x = hensel_root(coeffs, q2.from_int(1))
     assert x * x == q2.from_int(9)
+    # one lift does not reach a root at precision 60: refused, not returned
+    with pytest.raises(RootLiftingError):
+        hensel_root(coeffs, q2.from_int(1), max_iter=1)
+
+
+def test_hensel_root_refuses_a_start_failing_hensel(q3):
+    # T^2 - 3 has no root in Q_3: at 1 the residual and the derivative are
+    # both units, so v(f) > 2 v(f') fails and no simple root is singled out
+    coeffs = [q3.from_int(-3), q3.zero(), q3.one()]
+    with pytest.raises(RootLiftingError):
+        hensel_root(coeffs, q3.from_int(1))
+    # (T - 1)^2 from 1 + 3: v(f) = 2 = 2 v(f'), a double root, not a lift
+    coeffs = [q3.one(), q3.from_int(-2), q3.one()]
+    with pytest.raises(RootLiftingError):
+        hensel_root(coeffs, q3.from_int(4))
+
+
+def test_roots_need_a_residue_digit(q3):
+    # T^2 + c T + 2 with c known to no 3-adic digit: the residue polynomial,
+    # and with it every root, is undetermined; a precision failure, not a
+    # structural one the callers would read as a repeated eigenvalue
+    coeffs = [q3.from_int(2), q3.from_int(1, prec=0), q3.one()]
+    with pytest.raises(PrecisionLoss):
+        roots_in_field(coeffs)
+    # one digit of c is enough: c = 0 + O(3) gives the residue roots 1 and 2
+    coeffs[1] = q3.from_int(3, prec=1)
+    roots = roots_in_field(coeffs)
+    assert sorted(r.coefficients()[0][0] for r in roots) == [1, 2]
+    assert all(r.prec == 1 for r in roots)
