@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -351,6 +350,9 @@ def run_batch(manifest_source, options: Options, base_dir: Path | None = None):
 
     entries = manifest["entries"]
     if options.jobs > 1:
+        # imported here: a single command or a serial batch never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=options.jobs) as pool:
             results = list(pool.map(one, entries))
     else:

@@ -70,6 +70,103 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+# Miller-Rabin to the first 13 prime bases has no strong pseudoprime below
+# MAX_P (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017), so primality below it is certified, not probable.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_P = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test, exact for every n < MAX_P."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _irreducible_mod_p(poly, p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic polynomial with
+    ascending integer coefficients over F_p, p prime: f of degree n is
+    irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1 for
+    every prime q dividing n."""
+    f = [c % p for c in poly]
+    n = len(f) - 1
+    if n == 1:
+        return True
+
+    def mulmod(a, b):
+        # a, b: length-n residues mod f; x^n = -(f_0 + ... + f_{n-1} x^{n-1})
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        for k in range(2 * n - 2, n - 1, -1):
+            c = prod[k] % p
+            if c:
+                for i in range(n):
+                    prod[k - n + i] -= c * f[i]
+        return [c % p for c in prod[:n]]
+
+    def frobenius(a):
+        # a^p by square-and-multiply, most significant bit first
+        out = a
+        for bit in bin(p)[3:]:
+            out = mulmod(out, out)
+            if bit == "1":
+                out = mulmod(out, a)
+        return out
+
+    def coprime_to_f(a):
+        # Euclid over F_p on ascending lists; a has degree < n
+        u, v = f, a
+        while True:
+            while v and v[-1] == 0:
+                v = v[:-1]
+            if not v:
+                return len(u) == 1
+            inv = pow(v[-1], -1, p)
+            u = list(u)
+            while len(u) >= len(v):
+                c = u[-1] * inv % p
+                shift = len(u) - len(v)
+                for i, vi in enumerate(v):
+                    u[shift + i] = (u[shift + i] - c * vi) % p
+                u.pop()
+                while u and u[-1] == 0:
+                    u.pop()
+            u, v = v, u
+
+    tests = {n // q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)}
+    x = [0, 1] + [0] * (n - 2)
+    h = x
+    for k in range(1, n + 1):
+        h = frobenius(h)
+        if k in tests:
+            h_minus_x = list(h)
+            h_minus_x[1] = (h_minus_x[1] - 1) % p
+            if not coprime_to_f(h_minus_x):
+                return False
+    return h == x
+
+
 @dataclass(frozen=True, init=False)
 class LocalFieldDesc:
     """Description of the coefficient field as a two-step tower over Q_p.
@@ -142,17 +239,11 @@ class LocalFieldDesc:
     # -- construction-time certification ---------------------------------
 
     def _certify(self) -> None:
-        from sympy import isprime
-        from sympy.polys.domains import ZZ
-        from sympy.polys.galoistools import gf_irreducible_p
-
-        if not isprime(self.p):
+        if self.p >= MAX_P:
+            raise ValidationError(f"p must be below {MAX_P}, where primality is certified")
+        if not _is_prime(self.p):
             raise ValidationError(f"p = {self.p} is not prime")
-        dense = [c % self.p for c in reversed(self.unram_poly)]
-        while dense and dense[0] == 0:
-            dense = dense[1:]
-        dense = [ZZ(c) for c in dense]
-        if len(dense) != self.f_l + 1 or not gf_irreducible_p(dense, self.p, ZZ):
+        if not _irreducible_mod_p(self.unram_poly, self.p):
             raise ValidationError("unramified polynomial is not irreducible modulo p")
         for i, row in enumerate(self.eis_poly[:-1]):
             vals = [_vp(c, self.p) for c in row if c != 0]

@@ -20,7 +20,7 @@ from .filtration import Filtration
 from .linalg import Matrix, Subspace, mat
 from .modules import PhiNModule
 from .monodromy import MonodromyData, check_constraints
-from .padic import INF, FieldElement, LocalFieldDesc
+from .padic import INF, MAX_P, FieldElement, LocalFieldDesc
 
 
 def _fail(path: str, msg: str):
@@ -104,20 +104,43 @@ def _prec_out(prec):
 # limit, leaving room for the powers of p a computation puts in denominators.
 MAX_PREC_DIGITS = 3000
 
+# Building a tower costs about e_L^3 f_L^4 exact products for its
+# multiplication table, on integers that grow with the polynomial
+# coefficients, plus f_L^3 log p steps of the irreducibility test.  At the
+# largest admitted p with fL = eL = 6, coefficients of 50 digits (room for
+# p^2) build in about 0.3 s and of 100 digits in about 0.8 s; fL = eL = 8
+# with coefficients below p^2 takes about 1.2 s (Python 3.11, one x86-64
+# core).
+MAX_TOWER_DEGREE = 6
+MAX_COEFF_DIGITS = 50
+
+
+def _tower_coeff(data, path: str) -> int:
+    c = parse_fraction(data, path)
+    if c.denominator != 1:
+        _fail(path, "expected an integer")
+    if abs(c.numerator) >= 10**MAX_COEFF_DIGITS:
+        _fail(path, f"coefficient exceeds the bound of {MAX_COEFF_DIGITS} digits")
+    return c.numerator
+
 
 def parse_field(data, path: str = "/field", override_prec: int | None = None) -> LocalFieldDesc:
     data = _expect_dict(data, path)
     p = _get(data, "p", path)
     if not isinstance(p, int) or p < 2:
         _fail(path + "/p", "expected a prime integer")
+    if p >= MAX_P:
+        _fail(path + "/p", f"p must be below {MAX_P}, where primality is certified")
     f_l = data.get("fL", 1)
     e_l = data.get("eL", 1)
     for name, val in (("fL", f_l), ("eL", e_l)):
         if not isinstance(val, int) or val < 1:
             _fail(f"{path}/{name}", "expected a positive integer")
+        if val > MAX_TOWER_DEGREE:
+            _fail(f"{path}/{name}", f"tower degree {val} exceeds the bound {MAX_TOWER_DEGREE}")
     if "unram_poly" in data:
         raw = _expect_list(data["unram_poly"], path + "/unram_poly", f_l + 1)
-        unram = tuple(int(parse_fraction(c, f"{path}/unram_poly/{i}")) for i, c in enumerate(raw))
+        unram = tuple(_tower_coeff(c, f"{path}/unram_poly/{i}") for i, c in enumerate(raw))
     else:
         unram = (0, 1) if f_l == 1 else _fail(path, "unram_poly required when fL > 1")
     if "eis_poly" in data:
@@ -126,7 +149,7 @@ def parse_field(data, path: str = "/field", override_prec: int | None = None) ->
         for i, coeff in enumerate(raw):
             row = _expect_list(coeff, f"{path}/eis_poly/{i}", f_l)
             eis.append(
-                tuple(int(parse_fraction(c, f"{path}/eis_poly/{i}/{j}")) for j, c in enumerate(row))
+                tuple(_tower_coeff(c, f"{path}/eis_poly/{i}/{j}") for j, c in enumerate(row))
             )
         eis = tuple(eis)
     else:

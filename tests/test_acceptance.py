@@ -169,10 +169,8 @@ def _exhaustive_points(n):
 
 
 def _sampled_points_22():
-    # sigma-uniform corners, a fixed stride through the conforming tuples
-    # (the full set runs to ~1800 modules, past the runtime budget), and a
-    # seeded sample of the whole parameter box
-    conforming = 0
+    # sigma-uniform corners, every conforming tuple, and a seeded sample of
+    # the whole parameter box
     for v in range(4):
         for m, k in itertools.product(range(5), repeat=2):
             yield v, (m,) * 4, (k,) * 4
@@ -180,9 +178,7 @@ def _sampled_points_22():
             if sum(m + k for m, k in combo) == 4 * (v + 1) and 2 * v >= sum(
                 m for m, _ in combo
             ):
-                conforming += 1
-                if conforming % 8 == 0:
-                    yield v, tuple(m for m, _ in combo), tuple(k for _, k in combo)
+                yield v, tuple(m for m, _ in combo), tuple(k for _, k in combo)
     rng = random.Random(2024)
     for _ in range(200):
         yield (

@@ -1,15 +1,26 @@
 """Command line and serialization behaviour against the shipped fixtures."""
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from phinmod.cli import Options, execute, main, render, run_batch
-from phinmod.serial import dump_instance, parse_field, parse_instance, parse_monodromy
+from phinmod.padic import MAX_P
+from phinmod.serial import (
+    MAX_COEFF_DIGITS,
+    MAX_TOWER_DEGREE,
+    dump_instance,
+    parse_field,
+    parse_instance,
+    parse_monodromy,
+)
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json") if p.name != "manifest.json")
 
@@ -123,6 +134,63 @@ def test_unprintable_precision_rejected_at_parse(capsys):
     assert [r["error"]["type"] for r in reports] == ["ParseError", "ParseError"]
     # the largest precision in use, p = 3 at 2000 digits, stays inside the bound
     assert parse_field({"p": 3, "prec": 2000}).default_prec == 2000
+
+
+@pytest.mark.parametrize(
+    "field, pointer",
+    [
+        ({"p": MAX_P}, "/field/p"),
+        ({"fL": MAX_TOWER_DEGREE + 1}, "/field/fL"),
+        ({"eL": MAX_TOWER_DEGREE + 1}, "/field/eL"),
+        ({"eis_poly": [[-3 * 10**MAX_COEFF_DIGITS], [1]]}, "/field/eis_poly/0/0"),
+        # a fraction is refused, not truncated to an integer
+        ({"eis_poly": [["-7/2"], [1]]}, "/field/eis_poly/0/0"),
+    ],
+)
+def test_field_bounds_rejected_at_parse(field, pointer):
+    inst = _load("germ_vanishing.json")
+    inst["field"].update(field)
+    report, code = execute("colmez", json.dumps(inst), Options())
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["message"].startswith(f"{pointer}: ")
+
+
+def test_largest_admitted_tower_builds_fast():
+    import sympy
+
+    p = 3317044064679887385961813
+    assert sympy.isprime(p) and sympy.nextprime(p) >= MAX_P
+    n = MAX_TOWER_DEGREE
+    # every coefficient has MAX_COEFF_DIGITS digits; the unramified
+    # polynomial is T^6 + sum (p - 6 - i) T^i mod p, irreducible
+    big = (10**MAX_COEFF_DIGITS // p - 20) * p
+    assert len(str(big)) == MAX_COEFF_DIGITS
+    field = {
+        "p": p,
+        "fL": n,
+        "eL": n,
+        "unram_poly": [big + p - 6 - i for i in range(n)] + [1],
+        "eis_poly": [[big + p * (1 + i + j) for j in range(n)] for i in range(n)] + [[1] + [0] * (n - 1)],
+    }
+    start = time.process_time()
+    desc = parse_field(field)
+    assert time.process_time() - start < 1.0
+    assert (desc.p, desc.f_l, desc.e_l) == (p, n, n)
+
+
+def test_cold_command_imports_no_sympy():
+    script = (
+        "import sys\n"
+        "from phinmod.cli import main\n"
+        f"code = main(['colmez', {str(FIXTURES / 'germ_vanishing.json')!r}])\n"
+        "print('sympy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def _with_raw_value(name: str, literal: str) -> str:

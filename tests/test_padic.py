@@ -113,6 +113,49 @@ def test_bad_fields_rejected():
         LocalFieldDesc(3, 1, 2, ((0, 1)), ((-9,), (0,), (1,)))  # constant valuation 2
     with pytest.raises(ValidationError):
         LocalFieldDesc(3, 1, 2, (0, 1), ((-1,), (0,), (1,)))  # constant is a unit
+    with pytest.raises(ValidationError):
+        LocalFieldDesc(561, 1, 1, (0, 1), ((-561,), (1,)))  # Carmichael number
+    with pytest.raises(ValidationError):
+        # composite, and a strong pseudoprime to every base of the primality test
+        LocalFieldDesc(padic.MAX_P, 1, 1, (0, 1), ((-padic.MAX_P,), (1,)))
+
+
+# ---------------------------------------------------------------------------
+# certification against the sympy oracle
+
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_matches_sympy():
+    import sympy
+
+    assert [n for n in range(20000) if padic._is_prime(n) != sympy.isprime(n)] == []
+    for n in STRONG_PSEUDOPRIMES:
+        assert not sympy.isprime(n) and not padic._is_prime(n)
+    # the bound is where the test stops being exact: MAX_P fools every base
+    assert not sympy.isprime(padic.MAX_P) and padic._is_prime(padic.MAX_P)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducible_mod_p_matches_sympy(p):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for degree in range(1, 5):
+        for tail in itertools.product(range(p), repeat=degree):
+            poly = tail + (1,)
+            want = gf_irreducible_p([ZZ(c) for c in reversed(poly)], p, ZZ)
+            assert padic._irreducible_mod_p(poly, p) == want, poly
+
+
+def test_rootless_reducibles_rejected():
+    # over F_3, x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) and (x^2 + 1)^2 have no
+    # root, so a root search alone would accept them
+    for poly in ((1, 0, 0, 0, 1), (1, 0, 2, 0, 1)):
+        assert all(sum(c * r**i for i, c in enumerate(poly)) % 3 for r in range(3))
+        assert not padic._irreducible_mod_p(poly, 3)
+        with pytest.raises(ValidationError):
+            LocalFieldDesc(3, 4, 1, poly, ((-3, 0, 0, 0), (1, 0, 0, 0)))
 
 
 def test_descriptor_identity_is_one_rule():
