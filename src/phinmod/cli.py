@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a passing verdict or a computed value, 1 for a failing
 verdict, 2 for structural problems (bad files, violated constraints,
-unsupported inputs), 3 when the working precision cannot certify an answer.
+unsupported inputs), 3 when the working precision cannot certify an answer,
+4 for an internal error (any exception outside the package's error family,
+reported as InternalError; inside a batch it stays in its own entry).
 Reports go to stdout as canonical JSON (or aligned text with --format text);
 diagnostics go to stderr.  For a fixed instance and precision the
 report bytes are identical run to run, and batch output does not depend on
@@ -20,6 +22,7 @@ from pathlib import Path
 from .cohomology import cup
 from .colmez import colmez_form, degenerate_form, gamma_consistency, solve_ell_scalar
 from .errors import (
+    InternalError,
     ParseError,
     PhinError,
     PrecisionLoss,
@@ -254,23 +257,30 @@ def _report(command: str, precision) -> dict:
     }
 
 
-def _error_report(command: str, precision, exc: PhinError) -> tuple[dict, int]:
+def _error_report(command: str, precision, exc: Exception) -> tuple[dict, int]:
+    """The report of a failed command.  An exception outside the package's
+    error family becomes an InternalError naming it (exit 4)."""
+    if not isinstance(exc, PhinError):
+        exc = InternalError(f"{type(exc).__name__}: {exc}")
     report = _report(command, precision)
     report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-    return report, 3 if isinstance(exc, PrecisionLoss) else 2
+    if isinstance(exc, PrecisionLoss):
+        return report, 3
+    return report, 4 if isinstance(exc, InternalError) else 2
 
 
 def run(command: str, instance: Instance, options: Options) -> tuple[dict, int]:
     """Execute one command against a parsed instance.  Returns the report
-    and the process exit code; package errors become error reports rather
-    than propagating."""
+    and the process exit code; every error, the package's own and, as a
+    last resort, any other exception, becomes an error report rather than
+    propagating."""
     handler = _HANDLERS.get(command)
     if handler is None:
         raise UnknownCommand(f"unknown command {command!r}")
     started = time.perf_counter()
     try:
         verdict, value, witness = handler(instance, options)
-    except PhinError as exc:
+    except Exception as exc:
         report, code = _error_report(command, instance.desc.default_prec, exc)
     else:
         report = _report(command, instance.desc.default_prec)
@@ -288,7 +298,7 @@ def _is_path(source) -> bool:
 
 def execute(command: str, source, options: Options) -> tuple[dict, int]:
     """Parse a source (path, text, bytes, or decoded object) and run."""
-    if command not in _HANDLERS:
+    if not isinstance(command, str) or command not in _HANDLERS:
         return _error_report(command, options.precision, UnknownCommand(f"unknown command {command!r}"))
     try:
         if _is_path(source):
@@ -296,7 +306,7 @@ def execute(command: str, source, options: Options) -> tuple[dict, int]:
         instance = parse_instance(source, options.precision)
     except OSError as exc:
         return _error_report(command, options.precision, ParseError(f"cannot read instance: {exc}"))
-    except PhinError as exc:
+    except Exception as exc:
         return _error_report(command, options.precision, exc)
     return run(command, instance, options)
 
@@ -343,10 +353,14 @@ def run_batch(manifest_source, options: Options, base_dir: Path | None = None):
                 options.precision,
                 ParseError("manifest entry needs command and instance keys"),
             )
-        source = entry["instance"]
+        command, source = entry["command"], entry["instance"]
         if isinstance(source, str):
             source = base / source
-        return execute(entry["command"], source, options)
+        try:
+            return execute(command, source, options)
+        except Exception as exc:
+            # last resort: whatever escapes stays in this entry's report
+            return _error_report(command, options.precision, exc)
 
     entries = manifest["entries"]
     if options.jobs > 1:

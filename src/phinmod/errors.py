@@ -88,3 +88,8 @@ class ValidationError(PhinError):
 
 class UnknownCommand(PhinError):
     """The CLI was invoked with a command it does not provide."""
+
+
+class InternalError(PhinError):
+    """A failure outside the package's error family, reported by the CLI's
+    last-resort handler instead of escaping as a traceback."""

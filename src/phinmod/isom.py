@@ -36,7 +36,7 @@ class IsoVerdict:
 
 def _root_key(x: FieldElement):
     flat = tuple((c.numerator, c.denominator) for row in x.coefficients() for c in row)
-    return (x.valuation(), flat)
+    return (x._certified_val(), flat)
 
 
 def _eigen_frames(m: PhiNModule) -> tuple[list[FieldElement], list[Matrix]]:

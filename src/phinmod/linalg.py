@@ -128,7 +128,7 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
         best = None
         for i in range(r, len(rows)):
             if not rows[i][c].is_zero_at_prec():
-                v = rows[i][c].valuation()
+                v = rows[i][c]._certified_val()
                 if best is None or v < best[0]:
                     best = (v, i)
         if best is None:

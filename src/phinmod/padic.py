@@ -28,6 +28,7 @@ instead.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -318,9 +319,9 @@ class LocalFieldDesc:
         return tuple(rows)
 
     def _build_mul_table(self):
-        # entry [i][j]: the product of the basis monomials with flat indices
-        # i and j (index a*f + b for pi^a theta^b) reduced onto the basis, as
-        # sparse ((index, coefficient), ...)
+        # the products of basis monomials reduced onto the basis, flat
+        # indices a*f + b for pi^a theta^b: one (i, j, r, t) per nonzero
+        # term, monomial i times monomial j having coefficient t at index r
         e, f = self.e_l, self.f_l
         pi_rows = self._build_pi_table()
         one, zero = (1,) + (0,) * (f - 1), (0,) * f
@@ -333,7 +334,12 @@ class LocalFieldDesc:
             return tuple((i, c) for i, c in enumerate(flat) if c)
 
         basis = [(a, b) for a in range(e) for b in range(f)]
-        return tuple(tuple(reduced(a1 + a2, b1 + b2) for a2, b2 in basis) for a1, b1 in basis)
+        return tuple(
+            (i, j, r, t)
+            for i, (a1, b1) in enumerate(basis)
+            for j, (a2, b2) in enumerate(basis)
+            for r, t in reduced(a1 + a2, b1 + b2)
+        )
 
     def _moduli(self, k: int) -> tuple[int, ...]:
         """Per-coefficient moduli of the lattice pi^k O on the flat monomial
@@ -445,7 +451,7 @@ def make_element(desc: LocalFieldDesc, mant, shift: int, k) -> "FieldElement":
     has valuation below the floor, and strips common powers of p between the
     mantissa and the shift."""
     if k is not INF:
-        mant = [c % m for c, m in zip(mant, desc._moduli(k + desc.e_l * shift))]
+        mant = list(map(operator.mod, mant, desc._moduli(k + desc.e_l * shift)))
     if shift:
         g = math.gcd(*mant)
         if not g:
@@ -656,8 +662,9 @@ class FieldElement:
         return make_element(self.desc, mant, shift, prec)
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by Newton iteration from the residue of the
-        unit part.  Relative precision is preserved."""
+        """Multiplicative inverse: the unit part x / (monomial of valuation
+        v) is inverted by one multiplication-matrix solve (_unit_inverse),
+        then divided by the monomial.  Relative precision is preserved."""
         if self.is_exact_zero():
             raise ZeroInput("inverting exact zero")
         v = self._certified_val()
@@ -704,13 +711,8 @@ class FieldElement:
 def _raw_mul(desc: LocalFieldDesc, x, y) -> list[int]:
     """Product of two flat mantissas on the monomial basis, exact integers."""
     out = [0] * len(x)
-    for row, c1 in zip(desc._mul_table, x):
-        if c1:
-            for terms, c2 in zip(row, y):
-                if c2:
-                    c = c1 * c2
-                    for i, r in terms:
-                        out[i] += c * r
+    for i, j, r, t in desc._mul_table:
+        out[r] += x[i] * y[j] * t
     return out
 
 
@@ -764,35 +766,75 @@ def _gfq_inv(desc: LocalFieldDesc, u):
     return _gfq_pow(desc, u, desc.p ** desc.f_l - 2)
 
 
+def _inverse_mod(c: int, mod: int) -> int:
+    """Inverse modulo mod = p^top of an integer prime to p.
+
+    Python's pow stays: on the operands a verdict round inverts it beats a
+    Newton lift from the residue, and no cheap test on the operand picks
+    out the generic full-size inputs where Newton wins (ROADMAP item 2)."""
+    return pow(c, -1, mod)
+
+
 def _unit_inverse(u: FieldElement, k: int) -> FieldElement:
     """Inverse of a unit known to k >= 1 pi-adic digits, on raw integers.
 
-    On Q_p the integer is inverted modulo p^top, top = ceil(k/e_l).
-    Elsewhere Newton's y <- y(2 - uy) runs from the residue inverse; each
-    step doubles the number of correct pi-adic digits (Caruso-Roe-Vaccon,
-    arXiv:1402.0619), with coefficients reduced modulo
-    p^min(top, ceil(digits/e_l) + 1).  The result is checked, u*y == 1 at k
+    The monomial basis is a Z_p-basis of the integers O, so u^{-1} is the
+    solution y of M_u y = e_0, where column j of the multiplication matrix
+    M_u holds u times basis monomial j (read off the descriptor's product
+    table).  The system is solved modulo p^top, top = ceil(k/e_l): forward
+    elimination on unit pivots, scaling rows by those units instead of
+    dividing, then back-substitution, with every pivot inverted through one
+    scalar inverse of their product.  det M_u is the norm of u, a p-adic
+    unit, so every column offers a unit pivot.  On Q_p this is the 1x1
+    case, one scalar inverse.  The result is checked, u*y == 1 at k
     digits, before it is used."""
     desc = u.desc
-    p, e = desc.p, desc.e_l
-    q = p ** u.shift
-    c = [x // q for x in u.mant]  # a unit's mantissa is divisible by p^shift
-    top = _ceil_div(k, e)  # p^top lies in the lattice pi^k O
-    if len(c) == 1:
-        y = [pow(c[0], -1, p**top)]
-    else:
-        y = [0] * len(c)
-        y[: desc.f_l] = _gfq_inv(desc, c[: desc.f_l])
-        digits = 1
-        while digits < k:
-            digits *= 2
-            mod = p ** min(top, _ceil_div(digits, e) + 1)
-            t = [-v % mod for v in _raw_mul(desc, c, y)]
-            t[0] += 2
-            y = [v % mod for v in _raw_mul(desc, y, t)]
+    p, n = desc.p, desc.degree
+    moduli = desc._moduli(k)
+    mod = moduli[0]  # p^top, which lies in the lattice pi^k O
+    c = u.mant
+    if u.shift:
+        q = p**u.shift
+        c = [x // q for x in c]  # a unit's mantissa is divisible by p^shift
+    # rows of M_u augmented with e_0, the coordinates of 1
+    m = [[0] * (n + 1) for _ in range(n)]
+    m[0][n] = 1
+    for i, j, r, t in desc._mul_table:
+        m[r][j] += c[i] * t
+    # prefix[i] = d_0 ... d_{i-1}, the product of the first i pivots
+    prefix = [1]
+    for col in range(n):
+        prow = m[col]
+        if not prow[col] % p:
+            for piv in range(col + 1, n):
+                if m[piv][col] % p:
+                    break
+            else:
+                raise PrecisionLoss("multiplication matrix of a unit has no unit pivot")
+            prow, m[piv] = m[piv], prow
+            m[col] = prow
+        d = prow[col]
+        prefix.append(prefix[col] * d % mod)
+        if col + 1 < n:
+            head = prow[col + 1 :]
+            for row in m[col + 1 :]:
+                f = row[col]
+                if f:
+                    row[col + 1 :] = [(d * x - f * h) % mod for x, h in zip(row[col + 1 :], head)]
+    # inv runs through 1/(d_0 ... d_i) for i = n-1 down to 0
+    inv = _inverse_mod(prefix[n], mod)
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        s = row[n]
+        for j in range(i + 1, n):
+            s -= row[j] * y[j]
+        y[i] = s * inv * prefix[i] % mod
+        if i:
+            inv = inv * row[i] % mod
     check = _raw_mul(desc, c, y)
     check[0] -= 1
-    if any(v % m for v, m in zip(check, desc._moduli(k))):
+    if any(map(operator.mod, check, moduli)):
         raise PrecisionLoss("unit inverse failed its check u*y == 1")
     return make_element(desc, y, 0, k)
 
@@ -856,19 +898,20 @@ def lower_hull(points):
 def newton_slopes(coeffs):
     """Segments of the Newton polygon of a monic polynomial.
 
-    Returns a list of (root_valuation, length) pairs, plus the hull itself.
-    Coefficients indistinguishable from zero are fine as long as their
-    precision floors certify that they lie above the hull.
+    Returns a list of (root_valuation, length, x1, x2) segments, plus the
+    hull itself as (index, valuation) points.  Coefficients
+    indistinguishable from zero are fine as long as their precision floors
+    certify that they lie above the hull.  The hull is built on valuations
+    in pi-adic digits; only the returned slopes and points are rationals.
     """
     d = len(coeffs) - 1
+    e = coeffs[0].desc.e_l
     pts, floors = [], []
     for i, c in enumerate(coeffs):
-        try:
-            v = c.valuation()
-        except PrecisionLoss:
-            floors.append((i, c.prec))
-            continue
-        if v is not INF:
+        v = c._val()
+        if v is None:
+            floors.append((i, c._k))
+        elif v is not INF:
             pts.append((i, v))
     if not pts or pts[-1][0] != d:
         raise PrecisionLoss("leading coefficient not certified nonzero")
@@ -876,34 +919,30 @@ def newton_slopes(coeffs):
         raise PrecisionLoss("constant coefficient not certified nonzero")
     hull = lower_hull(pts)
 
-    def hull_value(x):
+    def below_hull(x, floor):
+        # floor < the hull's value at x, cross-multiplied by the run x2 - x1
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x1 <= x <= x2:
-                return y1 + (y2 - y1) * Fraction(x - x1, x2 - x1)
-        return None
+                return floor * (x2 - x1) < y1 * (x2 - x1) + (y2 - y1) * (x - x1)
+        return False
 
     for i, floor in floors:
-        hv = hull_value(i)
-        if hv is not None and floor < hv:
+        if below_hull(i, floor):
             raise PrecisionLoss(f"coefficient {i} cannot be certified above the Newton polygon")
     segs = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        segs.append((-slope, x2 - x1, x1, x2))
-    return segs, hull
-
-
-def _scale_elt(desc: LocalFieldDesc, v: Fraction) -> FieldElement:
-    """An exact monomial of valuation v (a power of p times a power of pi)."""
-    n = v * desc.e_l
-    if n.denominator != 1:
-        raise InvalidValuation(f"valuation {v} not attainable")
-    return _times_monomial(desc.from_int(1, INF), int(n))
+        segs.append((Fraction(y1 - y2, (x2 - x1) * e), x2 - x1, x1, x2))
+    return segs, [(x, Fraction(y, e)) for x, y in hull]
 
 
 def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
     """Newton-lift a simple root from a start x0 that satisfies Hensel's
     condition v(f(x0)) > 2 v(f'(x0)).
+
+    f'(x0) is inverted once.  Each lift x <- x - f(x) w then uses a carried
+    w ~ 1/f'(x), refreshed by one Newton step for the inverse,
+    w <- w(2 - f'(x) w), which squares its relative error as x moves
+    (the coupled iteration of Caruso-Roe-Vaccon, arXiv:1402.0619).
 
     Returns only a root certified by f(x) == 0 at the working precision.
     Raises RootLiftingError when the start fails Hensel's condition or
@@ -912,7 +951,7 @@ def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
     precision ran out: PrecisionLoss."""
     deriv = poly_derivative(coeffs)
     x = x0
-    last = None
+    last = w = None
     for step in range(max_iter + 1):
         fx = poly_eval(coeffs, x)
         if fx.is_zero_at_prec():
@@ -921,13 +960,16 @@ def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
             raise RootLiftingError(f"no root within {max_iter} Newton lifts")
         v = fx._certified_val()
         dfx = poly_eval(deriv, x)
-        if last is None:
+        if w is None:
             if v <= 2 * dfx._certified_val():
                 raise RootLiftingError("start point fails Hensel's condition")
+            w = dfx.inverse()
         elif v <= last:
             raise PrecisionLoss(f"Newton lift stalled with residual valuation {fx.valuation()}")
+        else:
+            w = w * (2 - dfx * w)
         last = v
-        x = x - fx / dfx
+        x = x - fx * w
 
 
 def roots_in_field(coeffs) -> list[FieldElement]:
@@ -945,18 +987,22 @@ def roots_in_field(coeffs) -> list[FieldElement]:
     segs, _hull = newton_slopes(coeffs)
     roots: list[FieldElement] = []
     unresolved = 0
+    one = desc.from_int(1, INF)
     for val, length, i1, i2 in segs:
-        if (val * desc.e_l).denominator != 1:
+        n = val * desc.e_l
+        if n.denominator != 1:
             unresolved += length
             continue
-        u = _scale_elt(desc, val)
+        # exact monomials: u of the segment's root valuation, then norm
+        # scaling the coefficients of f(uT) to minimum valuation 0
+        u = _times_monomial(one, int(n))
         scaled = [c * u ** i for i, c in enumerate(coeffs)]
-        mu = min(c.val_floor() for c in scaled)
+        mu = min(c._floor() for c in scaled)
         mu = min(
-            (c.valuation() for c in scaled if not c.is_zero_at_prec()),
+            (c._certified_val() for c in scaled if not c.is_zero_at_prec()),
             default=mu,
         )
-        norm = _scale_elt(desc, -mu)
+        norm = _times_monomial(one, -mu)
         h = [c * norm for c in scaled]
         k = min(c._k for c in h)
         if k < 1:

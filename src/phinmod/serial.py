@@ -67,8 +67,13 @@ def load_json(source, what: str):
     raise ParseError(f"/: {what} ({reason})")
 
 
+def _is_int(data) -> bool:
+    """A JSON integer; true and false decode to bool, a subclass of int."""
+    return isinstance(data, int) and not isinstance(data, bool)
+
+
 def parse_fraction(data, path: str) -> Fraction:
-    if isinstance(data, bool) or not isinstance(data, (int, str)):
+    if not (_is_int(data) or isinstance(data, str)):
         _fail(path, "expected an integer or a fraction string")
     try:
         return Fraction(data)
@@ -127,14 +132,14 @@ def _tower_coeff(data, path: str) -> int:
 def parse_field(data, path: str = "/field", override_prec: int | None = None) -> LocalFieldDesc:
     data = _expect_dict(data, path)
     p = _get(data, "p", path)
-    if not isinstance(p, int) or p < 2:
+    if not _is_int(p) or p < 2:
         _fail(path + "/p", "expected a prime integer")
     if p >= MAX_P:
         _fail(path + "/p", f"p must be below {MAX_P}, where primality is certified")
     f_l = data.get("fL", 1)
     e_l = data.get("eL", 1)
     for name, val in (("fL", f_l), ("eL", e_l)):
-        if not isinstance(val, int) or val < 1:
+        if not _is_int(val) or val < 1:
             _fail(f"{path}/{name}", "expected a positive integer")
         if val > MAX_TOWER_DEGREE:
             _fail(f"{path}/{name}", f"tower degree {val} exceeds the bound {MAX_TOWER_DEGREE}")
@@ -160,7 +165,7 @@ def parse_field(data, path: str = "/field", override_prec: int | None = None) ->
     prec = data.get("prec", 60)
     if override_prec is not None:
         prec = override_prec
-    if not isinstance(prec, int) or prec < 1:
+    if not _is_int(prec) or prec < 1:
         _fail(path + "/prec", "expected a positive integer")
     if prec * math.log10(p) > MAX_PREC_DIGITS:
         _fail(path + "/prec", f"precision {prec} exceeds the bound prec * log10(p) <= {MAX_PREC_DIGITS}")
@@ -185,7 +190,7 @@ def parse_shape(data, path: str = "/shape") -> GaloisShape:
     data = _expect_dict(data, path)
     e = _get(data, "e", path)
     f = _get(data, "f", path)
-    if not isinstance(e, int) or not isinstance(f, int) or e < 1 or f < 1:
+    if not _is_int(e) or not _is_int(f) or e < 1 or f < 1:
         _fail(path, "e and f must be positive integers")
     return GaloisShape(e, f)
 
@@ -276,7 +281,7 @@ def dump_matrix(a: Matrix) -> list:
 def parse_module(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -> PhiNModule:
     data = _expect_dict(data, path)
     rank = _get(data, "rank", path)
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         _fail(path + "/rank", "expected a positive integer")
     phi_raw = _expect_list(_get(data, "phi", path), path + "/phi", shape.f)
     n_raw = _expect_list(_get(data, "N", path), path + "/N", shape.f)
@@ -304,7 +309,7 @@ def parse_filtration(
         for s, step in enumerate(sig):
             step = _expect_dict(step, f"{path}/{t}/{s}")
             jump = _get(step, "jump", f"{path}/{t}/{s}")
-            if not isinstance(jump, int):
+            if not _is_int(jump):
                 _fail(f"{path}/{t}/{s}/jump", "expected an integer")
             basis_raw = _expect_list(_get(step, "basis", f"{path}/{t}/{s}"), f"{path}/{t}/{s}/basis")
             gens = []
@@ -346,7 +351,7 @@ def parse_monodromy(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -
     k_raw = _expect_list(_get(data, "k", path), path + "/k", shape.n)
     for name, vec in (("m", m_raw), ("k", k_raw)):
         for i, x in enumerate(vec):
-            if not isinstance(x, int):
+            if not _is_int(x):
                 _fail(f"{path}/{name}/{i}", "expected an integer")
     ell = parse_product(desc, shape, "K", _get(data, "ell", path), path + "/ell")
     degenerate = data.get("degenerate", False)
@@ -469,7 +474,7 @@ def parse_instance(source, override_prec: int | None = None) -> Instance:
         objects["ell"] = parse_product(desc, shape, "K", payload["ell"], "/payload/ell")
         k_raw = _expect_list(_get(payload, "k", "/payload"), "/payload/k", shape.n)
         for i, x in enumerate(k_raw):
-            if not isinstance(x, int):
+            if not _is_int(x):
                 _fail(f"/payload/k/{i}", "expected an integer")
         objects["k"] = tuple(k_raw)
     else:

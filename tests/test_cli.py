@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from phinmod import cli
 from phinmod.cli import Options, execute, main, render, run_batch
-from phinmod.padic import MAX_P
+from phinmod.padic import MAX_P, sample_element
 from phinmod.serial import (
     MAX_COEFF_DIGITS,
     MAX_TOWER_DEGREE,
@@ -156,7 +158,9 @@ def test_field_bounds_rejected_at_parse(field, pointer):
     assert report["error"]["message"].startswith(f"{pointer}: ")
 
 
-def test_largest_admitted_tower_builds_fast():
+def _largest_admitted_field() -> dict:
+    """The slowest tower parse_field admits: the largest prime below MAX_P,
+    fL = eL = MAX_TOWER_DEGREE and coefficients of MAX_COEFF_DIGITS digits."""
     import sympy
 
     p = 3317044064679887385961813
@@ -166,17 +170,78 @@ def test_largest_admitted_tower_builds_fast():
     # polynomial is T^6 + sum (p - 6 - i) T^i mod p, irreducible
     big = (10**MAX_COEFF_DIGITS // p - 20) * p
     assert len(str(big)) == MAX_COEFF_DIGITS
-    field = {
+    return {
         "p": p,
         "fL": n,
         "eL": n,
         "unram_poly": [big + p - 6 - i for i in range(n)] + [1],
         "eis_poly": [[big + p * (1 + i + j) for j in range(n)] for i in range(n)] + [[1] + [0] * (n - 1)],
     }
+
+
+def test_largest_admitted_tower_builds_fast():
+    field = _largest_admitted_field()
     start = time.process_time()
     desc = parse_field(field)
     assert time.process_time() - start < 1.0
-    assert (desc.p, desc.f_l, desc.e_l) == (p, n, n)
+    n = MAX_TOWER_DEGREE
+    assert (desc.p, desc.f_l, desc.e_l) == (field["p"], n, n)
+
+
+def test_unit_inverse_on_largest_admitted_tower():
+    # a 36 x 36 multiplication-matrix solve modulo p^60, p about 10^24
+    desc = parse_field(_largest_admitted_field())
+    x = sample_element(desc, Fraction(-1, MAX_TOWER_DEGREE), seed=5)
+    start = time.process_time()
+    inv = x.inverse()
+    assert time.process_time() - start < 5.0
+    assert x * inv == 1
+    assert inv.valuation() == Fraction(1, MAX_TOWER_DEGREE)
+    assert inv.prec == x.prec + Fraction(2, MAX_TOWER_DEGREE)
+
+
+@pytest.mark.parametrize("key", ["p", "fL", "eL", "prec"])
+def test_json_true_is_not_an_integer(key):
+    field = {"p": 11, "fL": 1, "eL": 1, "prec": 1}
+    inst = _load("germ_vanishing.json")
+    inst["field"] = dict(field, **{key: True})
+    report, code = execute("colmez", json.dumps(inst), Options())
+    assert code == 2
+    assert report["error"]["message"].startswith(f"/field/{key}: ")
+    # descriptors are interned under keys where True == 1, so a bool that
+    # got through would decide what every later {key: 1} carries
+    desc = parse_field(field)
+    assert all(type(v) is int for v in (desc.p, desc.f_l, desc.e_l, desc.default_prec))
+
+
+def _failing_handler(instance, options):
+    raise RuntimeError("not a package error")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_internal_errors_exit_four(jobs, monkeypatch, capsys):
+    entries = [
+        {"command": "validate", "instance": "monodromy_qp.json"},
+        {"command": "newton", "instance": "monodromy_qp.json"},
+        {"command": "admissible", "instance": "monodromy_qp.json"},
+    ]
+    before, code = run_batch({"entries": entries}, Options(jobs=jobs), base_dir=FIXTURES)
+    assert code == 0
+    monkeypatch.setitem(cli._HANDLERS, "newton", _failing_handler)
+    internal = {"type": "InternalError", "message": "RuntimeError: not a package error"}
+    report, code = execute("newton", FIXTURES / "monodromy_qp.json", Options())
+    assert code == 4 and report["error"] == internal
+    assert main(["newton", str(FIXTURES / "monodromy_qp.json")]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == internal
+    # in a batch the failure stays in its entry; the other lines are unchanged
+    after, code = run_batch({"entries": entries}, Options(jobs=jobs), base_dir=FIXTURES)
+    assert code == 4
+    assert after[1]["error"] == internal
+    assert [render(r, "json") for r in (after[0], after[2])] == [render(r, "json") for r in (before[0], before[2])]
+    # a command that is not a string is refused like an unknown one
+    entries[1] = {"command": ["newton"], "instance": "monodromy_qp.json"}
+    after, code = run_batch({"entries": entries}, Options(jobs=jobs), base_dir=FIXTURES)
+    assert code == 2 and after[1]["error"]["type"] == "UnknownCommand"
 
 
 def test_cold_command_imports_no_sympy():
@@ -291,6 +356,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "phinmod.cli", "admissible", str(FIXTURES / "monodromy_qp.json")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

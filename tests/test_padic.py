@@ -403,14 +403,30 @@ def test_inverse_needs_relative_precision(all_fields):
         assert x * inv == 1
 
 
+def test_unit_inverse_searches_for_a_unit_pivot():
+    # Q27, theta^3 + 2 theta + 1 irreducible mod 3.  For theta^2 + 3w the
+    # first column of the multiplication matrix is (3w_0, 3w_1, 1 + 3w_2):
+    # the elimination must pass two non-unit entries to find its pivot
+    desc = LocalFieldDesc(3, 3, 1, (1, 2, 0, 1), ((-3, 0, 0), (1, 0, 0)))
+    for seed in range(4):
+        x = desc.unram_gen() ** 2 + 3 * sample_unit(desc, seed=seed)
+        inv = x.inverse()
+        assert x * inv == 1 and inv.prec == x.prec
+        assert inv == oracle_inverse(x)
+
+
 def test_unit_inverse_is_checked(q3_ram, monkeypatch):
     x = sample_unit(q3_ram, seed=3)
     good = x.inverse()
-    # a wrong residue start makes Newton converge to nothing; the check
-    # refuses the result instead of returning it
-    monkeypatch.setattr(padic, "_gfq_inv", lambda desc, u: (1,) if u[0] % 3 == 2 else (2,))
+    # a scalar inverse wrong in its last digit makes the solve return a
+    # wrong y; the check refuses the result instead of returning it
+    right = padic._inverse_mod
+    monkeypatch.setattr(padic, "_inverse_mod", lambda c, mod: right(c, mod) + mod // 3)
     with pytest.raises(PrecisionLoss):
         x.inverse()
+    # on Q_p the solve is one scalar inverse, checked the same way
+    with pytest.raises(PrecisionLoss):
+        sample_unit(LocalFieldDesc(3, 1, 1, (0, 1), ((-3,), (1,))), seed=3).inverse()
     monkeypatch.undo()
     assert x.inverse() == good
 
@@ -536,6 +552,21 @@ def test_newton_slopes_shape(q3):
     assert [(val, ln) for val, ln, _, _ in segs] == [(1, 2)]
 
 
+def test_newton_slopes_certify_unknown_coefficients(q3, q3_ram):
+    # T^2 + cT + a with c indistinguishable from zero: the hull through
+    # (0, v(a)) and (2, 0) has the value v(a)/2 at 1, so c known to that
+    # floor is certified on or above it, and c known to no digit is not
+    for desc, a, floor in ((q3, 9, 1), (q3_ram, 3, Fraction(1, 2))):
+        coeffs = [desc.from_int(a), desc.from_int(3, prec=floor), desc.one()]
+        assert coeffs[1].is_zero_at_prec()
+        segs, hull = newton_slopes(coeffs)
+        assert [(val, ln) for val, ln, _, _ in segs] == [(floor, 2)]
+        assert hull == [(0, 2 * floor), (2, 0)]
+        coeffs[1] = desc.from_int(3, prec=0)
+        with pytest.raises(PrecisionLoss):
+            newton_slopes(coeffs)
+
+
 def test_hensel_root_quadratic(q2):
     # T^2 - 9 over Q_2 (Hensel from the residue 1)
     one = q2.one()
@@ -545,6 +576,51 @@ def test_hensel_root_quadratic(q2):
     # one lift does not reach a root at precision 60: refused, not returned
     with pytest.raises(RootLiftingError):
         hensel_root(coeffs, q2.from_int(1), max_iter=1)
+
+
+def oracle_hensel(coeffs, x0, max_iter=64):
+    """The former lift, kept as an oracle: divide f(x) by f'(x) at every
+    step, under the same start condition, stall rule and certificate."""
+    deriv = padic.poly_derivative(coeffs)
+    x, last = x0, None
+    for _ in range(max_iter):
+        fx = poly_eval(coeffs, x)
+        if fx.is_zero_at_prec():
+            return x
+        v, dfx = fx.valuation(), poly_eval(deriv, x)
+        if last is None:
+            if v <= 2 * dfx.valuation():
+                raise RootLiftingError("start point fails Hensel's condition")
+        elif v <= last:
+            raise PrecisionLoss("Newton lift stalled")
+        last = v
+        x = x - fx / dfx
+    raise RootLiftingError("no root")
+
+
+@pytest.mark.parametrize("prec", [60, 2000])
+@pytest.mark.parametrize("tower", ["q3", "q3ram", "q9ram"])
+def test_hensel_root_matches_divide_every_step(tower, prec):
+    desc = LocalFieldDesc(*INVERSE_TOWERS[tower], prec)
+    one, pi = desc.one(), desc.uniformizer()
+    s = sample_unit(desc, seed=prec + 1)
+    t = s + 1  # a unit with another residue, since p = 3
+    w = sample_unit(desc, seed=prec + 2)
+    residue = desc.element([[c % 3 for c in s.coefficients()[0]]] + [[0] * desc.f_l] * (desc.e_l - 1))
+    cases = [
+        # T^2 - s^2 from the residue of s: a unit derivative
+        ([-(s * s), desc.zero(), one], residue),
+        # (T - s)(T - t)(T - pi w): three roots, two valuations
+        ([-(s * t * pi * w), s * t + (s + t) * pi * w, -(s + t + pi * w), one], residue),
+        # (T - s)(T - s - pi) from s + pi^2: f'(x) of valuation 1/e_l, so
+        # the floors of the carried 1/f'(x) decide the root's floor
+        ([s * (s + pi), -(2 * s + pi), one], s + pi * pi),
+    ]
+    for coeffs, x0 in cases:
+        root = hensel_root(coeffs, x0)
+        expected = oracle_hensel(coeffs, x0)
+        assert root == expected and root.prec == expected.prec
+        assert poly_eval(coeffs, root).is_zero_at_prec()
 
 
 def test_hensel_root_refuses_a_start_failing_hensel(q3):
