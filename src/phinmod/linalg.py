@@ -52,11 +52,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _dot(u, v) -> FieldElement:
+    """Sum of the products x*y over a nonempty pair of vectors; a term with
+    an exact-zero factor is the exact zero and is skipped."""
     acc = None
     for x, y in zip(u, v):
+        if x.is_exact_zero() or y.is_exact_zero():
+            continue
         t = x * y
         acc = t if acc is None else acc + t
-    return acc
+    return u[0].desc.zero() if acc is None else acc
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -136,11 +140,12 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
         i = best[1]
         rows[r], rows[i] = rows[i], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        # an exact-zero entry stays as it is: x * inv and x - f * 0 are x
+        rows[r] = [x if x.is_exact_zero() else x * inv for x in rows[r]]
         for k in range(len(rows)):
             if k != r and not rows[k][c].is_zero_at_prec():
                 f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+                rows[k] = [x if y.is_exact_zero() else x - f * y for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -274,10 +279,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.gens)
-
-    def basis_matrix(self) -> Matrix:
-        """Generators as the columns of an ambient x dim matrix."""
-        return tuple(tuple(g[i] for g in self.gens) for i in range(self.ambient))
 
     def reduce_vector(self, v: Vector) -> Vector:
         w = list(v)

@@ -13,6 +13,7 @@ import sympy
 from phinmod.errors import PrecisionLoss
 from phinmod.linalg import (
     Subspace,
+    _dot,
     charpoly,
     det,
     identity,
@@ -253,3 +254,88 @@ def test_equal_subspaces_from_scrambled_generators(q5_unr):
     a = Subspace.from_vectors(q5_unr, 3, [g1, g2])
     b = Subspace.from_vectors(q5_unr, 3, [combo, g2, g1])
     assert a == b and a.dim == 2
+
+
+# ---------------------------------------------------------------------------
+# exact zeros: skipped terms leave every element as the plain loops make it
+
+
+def plain_dot(u, v):
+    acc = None
+    for x, y in zip(u, v):
+        t = x * y
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def plain_rref(rows_in):
+    """rref without the exact-zero shortcuts: every entry is scaled and
+    every row update is formed."""
+    rows = [list(r) for r in rows_in]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        best = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero_at_prec():
+                v = rows[i][c].valuation()
+                if best is None or v < best[0]:
+                    best = (v, i)
+        if best is None:
+            continue
+        i = best[1]
+        rows[r], rows[i] = rows[i], rows[r]
+        inv_c = rows[r][c].inverse()
+        rows[r] = [x * inv_c for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and not rows[k][c].is_zero_at_prec():
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def bits(x):
+    return (x.mant, x.shift, x.prec)
+
+
+def sparse_matrix(desc, n, seed):
+    """Sampled entries, exact integers, the literal zero, an exact zero made
+    by cancellation, which is not the descriptor's zero object, and a zero
+    known only to its floor, which must not be skipped."""
+    rng = random.Random(seed)
+    three = desc.from_int(3, INF)
+    cancelled = three - three
+    assert cancelled.is_exact_zero() and cancelled is not desc.zero()
+    vague = desc.from_int(desc.p**3, prec=2)
+    assert vague.is_zero_at_prec() and not vague.is_exact_zero()
+    pool = [desc.zero(), cancelled, vague, desc.from_int(2, INF), desc.from_int(-5, INF)]
+    return mat(
+        [
+            [
+                sample_element(desc, rng.randrange(0, 3), seed * 991 + 7 * i + j)
+                if rng.random() < 0.4
+                else rng.choice(pool)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def test_exact_zero_skips_match_plain_loops(all_fields):
+    for desc in all_fields:
+        for seed in range(6):
+            a, b = sparse_matrix(desc, 4, seed), sparse_matrix(desc, 4, seed + 50)
+            zeros = [desc.zero()] * 4
+            for u, v in [(a[0], b[1]), (a[1], zeros), (zeros, a[2])]:
+                assert bits(_dot(u, v)) == bits(plain_dot(u, v))
+            got = mat_mul(a, b)
+            want = [[plain_dot(ra, cb) for cb in zip(*b)] for ra in a]
+            assert [[bits(x) for x in r] for r in got] == [[bits(x) for x in r] for r in want]
+            rows, pivots = rref(a)
+            rows_want, pivots_want = plain_rref(a)
+            assert pivots == pivots_want
+            assert [[bits(x) for x in r] for r in rows] == [[bits(x) for x in r] for r in rows_want]

@@ -548,7 +548,7 @@ def test_roots_in_ramified_field(q3_ram):
 def test_newton_slopes_shape(q3):
     one = q3.one()
     coeffs = [q3.from_int(9), q3.from_int(3), one]
-    segs, hull = newton_slopes(coeffs)
+    segs = newton_slopes(coeffs)
     assert [(val, ln) for val, ln, _, _ in segs] == [(1, 2)]
 
 
@@ -559,9 +559,7 @@ def test_newton_slopes_certify_unknown_coefficients(q3, q3_ram):
     for desc, a, floor in ((q3, 9, 1), (q3_ram, 3, Fraction(1, 2))):
         coeffs = [desc.from_int(a), desc.from_int(3, prec=floor), desc.one()]
         assert coeffs[1].is_zero_at_prec()
-        segs, hull = newton_slopes(coeffs)
-        assert [(val, ln) for val, ln, _, _ in segs] == [(floor, 2)]
-        assert hull == [(0, 2 * floor), (2, 0)]
+        assert newton_slopes(coeffs) == [(floor, 2, 0, 2)]
         coeffs[1] = desc.from_int(3, prec=0)
         with pytest.raises(PrecisionLoss):
             newton_slopes(coeffs)
@@ -599,7 +597,7 @@ def oracle_hensel(coeffs, x0, max_iter=64):
 
 
 @pytest.mark.parametrize("prec", [60, 2000])
-@pytest.mark.parametrize("tower", ["q3", "q3ram", "q9ram"])
+@pytest.mark.parametrize("tower", ["q3", "q3ram", "q9", "q9ram"])
 def test_hensel_root_matches_divide_every_step(tower, prec):
     desc = LocalFieldDesc(*INVERSE_TOWERS[tower], prec)
     one, pi = desc.one(), desc.uniformizer()
@@ -621,6 +619,23 @@ def test_hensel_root_matches_divide_every_step(tower, prec):
         expected = oracle_hensel(coeffs, x0)
         assert root == expected and root.prec == expected.prec
         assert poly_eval(coeffs, root).is_zero_at_prec()
+
+
+def test_hensel_root_exact_inputs():
+    # exact coefficients and start: the root's floor is the relative
+    # precision of 1/f'(x0) plus v(f(x0)), in pi-adic digits 60 + 1 over
+    # Q_7 (f(3) = 7) and 120 + 2 over Q_3(sqrt 3) (f(1) = -6, valuation 1)
+    q7 = LocalFieldDesc(7, 1, 1, (0, 1), ((-7,), (1,)))
+    q3ram = LocalFieldDesc(*INVERSE_TOWERS["q3ram"])
+    for desc, a, start, digits in ((q7, 2, 3, 61), (q3ram, 7, 1, 122)):
+        coeffs = [desc.from_int(-a, INF), desc.zero(), desc.from_int(1, INF)]
+        x0 = desc.from_int(start, INF)
+        root = hensel_root(coeffs, x0)
+        expected = oracle_hensel(coeffs, x0)
+        assert root == expected and root.prec == expected.prec
+        assert (root.mant, root.shift) == (expected.mant, expected.shift)
+        assert root.prec == Fraction(digits, desc.e_l)
+        assert root * root == a
 
 
 def test_hensel_root_refuses_a_start_failing_hensel(q3):
