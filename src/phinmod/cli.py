@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cohomology import cup
@@ -39,6 +38,7 @@ from .monodromy import (
     end0_check,
     extract_invariants,
 )
+from .record import frozen
 from .serial import (
     Instance,
     dump_element,
@@ -53,7 +53,7 @@ from .serial import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Options:
     precision: int | None = None
     fmt: str = "json"

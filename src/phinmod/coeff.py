@@ -11,14 +11,14 @@ a product element, which is how first-order family directions are tracked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatch, LevelMismatch, ShapeMismatch
 from .padic import FieldElement, LocalFieldDesc
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class GaloisShape:
     """Embedding bookkeeping for a base field: e ramified branches over each
     of f unramified slots."""
@@ -51,7 +51,7 @@ class GaloisShape:
         raise LevelMismatch(f"unknown level {level!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class ProductElement:
     """An element of a finite product of copies of the coefficient field."""
 
@@ -187,7 +187,7 @@ def _to_field(desc: LocalFieldDesc, value) -> FieldElement:
     raise FieldMismatch(f"cannot interpret {type(value).__name__} as a field element")
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class DualNumber:
     """a0 + a1*eps with eps^2 = 0; parts are field or product elements."""
 

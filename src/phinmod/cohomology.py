@@ -8,7 +8,6 @@ coordinatized by a single scalar c.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import GaloisShape, ProductElement
@@ -32,6 +31,7 @@ from .linalg import (
 )
 from .modules import PhiNModule, frobenius_composite
 from .padic import INF, FieldElement, LocalFieldDesc
+from .record import frozen
 
 
 def _check_pair(scalar: FieldElement, vec: ProductElement, what: str):
@@ -41,7 +41,7 @@ def _check_pair(scalar: FieldElement, vec: ProductElement, what: str):
         raise FieldMismatch(f"{what}: components use different coefficient fields")
 
 
-@dataclass(frozen=True)
+@frozen
 class H1Trivial:
     """Class for the trivial character: unramified value and exponential part."""
 
@@ -60,7 +60,7 @@ class H1Trivial:
         return self.a2.shape
 
 
-@dataclass(frozen=True)
+@frozen
 class H1Tate:
     """Class for the Tate twist: cyclotomic value and exponential part."""
 
@@ -79,7 +79,7 @@ class H1Tate:
         return self.b2.shape
 
 
-@dataclass(frozen=True)
+@frozen
 class H2Class:
     """Top class, one scalar coordinate."""
 

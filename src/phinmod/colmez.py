@@ -8,7 +8,6 @@ coordinate cup-product condition reproduces through gamma_consistency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import DualNumber, ProductElement
@@ -22,9 +21,10 @@ from .errors import (
     ZeroEll,
 )
 from .padic import FieldElement
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class FamilyGerm:
     """Dual-number family data: alpha and delta over the coefficient field,
     kappa over the K-level product ring, ell the marked slopes at center."""

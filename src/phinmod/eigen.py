@@ -13,7 +13,6 @@ callers can treat the family symbolically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import PhinError, RootLiftingError, UnsupportedEnumeration
 from .linalg import (
@@ -34,9 +33,10 @@ from .linalg import (
 )
 from .modules import PhiNModule, frobenius_composite
 from .padic import FieldElement, roots_in_field
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class LineBundleFamily:
     """Marker: the cycle is scalar and all slot operators vanish, so every
     line bundle obtained by transition transport is a stable submodule."""
@@ -44,7 +44,7 @@ class LineBundleFamily:
     value: FieldElement
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class StableSubmodule:
     rank: int
     slot_spaces: tuple[Subspace, ...]

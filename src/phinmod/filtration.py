@@ -9,7 +9,6 @@ module is compared against it globally and on every stable submodule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import GaloisShape
@@ -24,11 +23,12 @@ from .errors import ValidationError
 from .linalg import Subspace, solve_columns
 from .modules import PhiNModule, newton_number
 from .padic import LocalFieldDesc
+from .record import frozen
 
 SigmaSteps = tuple[tuple[int, Subspace], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class Filtration:
     desc: LocalFieldDesc
     shape: GaloisShape
@@ -180,7 +180,7 @@ def quotient_filtration(fil: Filtration, sub: StableSubmodule) -> Filtration:
 # admissibility
 
 
-@dataclass(frozen=True)
+@frozen
 class SubmoduleCertificate:
     rank: int
     slot0: Subspace
@@ -189,14 +189,14 @@ class SubmoduleCertificate:
     ok: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class FamilyCertificate:
     line_newton: Fraction
     max_line_hodge: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class AdmissibilityVerdict:
     t_newton: Fraction
     t_hodge: Fraction

@@ -9,7 +9,6 @@ multiplicative consistency problem on entrywise ratios.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .eigen import cycle_roots, eigenline
 from .errors import RootLiftingError, UnsupportedEnumeration, ValidationError
@@ -25,9 +24,10 @@ from .linalg import (
 )
 from .modules import PhiNModule, frobenius_composite
 from .padic import FieldElement
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class IsoVerdict:
     isomorphic: bool
     reason: str | None = None

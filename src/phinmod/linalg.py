@@ -8,11 +8,9 @@ pivot (inversion, Newton numbers) raise PrecisionLoss instead of guessing.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 from .errors import PrecisionLoss
 from .padic import INF, FieldElement, LocalFieldDesc
+from .record import frozen
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
 Vector = tuple[FieldElement, ...]
@@ -139,7 +137,12 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
             continue
         i = best[1]
         rows[r], rows[i] = rows[i], rows[r]
-        inv = rows[r][c].inverse()
+        x = rows[r][c]
+        # the inverse of the exact 1 is desc.one() (value 1, shift 0, floor
+        # at the default digits), the element inverse() returns after a
+        # full unit solve
+        one = x.desc.one()
+        inv = one if x._k is INF and x.shift == 0 and x.mant == one.mant else x.inverse()
         # an exact-zero entry stays as it is: x * inv and x - f * 0 are x
         rows[r] = [x if x.is_exact_zero() else x * inv for x in rows[r]]
         for k in range(len(rows)):
@@ -250,7 +253,7 @@ def charpoly(a: Matrix) -> list[FieldElement]:
 # subspaces
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class Subspace:
     """A subspace of L^d held by an echelonized generator list.
 
@@ -330,40 +333,9 @@ class Subspace:
         a = tuple(tuple(g) for g in self.gens)
         return Subspace.from_vectors(self.desc, self.ambient, right_kernel(a, self.desc))
 
-    def coords_of(self, v: Vector):
-        """Coefficients of v on the stored generators, or None."""
-        return solve_columns(self.gens, v, self.desc)
-
     def quotient_coords(self, v: Vector) -> Vector:
         """Coordinates of v + (this subspace) on the complementary standard
         basis vectors (the non-pivot positions)."""
         w = self.reduce_vector(v)
         free = [i for i in range(self.ambient) if i not in self.pivots]
         return tuple(w[i] for i in free)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def sample_invertible(desc: LocalFieldDesc, n: int, seed: int, shears: int | None = None) -> Matrix:
-    """Deterministic integral matrix with unit determinant, built from random
-    shears, swaps, and unit row scalings.  Its inverse is integral too, so
-    basis transport does not erode precision floors."""
-    rng = random.Random(seed)
-    rows = [list(r) for r in identity(desc, n)]
-    count = shears if shears is not None else 3 * n + 2
-    for _ in range(count):
-        op = rng.randrange(3) if n > 1 else 2
-        if op == 0:
-            i, j = rng.sample(range(n), 2)
-            c = desc.from_int(rng.randrange(-9, 10), INF)
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-        elif op == 1:
-            i, j = rng.sample(range(n), 2)
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            i = rng.randrange(n)
-            u = desc.from_int(rng.randrange(1, desc.p) + desc.p * rng.randrange(7), INF)
-            rows[i] = [u * x for x in rows[i]]
-    return mat(rows)

@@ -10,7 +10,6 @@ with its deterministic reference basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import GaloisShape
@@ -40,9 +39,10 @@ from .linalg import (
     transpose,
 )
 from .padic import INF, LocalFieldDesc
+from .record import frozen
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class PhiNModule:
     desc: LocalFieldDesc
     shape: GaloisShape
@@ -131,10 +131,6 @@ def map_to_vec(x: Matrix) -> Vector:
     row i, column j lands at index j*rank(b) + i."""
     d2, d1 = len(x), len(x[0])
     return tuple(x[i][j] for j in range(d1) for i in range(d2))
-
-
-def vec_to_map(v: Vector, d1: int, d2: int) -> Matrix:
-    return tuple(tuple(v[j * d2 + i] for j in range(d1)) for i in range(d2))
 
 
 def end0_basis(desc: LocalFieldDesc, d: int) -> list[Vector]:

@@ -10,7 +10,6 @@ bracket triple, and end0_check verifies that match two independent ways.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import ProductElement
@@ -48,9 +47,10 @@ from .modules import (
     validate_module,
 )
 from .padic import INF, FieldElement
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class MonodromyData:
     """Slope unit, per-embedding jump pair, and marked-line slopes.
 
@@ -358,7 +358,7 @@ def end0_with_filtration(m: PhiNModule, fil: Filtration) -> tuple[PhiNModule, Fi
     return e0, Filtration(desc, m.shape, e0.rank, steps)
 
 
-@dataclass(frozen=True)
+@frozen
 class End0Verdict:
     intrinsic: IsoVerdict
     direct_map: bool

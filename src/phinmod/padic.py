@@ -29,19 +29,16 @@ from __future__ import annotations
 
 import math
 import operator
-import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
 from .errors import (
     FieldMismatch,
-    InvalidValuation,
     PrecisionLoss,
     RootLiftingError,
     ValidationError,
     ZeroInput,
 )
+from .record import frozen
 
 INF = math.inf
 
@@ -168,7 +165,11 @@ def _irreducible_mod_p(poly, p: int) -> bool:
     return h == x
 
 
-@dataclass(frozen=True, init=False)
+# normalized tower parameters -> the one descriptor built from them
+_INTERNED: dict = {}
+
+
+@frozen(init=False)
 class LocalFieldDesc:
     """Description of the coefficient field as a two-step tower over Q_p.
 
@@ -190,8 +191,6 @@ class LocalFieldDesc:
     eis_poly: tuple[tuple[int, ...], ...]
     default_prec: int = DEFAULT_PRECISION
 
-    _interned: ClassVar[dict] = {}
-
     def __new__(cls, p, f_l, e_l, unram_poly, eis_poly, default_prec=DEFAULT_PRECISION):
         up = tuple(int(c) for c in unram_poly)
         ep = tuple(
@@ -199,7 +198,7 @@ class LocalFieldDesc:
             for row in eis_poly
         )
         key = (p, f_l, e_l, up, ep, default_prec)
-        found = cls._interned.get(key)
+        found = _INTERNED.get(key)
         if found is not None:
             return found
         self = object.__new__(cls)
@@ -208,7 +207,7 @@ class LocalFieldDesc:
         self.__post_init__()
         # a concurrent construction of the same tower may have won the race;
         # only a fully certified descriptor is ever published
-        return cls._interned.setdefault(key, self)
+        return _INTERNED.setdefault(key, self)
 
     def __reduce__(self):
         # copies and unpickled descriptors are interned like any construction
@@ -416,14 +415,6 @@ class LocalFieldDesc:
             mant = [-c for c in self.eis_poly[0]]
         else:
             mant = self._monomial_mant(self.f_l, 1)
-        return make_element(self, mant, 0, self._digits(prec))
-
-    def unram_gen(self, prec=None) -> "FieldElement":
-        if self.f_l == 1:
-            # theta is the negated root of the degree-one polynomial
-            mant = self._monomial_mant(0, -self.unram_poly[0])
-        else:
-            mant = self._monomial_mant(1, 1)
         return make_element(self, mant, 0, self._digits(prec))
 
     def element(self, coords, prec=None) -> "FieldElement":
@@ -844,32 +835,6 @@ def _unit_inverse(u: FieldElement, k: int) -> FieldElement:
     if any(map(operator.mod, check, moduli)):
         raise PrecisionLoss("unit inverse failed its check u*y == 1")
     return make_element(desc, y, 0, k)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def sample_element(desc: LocalFieldDesc, valuation, seed: int, prec=None) -> FieldElement:
-    """Deterministically sample an element with exactly the stated valuation.
-
-    The unit part has uniformly random capped mantissa with a forced nonzero
-    residue, then the result is scaled by the right power of p and pi.
-    """
-    v = Fraction(valuation)
-    n = v * desc.e_l
-    if n.denominator != 1:
-        raise InvalidValuation(f"valuation {v} is not a multiple of 1/{desc.e_l}")
-    rng = random.Random(seed)
-    k = desc._digits(prec)
-    cap = desc.p ** _ceil_div(k, desc.e_l)
-    mant = [rng.randrange(cap) for _ in range(desc.degree)]
-    mant[0] = rng.randrange(1, desc.p) + desc.p * rng.randrange(cap // desc.p)
-    return _times_monomial(make_element(desc, mant, 0, k), int(n))
-
-
-def sample_unit(desc: LocalFieldDesc, seed: int, prec=None) -> FieldElement:
-    return sample_element(desc, 0, seed, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import DualNumber, GaloisShape, ProductElement
@@ -21,6 +20,7 @@ from .linalg import Matrix, Subspace, mat
 from .modules import PhiNModule
 from .monodromy import MonodromyData, check_constraints
 from .padic import INF, MAX_P, FieldElement, LocalFieldDesc
+from .record import frozen
 
 
 def _fail(path: str, msg: str):
@@ -413,7 +413,7 @@ def dump_classes(x: H1Trivial, y: H1Tate) -> dict:
 PAYLOAD_KINDS = ("module", "monodromy", "germ", "classes", "bracket", "pair")
 
 
-@dataclass(frozen=True)
+@frozen
 class Instance:
     desc: LocalFieldDesc
     shape: GaloisShape

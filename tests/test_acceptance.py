@@ -38,7 +38,7 @@ from phinmod.filtration import (
     tensor_filtration,
 )
 from phinmod.isom import is_isomorphic
-from phinmod.linalg import Subspace, identity, inv, mat, mat_mul, mat_vec, right_kernel, sample_invertible
+from phinmod.linalg import Subspace, identity, inv, mat, mat_mul, mat_vec, right_kernel
 from phinmod.modules import (
     PhiNModule,
     dual_module,
@@ -54,10 +54,10 @@ from phinmod.monodromy import (
     extract_invariants,
     iso_degenerate,
 )
-from phinmod.padic import INF, LocalFieldDesc, sample_element, sample_unit
+from phinmod.padic import INF, LocalFieldDesc
 from phinmod.cli import Options, render, run_batch
 
-from util import transport
+from util import sample_element, sample_invertible, sample_unit, transport
 
 Q3 = LocalFieldDesc(3, 1, 1, (0, 1), ((-3,), (1,)))
 Q2 = LocalFieldDesc(2, 1, 1, (0, 1), ((-2,), (1,)))

@@ -11,7 +11,7 @@ import pytest
 
 from phinmod import cli
 from phinmod.cli import Options, execute, main, render, run_batch
-from phinmod.padic import MAX_P, sample_element
+from phinmod.padic import MAX_P
 from phinmod.serial import (
     MAX_COEFF_DIGITS,
     MAX_TOWER_DEGREE,
@@ -20,6 +20,7 @@ from phinmod.serial import (
     parse_instance,
     parse_monodromy,
 )
+from util import sample_element
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -244,18 +245,36 @@ def test_internal_errors_exit_four(jobs, monkeypatch, capsys):
     assert code == 2 and after[1]["error"]["type"] == "UnknownCommand"
 
 
-def test_cold_command_imports_no_sympy():
-    script = (
-        "import sys\n"
-        "from phinmod.cli import main\n"
-        f"code = main(['colmez', {str(FIXTURES / 'germ_vanishing.json')!r}])\n"
-        "print('sympy' in sys.modules)\n"
-        "sys.exit(code)\n"
-    )
+# modules whose import cost a cold spawn must not pay: sympy (field
+# certification is pure Python) and the dataclass machinery with inspect
+# (value classes come from phinmod.record)
+COLD_FORBIDDEN = ("sympy", "dataclasses", "inspect")
+
+
+def _cold_loaded(argv=None) -> set[str]:
+    """Which COLD_FORBIDDEN modules are in sys.modules after a fresh
+    interpreter runs `phinmod argv`, or after a bare start when argv is None."""
+    lines = ["import sys", "code = 0"]
+    if argv is not None:
+        lines += ["from phinmod.cli import main", f"code = main({argv!r})"]
+    lines += [f"print(' '.join(m for m in {COLD_FORBIDDEN!r} if m in sys.modules))", "sys.exit(code)"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, env=env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cold_command_imports_no_sympy():
+    # a module the bare interpreter already holds (a site .pth hook may
+    # import one) is not the command's doing
+    baseline = _cold_loaded()
+    for argv in (
+        ["colmez", str(FIXTURES / "germ_vanishing.json")],
+        ["admissible", str(FIXTURES / "monodromy_qp.json")],
+    ):
+        assert _cold_loaded(argv) - baseline == set(), argv[0]
 
 
 def _with_raw_value(name: str, literal: str) -> str:

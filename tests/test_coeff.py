@@ -2,7 +2,8 @@ import pytest
 
 from phinmod.coeff import DualNumber, GaloisShape, ProductElement
 from phinmod.errors import LevelMismatch, ShapeMismatch
-from phinmod.padic import INF, sample_element
+from phinmod.padic import INF
+from util import sample_element
 
 
 def pe(desc, shape, level, ints):

@@ -18,7 +18,8 @@ from phinmod.cohomology import (
 from phinmod.errors import NotUnipotent, ShapeMismatch, ValidationError
 from phinmod.linalg import identity, mat
 from phinmod.modules import PhiNModule
-from phinmod.padic import INF, sample_element
+from phinmod.padic import INF
+from util import sample_invertible
 
 SHAPES = [GaloisShape(1, 1), GaloisShape(2, 1), GaloisShape(1, 2), GaloisShape(2, 2)]
 
@@ -144,7 +145,7 @@ def test_unipotent_class_invariance_and_scaling(q3):
     scaled = unipotent_extension_class(m, (b1, zero), (zero, b2)).a1
     assert scaled == base * b2 / b1
     # conjugating the module and the trivializations together changes nothing
-    from phinmod.linalg import inv, mat_mul, mat_vec, sample_invertible
+    from phinmod.linalg import inv, mat_mul, mat_vec
 
     f = m.shape.f
     gs = [sample_invertible(q3, 2, 31 + i) for i in range(f)]

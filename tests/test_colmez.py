@@ -20,7 +20,7 @@ from phinmod.errors import (
     ValidationError,
     ZeroEll,
 )
-from phinmod.padic import sample_unit
+from util import sample_unit
 
 
 def pe(desc, shape, values):

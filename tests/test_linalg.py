@@ -26,12 +26,12 @@ from phinmod.linalg import (
     mat_vec,
     rref,
     right_kernel,
-    sample_invertible,
     solve_columns,
     trace,
     transpose,
 )
-from phinmod.padic import INF, sample_element
+from phinmod.padic import INF, FieldElement
+from util import coords_of, sample_element, sample_invertible
 
 
 def imat(desc, rows):
@@ -229,7 +229,7 @@ def test_subspace_annihilator(q2):
 def test_subspace_membership_and_coords(q3):
     u = Subspace.from_vectors(q3, 3, [ivec(q3, [1, 1, 0]), ivec(q3, [0, 2, 1])])
     v = tuple(q3.from_rational(Fraction(c)) for c in (2, 5, Fraction(3, 2)))
-    coeffs = u.coords_of(v)
+    coeffs = coords_of(u, v)
     assert coeffs is not None
     rebuilt = [None, None, None]
     for c, g in zip(coeffs, u.gens):
@@ -338,4 +338,32 @@ def test_exact_zero_skips_match_plain_loops(all_fields):
             rows, pivots = rref(a)
             rows_want, pivots_want = plain_rref(a)
             assert pivots == pivots_want
+            assert [[bits(x) for x in r] for r in rows] == [[bits(x) for x in r] for r in rows_want]
+
+
+def test_rref_exact_one_pivots_skip_inverse(all_fields, monkeypatch):
+    # an exact-1 pivot, in place and after a swap, is scaled by desc.one()
+    # without FieldElement.inverse; the rows match the always-inverting
+    # reference bit for bit
+    calls = []
+    original = FieldElement.inverse
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    for desc in all_fields:
+        one, zero = desc.from_int(1, INF), desc.zero()
+        s = [sample_element(desc, 1, 40 + i) for i in range(4)]
+        cases = [
+            [[one, zero, desc.from_int(2, INF), s[0]], [zero, one, desc.from_int(-5, INF), s[1]]],
+            [[zero, one, s[2]], [one, desc.from_int(3, INF), s[3]]],
+        ]
+        for a in cases:
+            monkeypatch.setattr(FieldElement, "inverse", counted)
+            rows, pivots = rref(a)
+            monkeypatch.setattr(FieldElement, "inverse", original)
+            assert calls == []
+            rows_want, pivots_want = plain_rref(a)
+            assert pivots == pivots_want == [0, 1]
             assert [[bits(x) for x in r] for r in rows] == [[bits(x) for x in r] for r in rows_want]

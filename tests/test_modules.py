@@ -15,9 +15,9 @@ from phinmod.modules import (
     newton_number,
     tensor_module,
     validate_module,
-    vec_to_map,
 )
-from phinmod.padic import INF, sample_element
+from phinmod.padic import INF
+from util import sample_element, vec_to_map
 
 
 def imat(desc, rows):

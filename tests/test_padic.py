@@ -26,10 +26,9 @@ from phinmod.padic import (
     newton_slopes,
     poly_eval,
     roots_in_field,
-    sample_element,
-    sample_unit,
 )
 from phinmod.serial import dump_element, parse_field
+from util import sample_element, sample_unit, unram_gen
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ def test_tower_relations(q3_ram, q3_mixed):
     pi = q3_ram.uniformizer()
     assert pi * pi == q3_ram.from_int(3)
     # mixed tower: theta satisfies theta^2 + 1 = 0
-    th = q3_mixed.unram_gen()
+    th = unram_gen(q3_mixed)
     assert th * th == q3_mixed.from_int(-1)
     assert q3_mixed.uniformizer() ** 2 == q3_mixed.from_int(3)
 
@@ -409,7 +408,7 @@ def test_unit_inverse_searches_for_a_unit_pivot():
     # the elimination must pass two non-unit entries to find its pivot
     desc = LocalFieldDesc(3, 3, 1, (1, 2, 0, 1), ((-3, 0, 0), (1, 0, 0)))
     for seed in range(4):
-        x = desc.unram_gen() ** 2 + 3 * sample_unit(desc, seed=seed)
+        x = unram_gen(desc) ** 2 + 3 * sample_unit(desc, seed=seed)
         inv = x.inverse()
         assert x * inv == 1 and inv.prec == x.prec
         assert inv == oracle_inverse(x)

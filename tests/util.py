@@ -1,9 +1,81 @@
-"""Shared test helpers: random basis transport of a (module, filtration) pair."""
+"""Shared test helpers: seeded sampling of elements and invertible matrices,
+random basis transport of a (module, filtration) pair, and small views of
+package data that only the tests need."""
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
+from phinmod.errors import InvalidValuation
 from phinmod.filtration import Filtration
-from phinmod.linalg import Subspace, inv, mat_mul, mat_vec, sample_invertible
+from phinmod.linalg import Matrix, Subspace, Vector, identity, inv, mat, mat_mul, mat_vec, solve_columns
 from phinmod.modules import PhiNModule
+from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, make_element
+
+
+def sample_element(desc: LocalFieldDesc, valuation, seed: int, prec=None) -> FieldElement:
+    """Deterministically sample an element with exactly the stated valuation.
+
+    The unit part has uniformly random capped mantissa with a forced nonzero
+    residue, then the result is scaled by the right power of p and pi.
+    """
+    v = Fraction(valuation)
+    n = v * desc.e_l
+    if n.denominator != 1:
+        raise InvalidValuation(f"valuation {v} is not a multiple of 1/{desc.e_l}")
+    rng = random.Random(seed)
+    k = desc._digits(prec)
+    cap = desc.p ** _ceil_div(k, desc.e_l)
+    mant = [rng.randrange(cap) for _ in range(desc.degree)]
+    mant[0] = rng.randrange(1, desc.p) + desc.p * rng.randrange(cap // desc.p)
+    return _times_monomial(make_element(desc, mant, 0, k), int(n))
+
+
+def sample_unit(desc: LocalFieldDesc, seed: int, prec=None) -> FieldElement:
+    return sample_element(desc, 0, seed, prec)
+
+
+def sample_invertible(desc: LocalFieldDesc, n: int, seed: int, shears: int | None = None) -> Matrix:
+    """Deterministic integral matrix with unit determinant, built from random
+    shears, swaps, and unit row scalings.  Its inverse is integral too, so
+    basis transport does not erode precision floors."""
+    rng = random.Random(seed)
+    rows = [list(r) for r in identity(desc, n)]
+    count = shears if shears is not None else 3 * n + 2
+    for _ in range(count):
+        op = rng.randrange(3) if n > 1 else 2
+        if op == 0:
+            i, j = rng.sample(range(n), 2)
+            c = desc.from_int(rng.randrange(-9, 10), INF)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif op == 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            i = rng.randrange(n)
+            u = desc.from_int(rng.randrange(1, desc.p) + desc.p * rng.randrange(7), INF)
+            rows[i] = [u * x for x in rows[i]]
+    return mat(rows)
+
+
+def unram_gen(desc: LocalFieldDesc, prec=None) -> FieldElement:
+    """theta, the root of the unramified step's polynomial."""
+    if desc.f_l == 1:
+        # theta is the negated root of the degree-one polynomial
+        mant = desc._monomial_mant(0, -desc.unram_poly[0])
+    else:
+        mant = desc._monomial_mant(1, 1)
+    return make_element(desc, mant, 0, desc._digits(prec))
+
+
+def coords_of(space: Subspace, v: Vector):
+    """Coefficients of v on the stored generators of space, or None."""
+    return solve_columns(space.gens, v, space.desc)
+
+
+def vec_to_map(v: Vector, d1: int, d2: int) -> Matrix:
+    """Inverse of modules.map_to_vec: hom coordinates back to a d2 x d1 matrix."""
+    return tuple(tuple(v[j * d2 + i] for j in range(d1)) for i in range(d2))
 
 
 def transport(mod: PhiNModule, fil: Filtration, seed: int):
