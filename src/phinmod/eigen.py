@@ -20,12 +20,9 @@ from .linalg import (
     Subspace,
     Vector,
     charpoly,
-    identity,
     inv,
     is_zero_matrix,
     mat_mul,
-    mat_scale,
-    mat_sub,
     mat_vec,
     restrict_operator,
     right_kernel,
@@ -51,19 +48,21 @@ class StableSubmodule:
     module: PhiNModule
 
 
-def cycle_roots(m: PhiNModule) -> list[FieldElement]:
-    """Eigenvalues of the full Frobenius cycle that lie in the coefficient
-    field, assuming they are simple; RootLiftingError propagates otherwise."""
-    return roots_in_field(charpoly(frobenius_composite(m)))
+def cycle_roots(cycle: Matrix) -> list[FieldElement]:
+    """Eigenvalues of the full Frobenius cycle (frobenius_composite) that lie
+    in the coefficient field, assuming they are simple; RootLiftingError
+    propagates otherwise."""
+    return roots_in_field(charpoly(cycle))
 
 
-def _scaled_identity(desc, d, lam):
-    return mat_scale(lam, identity(desc, d))
+def _minus_scalar(a: Matrix, lam: FieldElement) -> Matrix:
+    """a - lam*I, lam subtracted on the diagonal only."""
+    return tuple(tuple(x - lam if i == j else x for j, x in enumerate(r)) for i, r in enumerate(a))
 
 
 def eigenline(a: Matrix, lam: FieldElement, desc, error: type[PhinError]) -> Vector:
     """Generator of the kernel of a - lam; raises error unless it is a line."""
-    kern = right_kernel(mat_sub(a, _scaled_identity(desc, len(a), lam)), desc)
+    kern = right_kernel(_minus_scalar(a, lam), desc)
     if len(kern) != 1:
         raise error("cycle eigenspace is not a line")
     return kern[0]
@@ -80,14 +79,10 @@ def _deflate(coeffs, lam):
 
 def _poly_of_matrix(coeffs, a: Matrix) -> Matrix:
     desc = a[0][0].desc
-    d = len(a)
-    acc = _scaled_identity(desc, d, coeffs[-1])
+    zero = desc.zero()
+    acc = tuple(tuple(coeffs[-1] if i == j else zero for j in range(len(a))) for i in range(len(a)))
     for c in reversed(coeffs[:-1]):
-        acc = mat_mul(acc, a)
-        acc = tuple(
-            tuple(x + (c if i == j else desc.zero()) for j, x in enumerate(r))
-            for i, r in enumerate(acc)
-        )
+        acc = tuple(tuple(x + c if i == j else x for j, x in enumerate(r)) for i, r in enumerate(mat_mul(acc, a)))
     return acc
 
 
@@ -164,7 +159,7 @@ def enumerate_submodules(
                 "repeated cycle eigenvalues are handled only in rank 2"
             ) from None
         lam = trace(a) / 2
-        b = mat_sub(a, _scaled_identity(desc, d, lam))
+        b = _minus_scalar(a, lam)
         if is_zero_matrix(b):
             if all(is_zero_matrix(nm) for nm in m.nmat):
                 return [], LineBundleFamily(lam)

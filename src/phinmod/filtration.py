@@ -97,24 +97,48 @@ def _dedupe(steps: list[tuple[int, Subspace]]) -> tuple[tuple[int, Subspace], ..
     return tuple(out)
 
 
-def restrict_steps(sig: SigmaSteps, span: Subspace, coord_basis, desc: LocalFieldDesc) -> SigmaSteps:
-    """Cut every step down to span and write it in coordinates on
-    coord_basis, a list of vectors spanning it."""
-    collected = []
-    for jump, v in sig:
-        coords = [solve_columns(coord_basis, g, desc) for g in v.intersect(span).gens]
-        if any(c is None for c in coords):
-            raise ValidationError("filtration step leaves the subspace it is restricted to")
-        collected.append((jump, Subspace.from_vectors(desc, len(coord_basis), [tuple(c) for c in coords])))
-    return _dedupe(collected)
+def _bits(vectors):
+    """The stored data of a list of vectors, on which everything computed
+    from them depends, as one flat tuple: a tuple per entry would leave
+    thousands of small tuples to the allocator's free lists."""
+    flat = []
+    for g in vectors:
+        for x in g:
+            flat += (x.mant, x.shift, x._k)
+    return tuple(flat)
+
+
+def restrict_steps(sigs, spans, bases, desc: LocalFieldDesc) -> tuple[SigmaSteps, ...]:
+    """Cut every step of each embedding's step list down to that
+    embedding's span and write it in coordinates on its basis, a list of
+    vectors spanning the span.
+
+    Embeddings of one slot share a span, and their steps often share pieces
+    (one full space for every embedding, equal lines), so a piece whose
+    stored data was already restricted onto the same span and basis in this
+    call is not restricted again."""
+    done = {}
+    out = []
+    for sig, span, basis in zip(sigs, spans, bases):
+        onto = (_bits(span.gens), _bits(basis))
+        collected = []
+        for jump, v in sig:
+            key = (onto, _bits(v.gens))
+            piece = done.get(key)
+            if piece is None:
+                coords = [solve_columns(basis, g, desc) for g in v.intersect(span).gens]
+                if any(c is None for c in coords):
+                    raise ValidationError("filtration step leaves the subspace it is restricted to")
+                piece = done[key] = Subspace.from_vectors(desc, len(basis), [tuple(c) for c in coords])
+            collected.append((jump, piece))
+        out.append(_dedupe(collected))
+    return tuple(out)
 
 
 def induce_on_submodule(fil: Filtration, sub: StableSubmodule) -> Filtration:
     """Intersect every step with the submodule fibers, in fiber coordinates."""
-    new_steps = tuple(
-        restrict_steps(fil.sigma_steps(i, j), sub.slot_spaces[i], sub.slot_spaces[i].gens, fil.desc)
-        for (i, j) in fil.shape.sigmas()
-    )
+    spans = [sub.slot_spaces[i] for (i, _) in fil.shape.sigmas()]
+    new_steps = restrict_steps(fil.steps, spans, [w.gens for w in spans], fil.desc)
     return Filtration(fil.desc, fil.shape, sub.rank, new_steps)
 
 
@@ -123,11 +147,12 @@ def dual_filtration(fil: Filtration) -> Filtration:
     reverse order, shifted so the dual piece in degree -j kills the piece
     strictly above j."""
     new_steps = []
+    full = Subspace.full(fil.desc, fil.rank)
     for sig in fil.steps:
         rev = []
         jumps = [j for j, _ in sig]
         pieces = [v for _, v in sig]
-        rev.append((-jumps[-1], Subspace.full(fil.desc, fil.rank)))
+        rev.append((-jumps[-1], full))
         for k in range(len(sig) - 1, 0, -1):
             rev.append((-jumps[k - 1], pieces[k].annihilator()))
         new_steps.append(_dedupe(rev))

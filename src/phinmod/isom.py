@@ -43,7 +43,7 @@ def _eigen_frames(m: PhiNModule) -> tuple[list[FieldElement], list[Matrix]]:
     """Cycle roots in canonical order and the propagated frame per slot."""
     a = frobenius_composite(m)
     try:
-        roots = cycle_roots(m)
+        roots = cycle_roots(a)
     except RootLiftingError as exc:
         raise UnsupportedEnumeration("cycle spectrum does not split simply") from exc
     if len(roots) != m.rank:

@@ -9,7 +9,7 @@ pivot (inversion, Newton numbers) raise PrecisionLoss instead of guessing.
 from __future__ import annotations
 
 from .errors import PrecisionLoss
-from .padic import INF, FieldElement, LocalFieldDesc
+from .padic import INF, FieldElement, LocalFieldDesc, _dot, _product, _sub_mul, make_element
 from .record import frozen
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
@@ -47,18 +47,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(_dot(ra, cb) for cb in bt)
         for ra in a
     )
-
-
-def _dot(u, v) -> FieldElement:
-    """Sum of the products x*y over a nonempty pair of vectors; a term with
-    an exact-zero factor is the exact zero and is skipped."""
-    acc = None
-    for x, y in zip(u, v):
-        if x.is_exact_zero() or y.is_exact_zero():
-            continue
-        t = x * y
-        acc = t if acc is None else acc + t
-    return u[0].desc.zero() if acc is None else acc
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -141,14 +129,15 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
         # the inverse of the exact 1 is desc.one() (value 1, shift 0, floor
         # at the default digits), the element inverse() returns after a
         # full unit solve
-        one = x.desc.one()
+        desc = x.desc
+        one = desc.one()
         inv = one if x._k is INF and x.shift == 0 and x.mant == one.mant else x.inverse()
         # an exact-zero entry stays as it is: x * inv and x - f * 0 are x
-        rows[r] = [x if x.is_exact_zero() else x * inv for x in rows[r]]
+        rows[r] = [x if x.is_exact_zero() else make_element(desc, *_product(x, inv)) for x in rows[r]]
         for k in range(len(rows)):
             if k != r and not rows[k][c].is_zero_at_prec():
                 f = rows[k][c]
-                rows[k] = [x if y.is_exact_zero() else x - f * y for x, y in zip(rows[k], rows[r])]
+                rows[k] = [_sub_mul(x, f, y) for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -238,14 +227,10 @@ def charpoly(a: Matrix) -> list[FieldElement]:
         for _ in range(m):
             col_gen.append(-_dot(row, w))
             w = [_dot(a[i][k + 1 :], w) for i in range(k + 1, n)]
-        q = []
-        for i in range(m + 2):
-            acc = None
-            for j in range(min(i, m) + 1):
-                t = col_gen[i - j] * poly[j]
-                acc = t if acc is None else acc + t
-            q.append(acc)
-        poly = q
+        poly = [
+            _dot([col_gen[i - j] for j in range(min(i, m) + 1)], poly)
+            for i in range(m + 2)
+        ]
     return list(reversed(poly))
 
 
@@ -288,7 +273,7 @@ class Subspace:
         for g, pc in zip(self.gens, self.pivots):
             c = w[pc]
             if not c.is_zero_at_prec():
-                w = [x - c * y for x, y in zip(w, g)]
+                w = [_sub_mul(x, c, y) for x, y in zip(w, g)]
         return tuple(w)
 
     def contains_vector(self, v: Vector) -> bool:

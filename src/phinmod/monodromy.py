@@ -221,11 +221,12 @@ def build_w(ell: ProductElement, k) -> tuple[PhiNModule, Filtration]:
     return module, Filtration(desc, shape, 3, tuple(steps))
 
 
-def _cycle_slopes(m: PhiNModule):
-    """Two cycle eigenvalues in ratio p^f, ordered (light, heavy)."""
+def _cycle_slopes(m: PhiNModule, cycle):
+    """Two eigenvalues of the Frobenius cycle of m in ratio p^f, ordered
+    (light, heavy)."""
     desc, f = m.desc, m.shape.f
     try:
-        roots = cycle_roots(m)
+        roots = cycle_roots(cycle)
     except RootLiftingError as exc:
         raise NotMonodromyType("cycle spectrum does not split over the coefficients") from exc
     if len(roots) != 2:
@@ -256,9 +257,9 @@ def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
     desc, shape = m.desc, m.shape
     f = shape.f
     degenerate = all(is_zero_matrix(nm) for nm in m.nmat)
-    light, heavy = _cycle_slopes(m)
-    alpha = light
     cycle = frobenius_composite(m)
+    light, heavy = _cycle_slopes(m, cycle)
+    alpha = light
     e2 = eigenline(cycle, heavy, desc, NotMonodromyType)
     if degenerate:
         e1 = eigenline(cycle, light, desc, NotMonodromyType)
@@ -354,7 +355,8 @@ def end0_with_filtration(m: PhiNModule, fil: Filtration) -> tuple[PhiNModule, Fi
     desc = m.desc
     hfil = tensor_filtration(dual_filtration(fil), fil)
     span = Subspace.from_vectors(desc, m.rank * m.rank, basis)
-    steps = tuple(restrict_steps(hfil.sigma_steps(i, j), span, basis, desc) for (i, j) in m.shape.sigmas())
+    n = len(hfil.steps)
+    steps = restrict_steps(hfil.steps, [span] * n, [basis] * n, desc)
     return e0, Filtration(desc, m.shape, e0.rank, steps)
 
 

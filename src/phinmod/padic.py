@@ -57,14 +57,36 @@ def _ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
+# Valuations up to this many are stripped by plain division; a larger one
+# switches to the squaring strip, which needs O(log v) big divisions.
+_PLAIN_STRIP = 4
+
+
 def _vp(n: int, p: int) -> int:
-    """Exact p-adic valuation of a nonzero integer."""
+    """Exact p-adic valuation of a nonzero integer: plain division for the
+    first few powers, then dividing by p, p^2, p^4, ... while the power
+    divides, then by the same powers descending, a binary search for the
+    rest of the valuation."""
     if n == 0:
         raise ZeroInput("valuation of integer zero")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == _PLAIN_STRIP:
+            powers = []
+            q, step = p, 1
+            while n % q == 0:
+                n //= q
+                v += step
+                powers.append((q, step))
+                q, step = q * q, 2 * step
+            # what is left of the valuation is below the last step tried
+            for q, step in reversed(powers):
+                if n % q == 0:
+                    n //= q
+                    v += step
+            break
     return v
 
 
@@ -442,20 +464,24 @@ def make_element(desc: LocalFieldDesc, mant, shift: int, k) -> "FieldElement":
     has valuation below the floor, and strips common powers of p between the
     mantissa and the shift."""
     if k is not INF:
-        mant = list(map(operator.mod, mant, desc._moduli(k + desc.e_l * shift)))
+        k_mant = k + desc.e_l * shift
+        mant = tuple(map(operator.mod, mant, desc._moduli_cache.get(k_mant) or desc._moduli(k_mant)))
+    else:
+        mant = tuple(mant)
     if shift:
         g = math.gcd(*mant)
         if not g:
             shift = 0
         elif g % desc.p == 0:
+            # at most shift powers of p come out, so plain division
             p, t = desc.p, 0
             while t < shift and g % p == 0:
                 g //= p
                 t += 1
-            q = p ** t
-            mant = [c // q for c in mant]
+            q = p**t
+            mant = tuple(c // q for c in mant)
             shift -= t
-    return FieldElement(desc, tuple(mant), shift, k)
+    return FieldElement(desc, mant, shift, k)
 
 
 class FieldElement:
@@ -593,16 +619,9 @@ class FieldElement:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        if self.is_exact_zero() or o.is_exact_zero():
+        if (self._k is INF and not any(self.mant)) or (o._k is INF and not any(o.mant)):
             return self.desc.zero()
-        ka, kb = self._k, o._k
-        if ka is INF:
-            k = kb if kb is INF else self._floor() + kb
-        elif kb is INF:
-            k = o._floor() + ka
-        else:
-            k = min(self._floor() + kb, o._floor() + ka)
-        return make_element(self.desc, _raw_mul(self.desc, self.mant, o.mant), self.shift + o.shift, k)
+        return make_element(self.desc, *_product(self, o))
 
     __rmul__ = __mul__
 
@@ -660,8 +679,12 @@ class FieldElement:
         if rel is INF:
             rel = desc._digits(None)
             unit = make_element(desc, unit.mant, unit.shift, rel)
+        c = unit.mant
+        if unit.shift:
+            q = desc.p**unit.shift
+            c = [x // q for x in c]  # a unit's mantissa is divisible by p^shift
         # x^{-1} = unit^{-1} * (monomial of valuation -v)
-        return _times_monomial(_unit_inverse(unit, rel), -v)
+        return _times_monomial(make_element(desc, _unit_inverse(desc, c, rel), 0, rel), -v)
 
     # -- comparison -------------------------------------------------------
 
@@ -697,14 +720,16 @@ def _mant_val(desc: LocalFieldDesc, mant, shift: int):
     with at least one nonzero coefficient: the least per-monomial
     valuation, each pi-row's theta-combination being a unit times its gcd."""
     p, e, f = desc.p, desc.e_l, desc.f_l
+    if e == 1:
+        g = math.gcd(*mant)
+        return (_vp(g, p) if g % p == 0 else 0) - shift
     v = None
     for a in range(e):
         g = math.gcd(*mant[a * f : (a + 1) * f])
         if g:
             n = a - e * shift
-            while g % p == 0:
-                g //= p
-                n += e
+            if g % p == 0:
+                n += e * _vp(g, p)
             if v is None or n < v:
                 v = n
     return v
@@ -712,10 +737,95 @@ def _mant_val(desc: LocalFieldDesc, mant, shift: int):
 
 def _raw_mul(desc: LocalFieldDesc, x, y) -> list[int]:
     """Product of two flat mantissas on the monomial basis, exact integers."""
+    if len(x) == 1:
+        return [x[0] * y[0]]  # Q_p: the basis is {1}
     out = [0] * len(x)
     for i, j, r, t in desc._mul_table:
         out[r] += x[i] * y[j] * t
     return out
+
+
+# ---------------------------------------------------------------------------
+# fused kernels: a product and a sum formed on raw mantissas, reduced once
+#
+# The floor of x*y is min(v(x) + k_y, v(y) + k_x), an exact factor adding
+# no floor of its own, and the floor of a sum is the least floor of its
+# terms (Caruso, Roe and Vaccon, arXiv:1402.0619).  make_element's result,
+# the mantissa reduced modulo the lattice pi^k and stripped of common powers
+# of p, names the value modulo that lattice and does not depend on the
+# shift at which the value is formed.  Reducing a term first, modulo its
+# own finer lattice, therefore changes nothing: these kernels return the
+# very bits of the two-step loops, with one make_element instead of two per
+# term.
+
+
+def _product(x: FieldElement, y: FieldElement):
+    """(mantissa, shift, floor) of x*y before its reduction, for factors
+    that are not the exact zero; a valuation not yet computed is computed
+    once and cached, one known only to a floor stands at that floor."""
+    kx, ky = x._k, y._k
+    if kx is INF:
+        if ky is INF:
+            k = INF
+        else:
+            v = x._v
+            k = (x._floor() if v is None else v) + ky
+    else:
+        v = y._v
+        k = (y._floor() if v is None else v) + kx
+        if ky is not INF:
+            v = x._v
+            k = min(k, (x._floor() if v is None else v) + ky)
+    return _raw_mul(x.desc, x.mant, y.mant), x.shift + y.shift, k
+
+
+def _combined(desc: LocalFieldDesc, a, s: int, b, t: int, op):
+    """(a / p^s) op (b / p^t) for flat mantissas: the mantissa at the larger
+    shift, and that shift."""
+    if s == t:
+        return list(map(op, a, b)), s
+    if s > t:
+        q = desc.p ** (s - t)
+        return [op(x, y * q) for x, y in zip(a, b)], s
+    q = desc.p ** (t - s)
+    return [op(x * q, y) for x, y in zip(a, b)], t
+
+
+def _sub_mul(x: FieldElement, f: FieldElement, y: FieldElement) -> FieldElement:
+    """x - f*y, reduced once; x itself when f or y is the exact zero."""
+    if (f._k is INF and not any(f.mant)) or (y._k is INF and not any(y.mant)):
+        return x
+    prod, s, k = _product(f, y)
+    mant, s = _combined(x.desc, x.mant, x.shift, prod, s, operator.sub)
+    return make_element(x.desc, mant, s, min(x._k, k))
+
+
+def _mul_add(acc: FieldElement, x: FieldElement, c: FieldElement) -> FieldElement:
+    """The Horner step acc*x + c, reduced once; c itself when acc or x is
+    the exact zero."""
+    if (acc._k is INF and not any(acc.mant)) or (x._k is INF and not any(x.mant)):
+        return c
+    prod, s, k = _product(acc, x)
+    mant, s = _combined(x.desc, prod, s, c.mant, c.shift, operator.add)
+    return make_element(x.desc, mant, s, min(k, c._k))
+
+
+def _dot(u, v) -> FieldElement:
+    """Sum of the products x*y over a nonempty pair of vectors, reduced
+    once; a term with an exact-zero factor is the exact zero and is
+    skipped, and the sum of no terms is the exact zero."""
+    desc = u[0].desc
+    acc = None
+    for x, y in zip(u, v):
+        if (x._k is INF and not any(x.mant)) or (y._k is INF and not any(y.mant)):
+            continue
+        prod, t, kt = _product(x, y)
+        if acc is None:
+            acc, s, k = prod, t, kt
+        else:
+            acc, s = _combined(desc, acc, s, prod, t, operator.add)
+            k = min(k, kt)
+    return desc.zero() if acc is None else make_element(desc, acc, s, k)
 
 
 def _times_monomial(x: FieldElement, n: int) -> FieldElement:
@@ -773,8 +883,9 @@ def _inverse_mod(c: int, mod: int) -> int:
     return pow(c, -1, mod)
 
 
-def _unit_inverse(u: FieldElement, k: int) -> FieldElement:
-    """Inverse of a unit known to k >= 1 pi-adic digits, on raw integers.
+def _unit_inverse(desc: LocalFieldDesc, c, k: int) -> list[int]:
+    """Inverse of a unit with integral flat mantissa c, known to k >= 1
+    pi-adic digits, as the flat mantissa y of an integral element.
 
     The monomial basis is a Z_p-basis of the integers O, so u^{-1} is the
     solution y of M_u y = e_0, where column j of the multiplication matrix
@@ -786,14 +897,14 @@ def _unit_inverse(u: FieldElement, k: int) -> FieldElement:
     unit, so every column offers a unit pivot.  On Q_p this is the 1x1
     case, one scalar inverse.  The result is checked, u*y == 1 at k
     digits, before it is used."""
-    desc = u.desc
     p, n = desc.p, desc.degree
     moduli = desc._moduli(k)
     mod = moduli[0]  # p^top, which lies in the lattice pi^k O
-    c = u.mant
-    if u.shift:
-        q = p**u.shift
-        c = [x // q for x in c]  # a unit's mantissa is divisible by p^shift
+    if n == 1:
+        # Q_p: M_u is the 1x1 matrix (c_0), one scalar inverse
+        if not c[0] % p:
+            raise PrecisionLoss("multiplication matrix of a unit has no unit pivot")
+        return _checked_inverse(desc, c, [_inverse_mod(c[0] % mod, mod) % mod], moduli)
     # rows of M_u augmented with e_0, the coordinates of 1
     m = [[0] * (n + 1) for _ in range(n)]
     m[0][n] = 1
@@ -830,11 +941,16 @@ def _unit_inverse(u: FieldElement, k: int) -> FieldElement:
         y[i] = s * inv * prefix[i] % mod
         if i:
             inv = inv * row[i] % mod
+    return _checked_inverse(desc, c, y, moduli)
+
+
+def _checked_inverse(desc: LocalFieldDesc, c, y, moduli) -> list[int]:
+    """y, once u*y == 1 holds modulo the lattice whose moduli are given."""
     check = _raw_mul(desc, c, y)
     check[0] -= 1
     if any(map(operator.mod, check, moduli)):
         raise PrecisionLoss("unit inverse failed its check u*y == 1")
-    return make_element(desc, y, 0, k)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +958,10 @@ def _unit_inverse(u: FieldElement, k: int) -> FieldElement:
 
 
 def poly_eval(coeffs, x: FieldElement) -> FieldElement:
+    """Horner evaluation at x of field-element coefficients, ascending."""
     out = x.desc.zero()
     for c in reversed(list(coeffs)):
-        out = out * x + c
+        out = _mul_add(out, x, c)
     return out
 
 
@@ -909,27 +1026,44 @@ def newton_slopes(coeffs):
 
 def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
     """Newton-lift a simple root from a start x0 that satisfies Hensel's
-    condition v(f(x0)) > 2 v(f'(x0)), checked on field elements.
+    condition v(f(x0)) > 2 v(f'(x0)).
 
     f'(x0) is inverted once.  Each lift x <- x - f(x) w then uses a carried
     w ~ 1/f'(x), refreshed by one Newton step for the inverse,
     w <- w(2 - f'(x) w), which squares its relative error as x moves
     (the coupled iteration of Caruso-Roe-Vaccon, arXiv:1402.0619).
 
-    When f'(x0) is a unit, x0 and the coefficients are integral, and no
-    coefficient is known to fewer digits than the floor K the lift ends on,
-    the unit derivative pins the root modulo pi^K, so the lift runs on flat
-    integer mantissas modulo that lattice (_lift_raw).  K is the floor of
-    x0; for an exact x0 it is the relative precision of 1/f'(x0) plus
-    v(f(x0)).  Every start roots_in_field makes is of this kind.  Any other
-    start lifts on field elements, where the floors of the carried inverse
-    set the floor of the root.
+    When x0 and the coefficients are integral (shift 0) and no coefficient
+    is known to fewer digits than the floor K of x0, f(x0) and f'(x0) are
+    determined modulo pi^K, so the start is read off flat integer
+    mantissas; with a unit f'(x0), which pins the root modulo pi^K, the
+    whole lift runs there (_lift_raw).  Every start roots_in_field makes is
+    of this kind.  When f(x0) or f'(x0) vanishes modulo pi^K, or f'(x0) is
+    not a unit, the start is taken again on field elements, whose floors
+    decide; so is an exact x0, which with a unit f'(x0) lifts raw to K the
+    relative precision of 1/f'(x0) plus v(f(x0)).  Any other start lifts on
+    field elements, where the floors of the carried inverse set the floor of
+    the root.
 
     Returns only a root certified by f(x) == 0 at the working precision.
     Raises RootLiftingError when the start fails Hensel's condition or
     max_iter lifts end first.  Under the condition every lift raises the
     residual valuation, so a residual that stops rising means the working
     precision ran out: PrecisionLoss."""
+    desc, k = x0.desc, x0._k
+    if max_iter and x0.shift == 0 and k is not INF and all(c.shift == 0 and c._k >= k for c in coeffs):
+        mods = desc._moduli(k)
+        f, df = _flat_poly(coeffs)
+        r = list(map(operator.mod, _horner(desc, f, x0.mant), mods))
+        d = list(map(operator.mod, _horner(desc, df, x0.mant), mods))
+        if any(r) and any(d):
+            # both lie below K, where the element floors, all >= K, agree
+            v, dv = _mant_val(desc, r, 0), _mant_val(desc, d, 0)
+            if v <= 2 * dv:
+                raise RootLiftingError("start point fails Hensel's condition")
+            if dv == 0:
+                w = _unit_inverse(desc, d, k)
+                return _lift_raw(coeffs, f, df, x0.mant, r, w, v, k, max_iter)
     fx = poly_eval(coeffs, x0)
     if fx.is_zero_at_prec():
         return x0
@@ -945,7 +1079,7 @@ def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
     if dv == 0 and x0.shift == 0:
         k = x0._k if x0._k is not INF else w._k + v
         if all(c.shift == 0 and c._k >= k for c in coeffs):
-            return _lift_raw(coeffs, x0, fx, w, k, max_iter)
+            return _lift_raw(coeffs, *_flat_poly(coeffs), x0.mant, fx.mant, w.mant, v, k, max_iter)
     x, last = x0 - fx * w, v
     for step in range(1, max_iter + 1):
         fx = poly_eval(coeffs, x)
@@ -963,28 +1097,35 @@ def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
     raise RootLiftingError(f"no root within {max_iter} Newton lifts")
 
 
-def _lift_raw(coeffs, x0: FieldElement, fx: FieldElement, w: FieldElement, k: int, max_iter: int) -> FieldElement:
-    """The lift of hensel_root from an integral x0 with a unit f'(x0), on
-    flat mantissas modulo the lattice pi^k: Horner evaluation with _raw_mul,
-    the same carried inverse and stall rule, one field element at the end,
-    certified by f(x) == 0 on field elements.  Each of x, f(x) and w is
-    reduced once per lift; the integers between stay a few products wide."""
-    desc = x0.desc
-    mods = desc._moduli(k)
-
-    def horner(poly, x):
-        acc = poly[-1]
-        for c in reversed(poly[:-1]):
-            acc = list(map(operator.add, _raw_mul(desc, acc, x), c))
-        return acc
-
+def _flat_poly(coeffs):
+    """The flat mantissas of integral coefficients and of their derivative."""
     f = [c.mant for c in coeffs]
-    df = [[i * a for a in c] for i, c in enumerate(f)][1:]
+    return f, [[i * a for a in c] for i, c in enumerate(f)][1:]
+
+
+def _horner(desc: LocalFieldDesc, poly, x) -> list[int]:
+    """Value at the flat mantissa x of a polynomial with flat-mantissa
+    coefficients, ascending, on exact integers."""
+    acc = poly[-1]
+    for c in reversed(poly[:-1]):
+        acc = list(map(operator.add, _raw_mul(desc, acc, x), c))
+    return acc
+
+
+def _lift_raw(coeffs, f, df, x, r, w, last: int, k: int, max_iter: int) -> FieldElement:
+    """The lift of hensel_root on flat mantissas modulo the lattice pi^k,
+    from an integral start x with residual r = f(x) of valuation last and
+    w = 1/f'(x), f' a unit: Horner evaluation of f and its derivative df
+    (flat-mantissa coefficients), the same carried inverse and stall rule,
+    one field element at the end, certified by f(x) == 0 on field elements.
+    Each of x, f(x) and w is reduced once per lift; the integers between
+    stay a few products wide."""
+    desc = coeffs[0].desc
+    mods = desc._moduli(k)
     two = [2] + [0] * (desc.degree - 1)
-    x, r, w, last = x0.mant, fx.mant, w.mant, fx._certified_val()
     for step in range(1, max_iter + 1):
         x = list(map(operator.mod, map(operator.sub, x, _raw_mul(desc, r, w)), mods))
-        r = list(map(operator.mod, horner(f, x), mods))
+        r = list(map(operator.mod, _horner(desc, f, x), mods))
         if not any(r):
             root = make_element(desc, x, 0, k)
             if not poly_eval(coeffs, root).is_zero_at_prec():
@@ -995,7 +1136,7 @@ def _lift_raw(coeffs, x0: FieldElement, fx: FieldElement, w: FieldElement, k: in
         v = _mant_val(desc, r, 0)
         if v <= last:
             raise PrecisionLoss(f"Newton lift stalled with residual valuation {Fraction(v, desc.e_l)}")
-        dw = _raw_mul(desc, horner(df, x), w)
+        dw = _raw_mul(desc, _horner(desc, df, x), w)
         w = list(map(operator.mod, _raw_mul(desc, w, list(map(operator.sub, two, dw))), mods))
         last = v
     raise RootLiftingError(f"no root within {max_iter} Newton lifts")

@@ -75,6 +75,9 @@ def _is_int(data) -> bool:
 def parse_fraction(data, path: str) -> Fraction:
     if not (_is_int(data) or isinstance(data, str)):
         _fail(path, "expected an integer or a fraction string")
+    if isinstance(data, str) and ("e" in data or "E" in data):
+        # "1e10000000" spells ten characters and costs 13 s to expand
+        _fail(path, "exponent notation is not accepted")
     try:
         return Fraction(data)
     except (ValueError, ZeroDivisionError):
@@ -118,6 +121,24 @@ MAX_PREC_DIGITS = 3000
 # core).
 MAX_TOWER_DEGREE = 6
 MAX_COEFF_DIGITS = 50
+
+# validate, newton and iso run Berkowitz characteristic polynomials (about
+# rank^4 products) and rref (rank^3): a rank-16 module with full-precision
+# entries over Q3(sqrt 3) at precision 60 takes about 0.2 s, rank 24 about
+# 0.7 s.  Submodule enumeration stops at rank 3 whatever this bound.
+MAX_RANK = 16
+
+# Every embedding carries its own flag and jump pair, and end0-check restricts
+# a rank-4 filtration per embedding: shape 16 x 16 (256 embeddings) takes
+# about 1 s on Q3 at precision 60.
+MAX_SHAPE_DEGREE = 16
+
+# An element coefficient is no wider than the widest mantissa an admitted
+# precision carries, so what a report prints parses back; a longer literal
+# used to reach Python's 4300-digit int parser, whose refusal came back as a
+# message quoting the whole literal.
+MAX_ELEMENT_DIGITS = MAX_PREC_DIGITS
+_ELEMENT_LIMIT = 10**MAX_ELEMENT_DIGITS
 
 
 def _tower_coeff(data, path: str) -> int:
@@ -192,6 +213,9 @@ def parse_shape(data, path: str = "/shape") -> GaloisShape:
     f = _get(data, "f", path)
     if not _is_int(e) or not _is_int(f) or e < 1 or f < 1:
         _fail(path, "e and f must be positive integers")
+    for name, val in (("e", e), ("f", f)):
+        if val > MAX_SHAPE_DEGREE:
+            _fail(f"{path}/{name}", f"shape degree {val} exceeds the bound {MAX_SHAPE_DEGREE}")
     return GaloisShape(e, f)
 
 
@@ -203,14 +227,28 @@ def dump_shape(shape: GaloisShape) -> dict:
 # elements
 
 
+def _coefficient(data, path: str) -> Fraction:
+    # a sign and spaces aside, numerator and denominator are checked by
+    # length before Python parses them
+    if isinstance(data, str) and any(len(part) > MAX_ELEMENT_DIGITS + 8 for part in data.split("/")):
+        _fail(path, f"coefficient exceeds the bound of {MAX_ELEMENT_DIGITS} digits")
+    c = parse_fraction(data, path)
+    if abs(c.numerator) >= _ELEMENT_LIMIT or c.denominator >= _ELEMENT_LIMIT:
+        _fail(path, f"coefficient exceeds the bound of {MAX_ELEMENT_DIGITS} digits")
+    return c
+
+
 def parse_element(desc: LocalFieldDesc, data, path: str) -> FieldElement:
     if isinstance(data, (int, str)) and not isinstance(data, bool):
-        return desc.from_rational(parse_fraction(data, path))
+        return desc.from_rational(_coefficient(data, path))
     if isinstance(data, list):
         return _element_from_grid(desc, data, None, path)
     if isinstance(data, dict):
         grid = _get(data, "c", path)
         prec = _prec_in(data.get("prec"), path + "/prec")
+        # the field's own bound: p^prec is built for every coefficient
+        if prec is not None and prec is not INF and prec * math.log10(desc.p) > MAX_PREC_DIGITS:
+            _fail(path + "/prec", f"precision {prec} exceeds the bound prec * log10(p) <= {MAX_PREC_DIGITS}")
         return _element_from_grid(desc, grid, prec, path + "/c")
     _fail(path, "expected a scalar, coefficient array, or element object")
 
@@ -224,7 +262,7 @@ def _element_from_grid(desc, grid, prec, path: str) -> FieldElement:
     rows = []
     for a, row in enumerate(grid):
         row = _expect_list(row, f"{path}/{a}", desc.f_l)
-        rows.append([parse_fraction(c, f"{path}/{a}/{b}") for b, c in enumerate(row)])
+        rows.append([_coefficient(c, f"{path}/{a}/{b}") for b, c in enumerate(row)])
     if len(rows) != desc.e_l:
         _fail(path, f"expected {desc.e_l} coefficient rows")
     try:
@@ -283,6 +321,8 @@ def parse_module(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -> P
     rank = _get(data, "rank", path)
     if not _is_int(rank) or rank < 1:
         _fail(path + "/rank", "expected a positive integer")
+    if rank > MAX_RANK:
+        _fail(path + "/rank", f"rank {rank} exceeds the bound {MAX_RANK}")
     phi_raw = _expect_list(_get(data, "phi", path), path + "/phi", shape.f)
     n_raw = _expect_list(_get(data, "N", path), path + "/N", shape.f)
     phi = tuple(parse_matrix(desc, m, f"{path}/phi/{i}", rank) for i, m in enumerate(phi_raw))

@@ -14,6 +14,9 @@ from phinmod.cli import Options, execute, main, render, run_batch
 from phinmod.padic import MAX_P
 from phinmod.serial import (
     MAX_COEFF_DIGITS,
+    MAX_ELEMENT_DIGITS,
+    MAX_RANK,
+    MAX_SHAPE_DEGREE,
     MAX_TOWER_DEGREE,
     dump_instance,
     parse_field,
@@ -157,6 +160,57 @@ def test_field_bounds_rejected_at_parse(field, pointer):
     assert code == 2
     assert report["error"]["type"] == "ParseError"
     assert report["error"]["message"].startswith(f"{pointer}: ")
+
+
+def _set_rank(inst):
+    inst["payload"]["module"]["rank"] = MAX_RANK + 1
+
+
+def _set_shape(key):
+    def edit(inst):
+        inst["shape"][key] = MAX_SHAPE_DEGREE + 1
+
+    return edit
+
+
+def _set_alpha(value):
+    def edit(inst):
+        inst["payload"]["germ"]["alpha"][0] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, command, edit, pointer",
+    [
+        ("module_plain.json", "validate", _set_rank, "/payload/module/rank"),
+        ("module_plain.json", "validate", _set_shape("e"), "/shape/e"),
+        ("germ_vanishing.json", "colmez", _set_shape("f"), "/shape/f"),
+        ("germ_vanishing.json", "colmez", _set_alpha("1/" + "3" * (MAX_ELEMENT_DIGITS + 1)), "/payload/germ/alpha/0"),
+        ("germ_vanishing.json", "colmez", _set_alpha(10**MAX_ELEMENT_DIGITS), "/payload/germ/alpha/0"),
+        ("germ_vanishing.json", "colmez", _set_alpha("7" * 5000), "/payload/germ/alpha/0"),
+        ("germ_vanishing.json", "colmez", _set_alpha([["1e10000000"]]), "/payload/germ/alpha/0/0/0"),
+        ("germ_vanishing.json", "colmez", _set_alpha({"c": [[1]], "prec": 10**7}), "/payload/germ/alpha/0/prec"),
+    ],
+)
+def test_payload_bounds_rejected_at_parse(name, command, edit, pointer):
+    inst = _load(name)
+    edit(inst)
+    start = time.process_time()
+    report, code = execute(command, json.dumps(inst), Options())
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["message"].startswith(f"{pointer}: ")
+    assert len(report["error"]["message"]) < 200
+
+
+def test_payload_bounds_admit_their_limits():
+    inst = _load("germ_vanishing.json")
+    inst["payload"]["germ"]["alpha"][0] = {"c": [["1/" + "9" * MAX_ELEMENT_DIGITS]], "prec": 2000}
+    inst["shape"] = {"e": 1, "f": 1}
+    parse_instance(json.dumps(inst))
+    assert parse_instance(json.dumps(dict(_load("module_plain.json"), shape={"e": 1, "f": 1})))
 
 
 def _largest_admitted_field() -> dict:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from phinmod.coeff import GaloisShape
-from phinmod.eigen import enumerate_submodules
+from phinmod.eigen import StableSubmodule, enumerate_submodules
 from phinmod.errors import ValidationError
 from phinmod.filtration import (
     Filtration,
@@ -93,6 +93,21 @@ def test_induced_filtration_on_kernel_line(q3):
     ind2 = induce_on_submodule(onto, sub)
     assert [j for j, _ in ind2.steps[0]] == [2]
     assert hodge_number(ind2) == 2
+
+
+def test_induced_steps_restrict_onto_each_slot(q3):
+    # one step object shared by both embeddings of shape (1, 2), cut down to
+    # two different slot lines: the restriction of a shared piece is reused
+    # only onto the same span, so the second slot loses the line the first
+    # keeps
+    shape = GaloisShape(1, 2)
+    line0, line1 = span(q3, 2, [1, 0]), span(q3, 2, [1, 1])
+    shared = ((0, full(q3, 2)), (2, line0))
+    fil = Filtration(q3, shape, 2, (shared, shared))
+    sub = StableSubmodule(1, (line0, line1), None)
+    ind = induce_on_submodule(fil, sub)
+    assert [[j for j, _ in sig] for sig in ind.steps] == [[2], [0]]
+    assert hodge_number(ind) == 2
 
 
 def test_dual_filtration_explicit_and_involutive(q3):

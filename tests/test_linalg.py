@@ -30,7 +30,7 @@ from phinmod.linalg import (
     trace,
     transpose,
 )
-from phinmod.padic import INF, FieldElement
+from phinmod.padic import INF, FieldElement, _mul_add, _sub_mul, poly_eval
 from util import coords_of, sample_element, sample_invertible
 
 
@@ -367,3 +367,80 @@ def test_rref_exact_one_pivots_skip_inverse(all_fields, monkeypatch):
             rows_want, pivots_want = plain_rref(a)
             assert pivots == pivots_want == [0, 1]
             assert [[bits(x) for x in r] for r in rows] == [[bits(x) for x in r] for r in rows_want]
+
+
+# ---------------------------------------------------------------------------
+# fused kernels: one reduction per result, the bits of the two-step loops
+
+
+def plain_horner(coeffs, x):
+    out = x.desc.zero()
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def kernel_pool(desc):
+    """Operands the fused kernels must agree with the two-step loops on:
+    shifted entries of negative valuation (inexact and exact), exact
+    integers next to inexact units at two floors, the literal zero, an exact
+    zero made by cancellation and a zero known only to its floor."""
+    p = desc.p
+    three = desc.from_int(3, INF)
+    pool = [
+        sample_element(desc, -1, 7),
+        sample_element(desc, Fraction(-1, desc.e_l), 8, prec=20),
+        desc.from_rational(Fraction(1, p), INF),
+        desc.from_rational(Fraction(-5, p * p), INF),
+        desc.from_int(2, INF),
+        desc.from_int(-p, INF),
+        sample_element(desc, 0, 9),
+        sample_element(desc, 1, 10, prec=12),
+        desc.zero(),
+        three - three,
+        desc.from_int(p**3, prec=2),
+    ]
+    assert pool[0].shift > 0 and pool[2].shift > 0 and pool[-2].is_exact_zero()
+    assert pool[-1].is_zero_at_prec() and not pool[-1].is_exact_zero()
+    return pool
+
+
+def test_fused_kernels_match_two_step_loops(all_fields):
+    for desc in all_fields:
+        pool = kernel_pool(desc)
+        for x in pool:
+            for f in pool:
+                for y in pool:
+                    assert bits(_sub_mul(x, f, y)) == bits(x - f * y)
+                    assert bits(_mul_add(x, f, y)) == bits(x * f + y)
+        for seed in range(8):
+            rng = random.Random(seed)
+            u, v = rng.choices(pool, k=4), rng.choices(pool, k=4)
+            assert bits(_dot(u, v)) == bits(plain_dot(u, v))
+            coeffs = rng.choices(pool, k=4)
+            assert bits(poly_eval(coeffs, u[0])) == bits(plain_horner(coeffs, u[0]))
+            a = [rng.choices(pool, k=4) for _ in range(3)]
+            rows, pivots = rref(a)
+            rows_want, pivots_want = plain_rref(a)
+            assert pivots == pivots_want
+            assert [[bits(x) for x in r] for r in rows] == [[bits(x) for x in r] for r in rows_want]
+
+
+def test_fused_kernels_cancel_to_zero_at_precision(all_fields):
+    # differences that vanish at their floor: the floor is the two-step
+    # loops' floor, and what is left is zero at precision, not the exact zero
+    for desc in all_fields:
+        s, t, w = sample_element(desc, -1, 21), sample_element(desc, 0, 22, prec=15), sample_element(desc, 2, 23)
+        x = s * t
+        cases = [
+            (_sub_mul(x, s, t), x - s * t),
+            (_mul_add(s, t, -x), s * t + -x),
+            (_dot([s, w, x], [t, desc.zero(), -desc.one()]), plain_dot([s, w, x], [t, desc.zero(), -desc.one()])),
+            (poly_eval([-x, t], s), plain_horner([-x, t], s)),
+        ]
+        for got, want in cases:
+            assert got.is_zero_at_prec() and not got.is_exact_zero()
+            assert bits(got) == bits(want)
+        # exact operands cancel to an exact zero
+        two = desc.from_int(2, INF)
+        assert _sub_mul(desc.from_int(6, INF), two, desc.from_int(3, INF)).is_exact_zero()

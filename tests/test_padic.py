@@ -217,6 +217,19 @@ def test_valuation_basics(q3, q3_ram):
     assert q3.from_rational(Fraction(1, 2)).valuation() == 0
 
 
+def test_vp_strips_high_valuations():
+    # plain division for the first powers, then the squaring strip: every
+    # valuation on both sides of each power of two up to 2^11
+    for p in (2, 3, 7):
+        for v in sorted({0, 1, 3, 4, 5} | {b + d for b in (2**i for i in range(2, 12)) for d in (-1, 0, 1)}):
+            for u in (1, -(p + 1), p * 1000 + 1):
+                assert padic._vp(u * p**v, p) == v
+    # and through a digit valuation at precision 2000, ramified
+    desc = LocalFieldDesc(3, 1, 2, (0, 1), ((-3,), (0,), (1,)), 2000)
+    x = sample_element(desc, Fraction(1501, 2), seed=3)
+    assert x.valuation() == Fraction(1501, 2)
+
+
 def test_valuation_matches_norm_oracle(q3_ram):
     # element 3 + pi: the minimum-term rule gives 1/2, and so does the
     # independent resultant-norm oracle
@@ -635,6 +648,60 @@ def test_hensel_root_exact_inputs():
         assert (root.mant, root.shift) == (expected.mant, expected.shift)
         assert root.prec == Fraction(digits, desc.e_l)
         assert root * root == a
+
+
+def _lift_or_raise(fn, coeffs, x0):
+    try:
+        root = fn(coeffs, x0)
+    except (RootLiftingError, PrecisionLoss) as exc:
+        return type(exc)
+    return root.mant, root.shift, root.prec
+
+
+def test_raw_hensel_start_matches_the_element_start(q3, q3_ram, monkeypatch):
+    # integral starts and coefficients with floors >= the start's floor K:
+    # f(x0), f'(x0), Hensel's condition and the unit test are taken on
+    # mantissas modulo pi^K; each case gives the root bits or the exception
+    # type of oracle_hensel, which lifts on field elements only
+    starts = []
+    horner = padic._horner
+    monkeypatch.setattr(padic, "_horner", lambda desc, poly, x: starts.append(x) or horner(desc, poly, x))
+    for desc in (q3, q3_ram):
+
+        def f(*cs, prec=None):
+            return [desc.from_int(c, INF if prec is None else prec) for c in cs]
+
+        x1 = desc.from_int(1, prec=4)
+        cases = [
+            # leading coefficients 3 and 3: f(x0) has floor 5 > 4; f(1) = 0
+            (f(-6, 3, 3), x1),
+            # ... and f(1) = 81, zero modulo pi^K but not at f(x0)'s floor
+            (f(75, 3, 3), x1),
+            # f(x0) zero at precision: (T - 2)(T + 2) from 2 + O(3^4)
+            (f(-4, 0, 1), desc.from_int(2, prec=4)),
+            # f'(x0) zero at precision: (T - 1)^2 + 3 from 1 + O(3^4)
+            (f(4, -2, 1), x1),
+            # v(f'(x0)) = 1: (T - 1)(T - 4) from 1 + 9, condition 3 > 2 holds
+            (f(4, -5, 1), desc.from_int(10, prec=6)),
+            # Hensel's condition fails: T^2 - 3 from 1
+            (f(-3, 0, 1), x1),
+            # a unit derivative: T^2 - 7 from 1, lifted raw all the way
+            (f(-7, 0, 1, prec=9), desc.from_int(1, prec=9)),
+        ]
+        for coeffs, x0 in cases:
+            del starts[:]
+            got = _lift_or_raise(hensel_root, coeffs, x0)
+            assert starts and starts[0] == x0.mant
+            assert got == _lift_or_raise(oracle_hensel, coeffs, x0)
+        # a coefficient known to fewer digits than x0 leaves f(x0) unknown
+        # modulo pi^K: no raw start, and no raw lift either
+        coeffs = [desc.from_int(-7, prec=3), desc.zero(), desc.one()]
+        del starts[:]
+        got = _lift_or_raise(hensel_root, coeffs, desc.from_int(1, prec=9))
+        assert starts == [] and got == _lift_or_raise(oracle_hensel, coeffs, desc.from_int(1, prec=9))
+        kinds = [_lift_or_raise(hensel_root, coeffs, x0) for coeffs, x0 in cases]
+        assert kinds[1] is RootLiftingError and kinds[3] is PrecisionLoss and kinds[5] is RootLiftingError
+        assert kinds[0][0] == x1.mant and kinds[2][0] == (2,) + (0,) * (desc.degree - 1)
 
 
 def test_hensel_root_refuses_a_start_failing_hensel(q3):
