@@ -22,10 +22,6 @@ class FieldMismatch(PhinError):
     """Operands live over different coefficient field descriptions."""
 
 
-class InvalidValuation(PhinError):
-    """A requested valuation is not attainable in the field (wrong denominator)."""
-
-
 class LevelMismatch(PhinError):
     """Product-algebra operands have different levels (length f vs length n)."""
 

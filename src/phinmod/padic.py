@@ -582,16 +582,7 @@ class FieldElement:
             return self
         if self.is_exact_zero():
             return other if op is operator.add else -other
-        s, t = self.shift, other.shift
-        if s == t:
-            mant = list(map(op, self.mant, other.mant))
-        elif s > t:
-            q = self.desc.p ** (s - t)
-            mant = [op(a, b * q) for a, b in zip(self.mant, other.mant)]
-        else:
-            q = self.desc.p ** (t - s)
-            mant = [op(a * q, b) for a, b in zip(self.mant, other.mant)]
-            s = t
+        mant, s = _combined(self.desc, self.mant, self.shift, other.mant, other.shift, op)
         return make_element(self.desc, mant, s, min(self._k, other._k))
 
     def __add__(self, other):
@@ -965,10 +956,6 @@ def poly_eval(coeffs, x: FieldElement) -> FieldElement:
     return out
 
 
-def poly_derivative(coeffs):
-    return [c * i for i, c in enumerate(coeffs)][1:]
-
-
 def lower_hull(points):
     """Lower convex hull of (x, y) points with strictly increasing x."""
     hull = []
@@ -1024,83 +1011,66 @@ def newton_slopes(coeffs):
     ]
 
 
-def hensel_root(coeffs, x0: FieldElement, max_iter: int = 64) -> FieldElement:
-    """Newton-lift a simple root from a start x0 that satisfies Hensel's
-    condition v(f(x0)) > 2 v(f'(x0)).
+def hensel_root(coeffs, x0: FieldElement) -> FieldElement:
+    """Newton-lift a simple residue root: from a start x0 where f'(x0) is a
+    unit and f(x0) is not, the root of f it singles out.
 
-    f'(x0) is inverted once.  Each lift x <- x - f(x) w then uses a carried
-    w ~ 1/f'(x), refreshed by one Newton step for the inverse,
-    w <- w(2 - f'(x) w), which squares its relative error as x moves
-    (the coupled iteration of Caruso-Roe-Vaccon, arXiv:1402.0619).
+    The lift runs on flat integer mantissas modulo pi^K.  x0 and the
+    coefficients are integral (shift 0) and no coefficient is known to fewer
+    digits than K, the floor of x0, so f(x0), f'(x0) and every later
+    residual are determined there, and a unit f'(x0) pins the root modulo
+    pi^K.  An exact x0 on exact coefficients lifts to K the default digits
+    plus v(f(x0)), or is returned as it is when f(x0) is zero.  f'(x0) is
+    inverted once; each lift x <- x - f(x) w then uses a carried w ~ 1/f'(x),
+    refreshed by one Newton step for the inverse, w <- w(2 - f'(x) w), which
+    squares its relative error as x moves (the coupled iteration of
+    Caruso-Roe-Vaccon, arXiv:1402.0619).  Each of x, f(x) and w is reduced
+    once per lift; the integers between stay a few products wide.
 
-    When x0 and the coefficients are integral (shift 0) and no coefficient
-    is known to fewer digits than the floor K of x0, f(x0) and f'(x0) are
-    determined modulo pi^K, so the start is read off flat integer
-    mantissas; with a unit f'(x0), which pins the root modulo pi^K, the
-    whole lift runs there (_lift_raw).  Every start roots_in_field makes is
-    of this kind.  When f(x0) or f'(x0) vanishes modulo pi^K, or f'(x0) is
-    not a unit, the start is taken again on field elements, whose floors
-    decide; so is an exact x0, which with a unit f'(x0) lifts raw to K the
-    relative precision of 1/f'(x0) plus v(f(x0)).  Any other start lifts on
-    field elements, where the floors of the carried inverse set the floor of
-    the root.
-
-    Returns only a root certified by f(x) == 0 at the working precision.
-    Raises RootLiftingError when the start fails Hensel's condition or
-    max_iter lifts end first.  Under the condition every lift raises the
-    residual valuation, so a residual that stops rising means the working
-    precision ran out: PrecisionLoss."""
+    Returns only a root certified by f(x) == 0 on field elements.  Raises
+    RootLiftingError for any other start: a non-integral one, coefficients
+    known to too few digits, a derivative that is not a unit, or a unit
+    f(x0), which fails Hensel's condition v(f(x0)) > 2 v(f'(x0)).  Under
+    the condition every lift raises the residual valuation, which stays
+    below K, so the loop ends; a residual that stops rising means the
+    working precision ran out: PrecisionLoss."""
     desc, k = x0.desc, x0._k
-    if max_iter and x0.shift == 0 and k is not INF and all(c.shift == 0 and c._k >= k for c in coeffs):
-        mods = desc._moduli(k)
-        f, df = _flat_poly(coeffs)
-        r = list(map(operator.mod, _horner(desc, f, x0.mant), mods))
-        d = list(map(operator.mod, _horner(desc, df, x0.mant), mods))
-        if any(r) and any(d):
-            # both lie below K, where the element floors, all >= K, agree
-            v, dv = _mant_val(desc, r, 0), _mant_val(desc, d, 0)
-            if v <= 2 * dv:
-                raise RootLiftingError("start point fails Hensel's condition")
-            if dv == 0:
-                w = _unit_inverse(desc, d, k)
-                return _lift_raw(coeffs, f, df, x0.mant, r, w, v, k, max_iter)
-    fx = poly_eval(coeffs, x0)
-    if fx.is_zero_at_prec():
-        return x0
-    if not max_iter:
-        raise RootLiftingError(f"no root within {max_iter} Newton lifts")
-    deriv = poly_derivative(coeffs)
-    v = fx._certified_val()
-    dfx = poly_eval(deriv, x0)
-    dv = dfx._certified_val()
-    if v <= 2 * dv:
-        raise RootLiftingError("start point fails Hensel's condition")
-    w = dfx.inverse()
-    if dv == 0 and x0.shift == 0:
-        k = x0._k if x0._k is not INF else w._k + v
-        if all(c.shift == 0 and c._k >= k for c in coeffs):
-            return _lift_raw(coeffs, *_flat_poly(coeffs), x0.mant, fx.mant, w.mant, v, k, max_iter)
-    x, last = x0 - fx * w, v
-    for step in range(1, max_iter + 1):
-        fx = poly_eval(coeffs, x)
-        if fx.is_zero_at_prec():
-            return x
-        if step == max_iter:
-            break
-        v = fx._certified_val()
-        if v <= last:
-            raise PrecisionLoss(f"Newton lift stalled with residual valuation {fx.valuation()}")
-        dfx = poly_eval(deriv, x)
-        w = w * (2 - dfx * w)
-        last = v
-        x = x - fx * w
-    raise RootLiftingError(f"no root within {max_iter} Newton lifts")
-
-
-def _flat_poly(coeffs):
-    """The flat mantissas of integral coefficients and of their derivative."""
+    if x0.shift or any(c.shift or c._k < k for c in coeffs):
+        raise RootLiftingError("Newton lift needs integral coefficients known to an integral start's floor")
     f = [c.mant for c in coeffs]
-    return f, [[i * a for a in c] for i, c in enumerate(f)][1:]
+    x = x0.mant
+    r = _horner(desc, f, x)
+    if k is INF:
+        if not any(r):
+            return x0
+        k = desc._digits(None) + _mant_val(desc, r, 0)
+    mods = desc._moduli(k)
+    df = [[i * a for a in c] for i, c in enumerate(f)][1:]
+    d = list(map(operator.mod, _horner(desc, df, x), mods))
+    if not any(d) or _mant_val(desc, d, 0):
+        raise RootLiftingError("start point is not a simple residue root")
+    r = list(map(operator.mod, r, mods))
+    if any(r):
+        last = _mant_val(desc, r, 0)
+        if not last:
+            raise RootLiftingError("start point fails Hensel's condition")
+        w = _unit_inverse(desc, d, k)
+        two = [2] + [0] * (desc.degree - 1)
+        while True:
+            x = list(map(operator.mod, map(operator.sub, x, _raw_mul(desc, r, w)), mods))
+            r = list(map(operator.mod, _horner(desc, f, x), mods))
+            if not any(r):
+                break
+            v = _mant_val(desc, r, 0)
+            if v <= last:
+                raise PrecisionLoss(f"Newton lift stalled with residual valuation {Fraction(v, desc.e_l)}")
+            dw = _raw_mul(desc, _horner(desc, df, x), w)
+            w = list(map(operator.mod, _raw_mul(desc, w, list(map(operator.sub, two, dw))), mods))
+            last = v
+    root = make_element(desc, x, 0, k)
+    if not poly_eval(coeffs, root).is_zero_at_prec():
+        raise PrecisionLoss("Hensel lift failed its check f(x) == 0")
+    return root
 
 
 def _horner(desc: LocalFieldDesc, poly, x) -> list[int]:
@@ -1110,36 +1080,6 @@ def _horner(desc: LocalFieldDesc, poly, x) -> list[int]:
     for c in reversed(poly[:-1]):
         acc = list(map(operator.add, _raw_mul(desc, acc, x), c))
     return acc
-
-
-def _lift_raw(coeffs, f, df, x, r, w, last: int, k: int, max_iter: int) -> FieldElement:
-    """The lift of hensel_root on flat mantissas modulo the lattice pi^k,
-    from an integral start x with residual r = f(x) of valuation last and
-    w = 1/f'(x), f' a unit: Horner evaluation of f and its derivative df
-    (flat-mantissa coefficients), the same carried inverse and stall rule,
-    one field element at the end, certified by f(x) == 0 on field elements.
-    Each of x, f(x) and w is reduced once per lift; the integers between
-    stay a few products wide."""
-    desc = coeffs[0].desc
-    mods = desc._moduli(k)
-    two = [2] + [0] * (desc.degree - 1)
-    for step in range(1, max_iter + 1):
-        x = list(map(operator.mod, map(operator.sub, x, _raw_mul(desc, r, w)), mods))
-        r = list(map(operator.mod, _horner(desc, f, x), mods))
-        if not any(r):
-            root = make_element(desc, x, 0, k)
-            if not poly_eval(coeffs, root).is_zero_at_prec():
-                raise PrecisionLoss("Hensel lift failed its check f(x) == 0")
-            return root
-        if step == max_iter:
-            break
-        v = _mant_val(desc, r, 0)
-        if v <= last:
-            raise PrecisionLoss(f"Newton lift stalled with residual valuation {Fraction(v, desc.e_l)}")
-        dw = _raw_mul(desc, _horner(desc, df, x), w)
-        w = list(map(operator.mod, _raw_mul(desc, w, list(map(operator.sub, two, dw))), mods))
-        last = v
-    raise RootLiftingError(f"no root within {max_iter} Newton lifts")
 
 
 def roots_in_field(coeffs) -> list[FieldElement]:
@@ -1164,9 +1104,15 @@ def roots_in_field(coeffs) -> list[FieldElement]:
             continue
         # f(uT) for the monomial u of the segment's root valuation, then its
         # coefficients scaled to minimum valuation 0; both are monomial
-        # products, free when the valuation is 0
+        # products, free when the valuation is 0.  Coefficient i takes u
+        # i times over: the monomial of valuation n*i is u^i only when
+        # pi^e_l = p
         n = int(n)
-        scaled = [_times_monomial(c, n * i) for i, c in enumerate(coeffs)]
+        scaled = []
+        for c in coeffs:
+            for _ in range(len(scaled)):
+                c = _times_monomial(c, n)
+            scaled.append(c)
         mu = min(c._floor() for c in scaled)
         mu = min(
             (c._certified_val() for c in scaled if not c.is_zero_at_prec()),

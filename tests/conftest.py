@@ -34,5 +34,11 @@ def q3_mixed() -> LocalFieldDesc:
 
 
 @pytest.fixture(scope="session")
-def all_fields(q3, q2, q3_ram, q5_unr, q3_mixed):
-    return [q3, q2, q3_ram, q5_unr, q3_mixed]
+def q3_eis() -> LocalFieldDesc:
+    # totally ramified quadratic step whose pi^2 is not 3: pi^2 + 3 pi + 3 = 0
+    return LocalFieldDesc(3, 1, 2, (0, 1), ((3,), (3,), (1,)))
+
+
+@pytest.fixture(scope="session")
+def all_fields(q3, q2, q3_ram, q5_unr, q3_mixed, q3_eis):
+    return [q3, q2, q3_ram, q5_unr, q3_mixed, q3_eis]

@@ -50,6 +50,16 @@ def test_admissible_example():
     assert report["witness"]["t_hodge"] == 3
 
 
+def test_admissible_on_a_tower_whose_pi_e_is_not_p():
+    # phi = diag(pi, 2 pi) over pi^2 + 3 pi + 3 = 0, Fil^1 the line e1: the
+    # cycle roots pi and 2 pi split the module into two stable lines, and
+    # e1 has t_N 1/2 below t_H 1
+    report, code = execute("admissible", FIXTURES / "module_eisenstein.json", Options())
+    assert code == 1 and report["verdict"] is False
+    certs = report["witness"]["certificates"]
+    assert [(c["t_newton"], c["t_hodge"], c["ok"]) for c in certs] == [("1/2", 1, False), ("1/2", 0, True)]
+
+
 def test_colmez_vanishing_example():
     report, code = execute("colmez", FIXTURES / "germ_vanishing.json", Options())
     assert code == 0

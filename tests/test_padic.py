@@ -13,7 +13,6 @@ import pytest
 from phinmod import padic
 from phinmod.coeff import GaloisShape, ProductElement
 from phinmod.errors import (
-    InvalidValuation,
     PrecisionLoss,
     RootLiftingError,
     ValidationError,
@@ -383,6 +382,8 @@ INVERSE_TOWERS = {
     "q9": (3, 2, 1, (1, 0, 1), ((-3, 0), (1, 0))),
     # e = f = 2: products fold both theta and pi powers
     "q9ram": (3, 2, 2, (1, 0, 1), ((-3, 0), (0, 0), (1, 0))),
+    # pi^2 + 3 pi + 3 = 0: a ramified step whose pi^e_l is not p
+    "q3eis": (3, 1, 2, (0, 1), ((3,), (3,), (1,))),
 }
 
 
@@ -492,7 +493,7 @@ def test_sampling_deterministic_and_exact(all_fields):
             assert a == b
             assert a.valuation() == tv
             assert c.valuation() == tv
-    with pytest.raises(InvalidValuation):
+    with pytest.raises(ValueError):
         sample_element(LocalFieldDesc(3, 1, 1, (0, 1), ((-3,), (1,))), Fraction(1, 2), seed=1)
 
 
@@ -557,6 +558,23 @@ def test_roots_in_ramified_field(q3_ram):
     assert sorted(r.valuation() for r in roots) == [0, Fraction(1, 2)]
 
 
+@pytest.mark.parametrize("eis", [(3, 3, 1), (-3, -3, 1)])
+def test_roots_on_towers_where_pi_e_is_not_p(eis):
+    # pi^2 = -3 pi - 3 or 3 pi + 3: a root of valuation n/2 is u T for the
+    # monomial u of valuation n/2, and the coefficient of T^i of f(uT)
+    # takes u^i, which is not the monomial of valuation n i/2 here
+    desc = LocalFieldDesc(3, 1, 2, (0, 1), tuple((c,) for c in eis))
+    pi, one = desc.uniformizer(), desc.one()
+    pairs = [(pi, 2 * pi), (pi, pi * pi * pi), (one + pi, pi), (3 + pi * pi, pi), (pi * pi, 2 * pi * pi)]
+    for a, b in pairs:
+        coeffs = [a * b, -(a + b), one]
+        roots = roots_in_field(coeffs)
+        assert len(roots) == 2
+        for r in roots:
+            assert poly_eval(coeffs, r).is_zero_at_prec()
+        assert any(r == a for r in roots) and any(r == b for r in roots)
+
+
 def test_newton_slopes_shape(q3):
     one = q3.one()
     coeffs = [q3.from_int(9), q3.from_int(3), one]
@@ -578,22 +596,23 @@ def test_newton_slopes_certify_unknown_coefficients(q3, q3_ram):
 
 
 def test_hensel_root_quadratic(q2):
-    # T^2 - 9 over Q_2 (Hensel from the residue 1)
-    one = q2.one()
-    coeffs = [q2.from_int(-9), q2.zero(), one]
+    # T^2 + T - 6 = (T - 2)(T + 3) over Q_2: the residue root 1 is simple
+    coeffs = [q2.from_int(-6), q2.one(), q2.one()]
     x = hensel_root(coeffs, q2.from_int(1))
-    assert x * x == q2.from_int(9)
-    # one lift does not reach a root at precision 60: refused, not returned
+    assert x == q2.from_int(-3) and x.prec == 60
+    # T^2 - 9 from 1: f'(1) = 2 is not a unit, so the start is refused
+    coeffs = [q2.from_int(-9), q2.zero(), q2.one()]
     with pytest.raises(RootLiftingError):
-        hensel_root(coeffs, q2.from_int(1), max_iter=1)
+        hensel_root(coeffs, q2.from_int(1))
 
 
-def oracle_hensel(coeffs, x0, max_iter=64):
+def oracle_hensel(coeffs, x0):
     """The former lift, kept as an oracle: divide f(x) by f'(x) at every
-    step, under the same start condition, stall rule and certificate."""
-    deriv = padic.poly_derivative(coeffs)
+    step on field elements, under the same start condition, stall rule and
+    certificate."""
+    deriv = [c * i for i, c in enumerate(coeffs)][1:]
     x, last = x0, None
-    for _ in range(max_iter):
+    while True:
         fx = poly_eval(coeffs, x)
         if fx.is_zero_at_prec():
             return x
@@ -605,11 +624,10 @@ def oracle_hensel(coeffs, x0, max_iter=64):
             raise PrecisionLoss("Newton lift stalled")
         last = v
         x = x - fx / dfx
-    raise RootLiftingError("no root")
 
 
 @pytest.mark.parametrize("prec", [60, 2000])
-@pytest.mark.parametrize("tower", ["q3", "q3ram", "q9", "q9ram"])
+@pytest.mark.parametrize("tower", ["q3", "q3eis", "q3ram", "q9", "q9ram"])
 def test_hensel_root_matches_divide_every_step(tower, prec):
     desc = LocalFieldDesc(*INVERSE_TOWERS[tower], prec)
     one, pi = desc.one(), desc.uniformizer()
@@ -622,15 +640,16 @@ def test_hensel_root_matches_divide_every_step(tower, prec):
         ([-(s * s), desc.zero(), one], residue),
         # (T - s)(T - t)(T - pi w): three roots, two valuations
         ([-(s * t * pi * w), s * t + (s + t) * pi * w, -(s + t + pi * w), one], residue),
-        # (T - s)(T - s - pi) from s + pi^2: f'(x) of valuation 1/e_l, so
-        # the floors of the carried 1/f'(x) decide the root's floor
-        ([s * (s + pi), -(2 * s + pi), one], s + pi * pi),
     ]
     for coeffs, x0 in cases:
         root = hensel_root(coeffs, x0)
         expected = oracle_hensel(coeffs, x0)
-        assert root == expected and root.prec == expected.prec
+        assert (root.mant, root.shift, root.prec) == (expected.mant, expected.shift, expected.prec)
         assert poly_eval(coeffs, root).is_zero_at_prec()
+    # (T - s)(T - s - pi) from s + pi^2: f'(x) of valuation 1/e_l, a start
+    # the oracle lifts on element floors but not a simple residue root
+    with pytest.raises(RootLiftingError):
+        hensel_root([s * (s + pi), -(2 * s + pi), one], s + pi * pi)
 
 
 def test_hensel_root_exact_inputs():
@@ -648,6 +667,8 @@ def test_hensel_root_exact_inputs():
         assert (root.mant, root.shift) == (expected.mant, expected.shift)
         assert root.prec == Fraction(digits, desc.e_l)
         assert root * root == a
+        # an exact root is returned as it is
+        assert hensel_root([desc.from_int(-start * start, INF)] + coeffs[1:], x0) is x0
 
 
 def _lift_or_raise(fn, coeffs, x0):
@@ -658,50 +679,49 @@ def _lift_or_raise(fn, coeffs, x0):
     return root.mant, root.shift, root.prec
 
 
-def test_raw_hensel_start_matches_the_element_start(q3, q3_ram, monkeypatch):
+def test_hensel_root_lifts_only_simple_residue_roots(q3, q3_ram):
     # integral starts and coefficients with floors >= the start's floor K:
-    # f(x0), f'(x0), Hensel's condition and the unit test are taken on
-    # mantissas modulo pi^K; each case gives the root bits or the exception
-    # type of oracle_hensel, which lifts on field elements only
-    starts = []
-    horner = padic._horner
-    monkeypatch.setattr(padic, "_horner", lambda desc, poly, x: starts.append(x) or horner(desc, poly, x))
+    # a unit f'(x0) gives the root bits of oracle_hensel, which lifts on
+    # field elements; any other start is refused, where the oracle may
+    # still lift on element floors or fail otherwise
     for desc in (q3, q3_ram):
 
         def f(*cs, prec=None):
             return [desc.from_int(c, INF if prec is None else prec) for c in cs]
 
         x1 = desc.from_int(1, prec=4)
-        cases = [
-            # leading coefficients 3 and 3: f(x0) has floor 5 > 4; f(1) = 0
-            (f(-6, 3, 3), x1),
-            # ... and f(1) = 81, zero modulo pi^K but not at f(x0)'s floor
-            (f(75, 3, 3), x1),
+        simple = [
             # f(x0) zero at precision: (T - 2)(T + 2) from 2 + O(3^4)
             (f(-4, 0, 1), desc.from_int(2, prec=4)),
+            # a unit derivative: T^2 - 7 from 1, lifted all the way
+            (f(-7, 0, 1, prec=9), desc.from_int(1, prec=9)),
+        ]
+        for coeffs, x0 in simple:
+            got = _lift_or_raise(hensel_root, coeffs, x0)
+            assert got == _lift_or_raise(oracle_hensel, coeffs, x0)
+        assert _lift_or_raise(hensel_root, *simple[0])[0] == (2,) + (0,) * (desc.degree - 1)
+        refused = [
+            # leading coefficients 3 and 3: f(1) = 0, but f'(1) = 9
+            (f(-6, 3, 3), x1),
+            # ... and f(1) = 81, zero modulo pi^K, with the same f'(1)
+            (f(75, 3, 3), x1),
             # f'(x0) zero at precision: (T - 1)^2 + 3 from 1 + O(3^4)
             (f(4, -2, 1), x1),
             # v(f'(x0)) = 1: (T - 1)(T - 4) from 1 + 9, condition 3 > 2 holds
             (f(4, -5, 1), desc.from_int(10, prec=6)),
             # Hensel's condition fails: T^2 - 3 from 1
             (f(-3, 0, 1), x1),
-            # a unit derivative: T^2 - 7 from 1, lifted raw all the way
-            (f(-7, 0, 1, prec=9), desc.from_int(1, prec=9)),
+            # a coefficient known to fewer digits than x0
+            ([desc.from_int(-7, prec=3), desc.zero(), desc.one()], desc.from_int(1, prec=9)),
+            # exact x0 on an inexact coefficient
+            (f(-7, 0, 1, prec=9), desc.from_int(1, INF)),
+            # a start or a coefficient that is not integral
+            (f(-7, 0, 1), desc.from_rational(Fraction(1, 3))),
+            ([desc.from_rational(Fraction(-7, 3)), desc.zero(), desc.one()], desc.from_int(1)),
         ]
-        for coeffs, x0 in cases:
-            del starts[:]
-            got = _lift_or_raise(hensel_root, coeffs, x0)
-            assert starts and starts[0] == x0.mant
-            assert got == _lift_or_raise(oracle_hensel, coeffs, x0)
-        # a coefficient known to fewer digits than x0 leaves f(x0) unknown
-        # modulo pi^K: no raw start, and no raw lift either
-        coeffs = [desc.from_int(-7, prec=3), desc.zero(), desc.one()]
-        del starts[:]
-        got = _lift_or_raise(hensel_root, coeffs, desc.from_int(1, prec=9))
-        assert starts == [] and got == _lift_or_raise(oracle_hensel, coeffs, desc.from_int(1, prec=9))
-        kinds = [_lift_or_raise(hensel_root, coeffs, x0) for coeffs, x0 in cases]
-        assert kinds[1] is RootLiftingError and kinds[3] is PrecisionLoss and kinds[5] is RootLiftingError
-        assert kinds[0][0] == x1.mant and kinds[2][0] == (2,) + (0,) * (desc.degree - 1)
+        for coeffs, x0 in refused:
+            with pytest.raises(RootLiftingError):
+                hensel_root(coeffs, x0)
 
 
 def test_hensel_root_refuses_a_start_failing_hensel(q3):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from phinmod.errors import InvalidValuation
 from phinmod.filtration import Filtration
 from phinmod.linalg import Matrix, Subspace, Vector, identity, inv, mat, mat_mul, mat_vec, solve_columns
 from phinmod.modules import PhiNModule
@@ -22,7 +21,7 @@ def sample_element(desc: LocalFieldDesc, valuation, seed: int, prec=None) -> Fie
     v = Fraction(valuation)
     n = v * desc.e_l
     if n.denominator != 1:
-        raise InvalidValuation(f"valuation {v} is not a multiple of 1/{desc.e_l}")
+        raise ValueError(f"valuation {v} is not a multiple of 1/{desc.e_l}")
     rng = random.Random(seed)
     k = desc._digits(prec)
     cap = desc.p ** _ceil_div(k, desc.e_l)
