@@ -400,14 +400,19 @@ def end0_check(data: MonodromyData) -> End0Verdict:
             direct = False
         if not mat_eq(mat_mul(e0.nmat[i], g), mat_mul(g, wmod.nmat[i])):
             direct = False
+    # build_w shares step objects across embeddings (one `full` space), so
+    # each distinct one is mapped once; wfil keeps every key alive
+    images = {}
     for ws, es in zip(wfil.steps, efil.steps):
         if [j for j, _ in ws] != [j for j, _ in es]:
             direct = False
             continue
         for (_, wv), (_, ev) in zip(ws, es):
-            image = Subspace.from_vectors(
-                data.desc, 3, [mat_vec(g, gen) for gen in wv.gens]
-            )
+            image = images.get(id(wv))
+            if image is None:
+                image = images[id(wv)] = Subspace.from_vectors(
+                    data.desc, 3, [mat_vec(g, gen) for gen in wv.gens]
+                )
             if image != ev:
                 direct = False
     return End0Verdict(intrinsic, direct)

@@ -642,19 +642,6 @@ class FieldElement:
             k >>= 1
         return out
 
-    def scale_p(self, k: int) -> "FieldElement":
-        """Multiply by p^k exactly (a shift of the mantissa scale)."""
-        if self.is_exact_zero() or k == 0:
-            return self
-        shift = self.shift - k
-        mant = self.mant
-        if shift < 0:
-            q = self.desc.p ** (-shift)
-            mant = [c * q for c in mant]
-            shift = 0
-        prec = self._k if self._k is INF else self._k + self.desc.e_l * k
-        return make_element(self.desc, mant, shift, prec)
-
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse: the unit part x / (monomial of valuation
         v) is inverted by one multiplication-matrix solve (_unit_inverse),
@@ -821,17 +808,29 @@ def _dot(u, v) -> FieldElement:
 
 def _times_monomial(x: FieldElement, n: int) -> FieldElement:
     """x times the monomial p^q * pi^r of valuation n/e_l, n = q*e_l + r with
-    0 <= r < e_l.
-
-    The pi-power, a basis monomial, goes through one multiplication, the
-    p-power through scale_p, which only moves the mantissa scale."""
+    0 <= r < e_l."""
+    if not n:
+        return x
     desc = x.desc
     q, r = divmod(n, desc.e_l)
-    if r:
-        x = x * make_element(desc, desc._monomial_mant(r * desc.f_l, 1), 0, INF)
-    if q:
-        x = x.scale_p(q)
-    return x
+    return _scaled(x, desc._monomial_mant(r * desc.f_l, 1) if r else None, q, n)
+
+
+def _scaled(x: FieldElement, mono, q: int, n: int) -> FieldElement:
+    """x times p^q and the integral mantissa mono (None for 1) of an exact
+    monomial product of valuation n digits, in one make_element: mono
+    multiplies the mantissa, p^q moves the shift, the floor rises by n."""
+    if (mono is None and not q) or (x._k is INF and not any(x.mant)):
+        return x
+    desc = x.desc
+    mant = x.mant if mono is None else _raw_mul(desc, x.mant, mono)
+    s = x.shift - q
+    if s < 0:
+        m = desc.p**-s
+        mant = [c * m for c in mant]
+        s = 0
+    k = x._k
+    return make_element(desc, mant, s, k if k is INF else k + n)
 
 
 def _residue_vec(x: FieldElement) -> tuple[int, ...]:
@@ -850,23 +849,11 @@ def _gfq_mul(desc: LocalFieldDesc, u, v):
     return tuple(c % desc.p for c in desc._umul(list(u), list(v)))
 
 
-def _gfq_pow(desc: LocalFieldDesc, u, k: int):
-    out = (1,) + (0,) * (desc.f_l - 1)
-    base = tuple(c % desc.p for c in u)
-    while k:
-        if k & 1:
-            out = _gfq_mul(desc, out, base)
-        base = _gfq_mul(desc, base, base)
-        k >>= 1
-    return out
-
-
-def _gfq_inv(desc: LocalFieldDesc, u):
-    if not any(c % desc.p for c in u):
-        raise ZeroInput("inverting zero residue")
+def _residue_inverse(desc: LocalFieldDesc, u) -> list[int]:
+    """Inverse modulo pi of a nonzero residue theta-vector, as a flat mantissa."""
     if desc.f_l == 1:
-        return (pow(u[0], -1, desc.p),)
-    return _gfq_pow(desc, u, desc.p ** desc.f_l - 2)
+        return [pow(u[0], -1, desc.p)] + [0] * (desc.degree - 1)
+    return _unit_inverse(desc, list(u) + [0] * (desc.degree - desc.f_l), 1)
 
 
 def _inverse_mod(c: int, mod: int) -> int:
@@ -1015,138 +1002,151 @@ def hensel_root(coeffs, x0: FieldElement) -> FieldElement:
     """Newton-lift a simple residue root: from a start x0 where f'(x0) is a
     unit and f(x0) is not, the root of f it singles out.
 
-    The lift runs on flat integer mantissas modulo pi^K.  x0 and the
-    coefficients are integral (shift 0) and no coefficient is known to fewer
-    digits than K, the floor of x0, so f(x0), f'(x0) and every later
-    residual are determined there, and a unit f'(x0) pins the root modulo
-    pi^K.  An exact x0 on exact coefficients lifts to K the default digits
-    plus v(f(x0)), or is returned as it is when f(x0) is zero.  f'(x0) is
-    inverted once; each lift x <- x - f(x) w then uses a carried w ~ 1/f'(x),
-    refreshed by one Newton step for the inverse, w <- w(2 - f'(x) w), which
-    squares its relative error as x moves (the coupled iteration of
-    Caruso-Roe-Vaccon, arXiv:1402.0619).  Each of x, f(x) and w is reduced
-    once per lift; the integers between stay a few products wide.
+    x0 and the coefficients are integral (shift 0) and no coefficient is
+    known to fewer digits than K, the floor of x0, so a unit f'(x0) pins
+    the root modulo pi^K.  An exact x0 on exact coefficients lifts to K the
+    default digits plus v(f(x0)), or is returned when f(x0) is zero.
+
+    The lift runs on flat mantissas up a doubling ladder (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 9): step x <- x - f(x) w
+    takes f(x) = 0 modulo pi^t, t = v(f(x0)) at first, to pi^(t+s), s <= t,
+    so only the last step works at K digits.  w ~ 1/f'(x) starts as the
+    residue-field inverse of f'(x0) and is refreshed one step behind x,
+    w <- w(2 - f'(x) w) (Caruso-Roe-Vaccon, arXiv:1402.0619), to the s
+    digits the step needs.  One Horner pass per step gives f and f'.
 
     Returns only a root certified by f(x) == 0 on field elements.  Raises
     RootLiftingError for any other start: a non-integral one, coefficients
     known to too few digits, a derivative that is not a unit, or a unit
-    f(x0), which fails Hensel's condition v(f(x0)) > 2 v(f'(x0)).  Under
-    the condition every lift raises the residual valuation, which stays
-    below K, so the loop ends; a residual that stops rising means the
-    working precision ran out: PrecisionLoss."""
+    f(x0), which fails Hensel's condition v(f(x0)) > 2 v(f'(x0)).  A
+    residual outside the lattice pi^t a step promised: PrecisionLoss."""
     desc, k = x0.desc, x0._k
     if x0.shift or any(c.shift or c._k < k for c in coeffs):
         raise RootLiftingError("Newton lift needs integral coefficients known to an integral start's floor")
     f = [c.mant for c in coeffs]
     x = x0.mant
-    r = _horner(desc, f, x)
+    r, d = _horner(desc, f, x)
     if k is INF:
         if not any(r):
             return x0
         k = desc._digits(None) + _mant_val(desc, r, 0)
-    mods = desc._moduli(k)
-    df = [[i * a for a in c] for i, c in enumerate(f)][1:]
-    d = list(map(operator.mod, _horner(desc, df, x), mods))
-    if not any(d) or _mant_val(desc, d, 0):
+    # f'(x0) modulo pi, or modulo pi^K when K < 1, where it vanishes
+    dbar = list(map(operator.mod, d, desc._moduli(min(k, 1))))
+    if not any(dbar):
         raise RootLiftingError("start point is not a simple residue root")
-    r = list(map(operator.mod, r, mods))
+    r = list(map(operator.mod, r, desc._moduli(k)))
     if any(r):
-        last = _mant_val(desc, r, 0)
-        if not last:
+        t = _mant_val(desc, r, 0)
+        if not t:
             raise RootLiftingError("start point fails Hensel's condition")
-        w = _unit_inverse(desc, d, k)
-        two = [2] + [0] * (desc.degree - 1)
+        w, e = _residue_inverse(desc, dbar[: desc.f_l]), 1  # w f'(x) == 1 modulo pi^e
+        s = min(2 * e, t, k - t)
         while True:
-            x = list(map(operator.mod, map(operator.sub, x, _raw_mul(desc, r, w)), mods))
-            r = list(map(operator.mod, _horner(desc, f, x), mods))
-            if not any(r):
+            x, w = _newton_step(desc, x, w, r, d, t, s, e)
+            t, e = t + s, s
+            if t == k:
                 break
-            v = _mant_val(desc, r, 0)
-            if v <= last:
-                raise PrecisionLoss(f"Newton lift stalled with residual valuation {Fraction(v, desc.e_l)}")
-            dw = _raw_mul(desc, _horner(desc, df, x), w)
-            w = list(map(operator.mod, _raw_mul(desc, w, list(map(operator.sub, two, dw))), mods))
-            last = v
+            s = min(2 * e, t, k - t)
+            r, d = _horner(desc, f, x, desc._moduli(t + s))
     root = make_element(desc, x, 0, k)
     if not poly_eval(coeffs, root).is_zero_at_prec():
         raise PrecisionLoss("Hensel lift failed its check f(x) == 0")
     return root
 
 
-def _horner(desc: LocalFieldDesc, poly, x) -> list[int]:
-    """Value at the flat mantissa x of a polynomial with flat-mantissa
-    coefficients, ascending, on exact integers."""
-    acc = poly[-1]
+def _newton_step(desc: LocalFieldDesc, x, w, r, d, t: int, s: int, e: int):
+    """One rung: from r = f(x) == 0 mod pi^t, d = f'(x), w d == 1 mod pi^e
+    and s <= min(2e, t), w refreshed to s digits and x <- x - r w, so that
+    f(x) == 0 mod pi^(t+s) and w f'(x) == 1 mod pi^s.  Returns (x, w)."""
+    if any(map(operator.mod, r, desc._moduli(t))):
+        raise PrecisionLoss(f"Newton lift stalled: residual not in the lattice of {Fraction(t, desc.e_l)}")
+    if s > e:
+        dw = _raw_mul(desc, d, w)
+        dw[0] -= 2
+        w = [-c % m for c, m in zip(_raw_mul(desc, w, dw), desc._moduli(s))]
+    x = list(map(operator.mod, map(operator.sub, x, _raw_mul(desc, r, w)), desc._moduli(t + s)))
+    return x, w
+
+
+def _horner(desc: LocalFieldDesc, poly, x, mods=None):
+    """(f(x), f'(x)) at the flat mantissa x of a polynomial with
+    flat-mantissa coefficients, ascending, in one Horner pass: exact, or
+    with f(x) reduced by the given moduli at every step."""
+    fx, dx, dxx = poly[-1], None, None
     for c in reversed(poly[:-1]):
-        acc = list(map(operator.add, _raw_mul(desc, acc, x), c))
-    return acc
+        fxx = _raw_mul(desc, fx, x)
+        if dx is None:  # f' starts as the leading coefficient fx, times x fxx
+            dx, dxx = fx, fxx
+        else:
+            dx = list(map(operator.add, dxx or _raw_mul(desc, dx, x), fx))
+            dxx = None
+        fx = list(map(operator.add, fxx, c))
+        if mods is not None:
+            fx = list(map(operator.mod, fx, mods))
+    return fx, dx or [0] * len(x)
 
 
 def roots_in_field(coeffs) -> list[FieldElement]:
     """All roots of a monic polynomial that lie in the field, assuming each
     Newton segment resolves into simple residue roots.
 
+    A segment of root valuation n digits is brought to valuation 0 as f(uT),
+    u the monomial p^q pi^r of valuation n, times the monomial of valuation
+    -mu, mu the least coefficient valuation.  Valuations and floors come
+    from digit counts; the monomials multiply each mantissa once on integers
+    and p-powers only move shifts.  Each simple residue root is lifted by
+    hensel_root and scaled back by u; a segment of length L must yield at
+    most L pairwise distinct roots.
+
     Raises RootLiftingError when a segment cannot be resolved (repeated
-    residue roots, slopes outside the value group, or residue fields too
-    large to search).  Used by the eigenvalue machinery, which maps the
-    failure onto its own unsupported-regime error.  A segment whose residue
-    polynomial is not determined at the working precision raises
-    PrecisionLoss instead.
+    residue roots, slopes outside the value group, residue fields too large
+    to search) or yields a wrong root count; the eigenvalue machinery maps
+    it onto its unsupported-regime error.  A residue polynomial not
+    determined at the working precision raises PrecisionLoss.
     """
     desc = coeffs[0].desc
+    e, f = desc.e_l, desc.f_l
     segs = newton_slopes(coeffs)
+    vals = [c._val() for c in coeffs]
     roots: list[FieldElement] = []
     unresolved = 0
     for val, length, i1, i2 in segs:
-        n = val * desc.e_l
-        if n.denominator != 1:
+        n, off_grid = divmod(val.numerator * e, val.denominator)
+        if off_grid:
             unresolved += length
             continue
-        # f(uT) for the monomial u of the segment's root valuation, then its
-        # coefficients scaled to minimum valuation 0; both are monomial
-        # products, free when the valuation is 0.  Coefficient i takes u
-        # i times over: the monomial of valuation n*i is u^i only when
-        # pi^e_l = p
-        n = int(n)
-        scaled = []
-        for c in coeffs:
-            for _ in range(len(scaled)):
-                c = _times_monomial(c, n)
-            scaled.append(c)
-        mu = min(c._floor() for c in scaled)
-        mu = min(
-            (c._certified_val() for c in scaled if not c.is_zero_at_prec()),
-            default=mu,
-        )
-        h = [_times_monomial(c, -mu) for c in scaled]
+        # coefficient i takes u^i, the monomial of valuation n*i only if pi^e_l = p
+        mu = min(v + n * i for i, v in enumerate(vals) if v is not None and v is not INF)
+        q, r = divmod(n, e)
+        q0, r0 = divmod(-mu, e)
+        pi_r = desc._monomial_mant(r * f, 1) if r else None
+        mono = desc._monomial_mant(r0 * f, 1) if r0 else None
+        h = []
+        for i, c in enumerate(coeffs):
+            h.append(_scaled(c, mono, q * i + q0, n * i - mu))
+            if pi_r is not None:
+                mono = pi_r if mono is None else _raw_mul(desc, mono, pi_r)
         k = min(c._k for c in h)
         if k < 1:
             raise PrecisionLoss("residue polynomial of a Newton segment not determined at this precision")
-        res_poly = []
-        for c in h:
-            if c.is_zero_at_prec():
-                res_poly.append((0,) * desc.f_l)
-            else:
-                res_poly.append(_residue_vec(c))
+        res_poly = [(0,) * f if c.is_zero_at_prec() else _residue_vec(c) for c in h]
         if length == 1:
-            a = res_poly[i1]
-            b = res_poly[i1 + 1]
-            rbar = _gfq_mul(desc, tuple(-c % desc.p for c in a), _gfq_inv(desc, b))
-            starts = [rbar]
+            b_inv = _residue_inverse(desc, res_poly[i1 + 1])[:f]
+            starts = [_gfq_mul(desc, [-c % desc.p for c in res_poly[i1]], b_inv)]
         else:
-            qsize = desc.p ** desc.f_l
-            if qsize > _RESIDUE_SEARCH_CAP:
+            if desc.p**f > _RESIDUE_SEARCH_CAP:
                 raise RootLiftingError("residue field too large for segment search")
             starts, saw_multiple = _simple_residue_roots(desc, res_poly)
             if saw_multiple:
                 # a repeated residue root may hide any number of field roots
                 unresolved += 1
+        found = []
         for rbar in starts:
-            mant = desc._monomial_mant(0, 0)
-            mant[: desc.f_l] = rbar
-            x0 = make_element(desc, mant, 0, k)
-            root_scaled = hensel_root(h, x0)
-            roots.append(_times_monomial(root_scaled, n))
+            x0 = make_element(desc, list(rbar) + [0] * (desc.degree - f), 0, k)
+            found.append(_times_monomial(hensel_root(h, x0), n))
+        if len(found) > length or any(a == b for i, a in enumerate(found) for b in found[:i]):
+            raise RootLiftingError(f"a Newton segment of length {length} yielded {len(found)} roots or one root twice")
+        roots += found
     if unresolved:
         raise RootLiftingError(f"{unresolved} roots could not be resolved in the field")
     return roots

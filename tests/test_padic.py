@@ -652,6 +652,75 @@ def test_hensel_root_matches_divide_every_step(tower, prec):
         hensel_root([s * (s + pi), -(2 * s + pi), one], s + pi * pi)
 
 
+@pytest.mark.parametrize("prec", [60, 2000])
+@pytest.mark.parametrize("tower", ["q3", "q2", "q3_ram", "q5_unr", "q3_mixed", "q3_eis"])
+def test_hensel_root_matches_oracle_on_every_tower(tower, prec, request, monkeypatch):
+    # the doubling ladder gives the bits of the divide-every-step oracle,
+    # from residue starts, from a start with v(f(x0)) = 3 digits and from
+    # an exact one with v(f(x0)) = v(p^3), in at most ceil(log2 K) + 1 steps
+    base = request.getfixturevalue(tower)
+    desc = LocalFieldDesc(base.p, base.f_l, base.e_l, base.unram_poly, base.eis_poly, prec)
+    p, one, pi = desc.p, desc.one(), desc.uniformizer()
+    s, w = sample_unit(desc, seed=prec + 3), sample_unit(desc, seed=prec + 4)
+    residue = desc.element([[c % p for c in s.coefficients()[0]]] + [[0] * desc.f_l] * (desc.e_l - 1))
+    quad = [s * pi * w, -(s + pi * w), one]  # (T - s)(T - pi w)
+    cubic = [-(s * pi * w * pi * pi), s * pi * w + (s + pi * w) * pi * pi, -(s + pi * w + pi * pi), one]
+    a = 1 if 3 % p else 2  # f'(a) = 2a + 1 is a unit
+    exact = [desc.from_int(p**3 - a * a - a, INF), desc.from_int(1, INF), desc.from_int(1, INF)]
+    cases = [
+        (quad, residue, None),
+        (cubic, residue, None),
+        (quad, s + pi * pi * pi, 3),
+        (exact, desc.from_int(a, INF), 3 * desc.e_l),
+    ]
+    steps = []
+    step = padic._newton_step
+    monkeypatch.setattr(padic, "_newton_step", lambda *args: steps.append(1) or step(*args))
+    for coeffs, x0, v in cases:
+        assert v is None or poly_eval(coeffs, x0)._val() == v
+        steps.clear()
+        root = hensel_root(coeffs, x0)
+        expected = oracle_hensel(coeffs, x0)
+        assert (root.mant, root.shift, root._k) == (expected.mant, expected.shift, expected._k)
+        assert 1 <= len(steps) <= math.ceil(math.log2(root._k)) + 1
+    assert root._k == desc._digits(None) + 3 * desc.e_l
+
+
+def test_hensel_root_stalls_on_a_wrong_residue_inverse(q3, monkeypatch):
+    # with w twice the inverse of f'(x0) the first step leaves f(x) at
+    # valuation 1, outside the lattice pi^2 the step promised
+    coeffs = [q3.from_int(-7), q3.zero(), q3.one()]
+    residue_inverse = padic._residue_inverse
+    monkeypatch.setattr(padic, "_residue_inverse", lambda desc, u: [2 * c for c in residue_inverse(desc, u)])
+    with pytest.raises(PrecisionLoss, match="stalled"):
+        hensel_root(coeffs, q3.from_int(1))
+
+
+def test_roots_in_field_checks_each_segments_root_count(monkeypatch):
+    # (T - 1)(T - 2) over Q_5: one segment of length 2 with two residue
+    # roots; a lift that returns a root twice, or a residue search that
+    # offers each start twice, leaves the segment with a wrong root count
+    q5 = LocalFieldDesc(5, 1, 1, (0, 1), ((-5,), (1,)))
+    coeffs = [q5.from_int(2), q5.from_int(-3), q5.one()]
+    assert len(roots_in_field(coeffs)) == 2
+    lift, first = padic.hensel_root, []
+
+    def lift_once(h, x0):
+        if not first:
+            first.append(lift(h, x0))
+        return first[0]
+
+    with monkeypatch.context() as m:
+        m.setattr(padic, "hensel_root", lift_once)
+        with pytest.raises(RootLiftingError):
+            roots_in_field(coeffs)
+    search = padic._simple_residue_roots
+    with monkeypatch.context() as m:
+        m.setattr(padic, "_simple_residue_roots", lambda desc, res: (search(desc, res)[0] * 2, False))
+        with pytest.raises(RootLiftingError):
+            roots_in_field(coeffs)
+
+
 def test_hensel_root_exact_inputs():
     # exact coefficients and start: the root's floor is the relative
     # precision of 1/f'(x0) plus v(f(x0)), in pi-adic digits 60 + 1 over
@@ -715,6 +784,8 @@ def test_hensel_root_lifts_only_simple_residue_roots(q3, q3_ram):
             ([desc.from_int(-7, prec=3), desc.zero(), desc.one()], desc.from_int(1, prec=9)),
             # exact x0 on an inexact coefficient
             (f(-7, 0, 1, prec=9), desc.from_int(1, INF)),
+            # a start known to no digit, whose f'(x0) is zero modulo pi^0
+            (f(-7, 1, 1), desc.from_int(1, prec=0)),
             # a start or a coefficient that is not integral
             (f(-7, 0, 1), desc.from_rational(Fraction(1, 3))),
             ([desc.from_rational(Fraction(-7, 3)), desc.zero(), desc.one()], desc.from_int(1)),
