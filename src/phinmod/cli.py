@@ -35,6 +35,7 @@ from .monodromy import (
     build_degenerate,
     build_monodromy,
     build_w,
+    check_constraints,
     end0_check,
     extract_invariants,
 )
@@ -120,12 +121,14 @@ def _cmd_validate(instance, options):
         modules = [instance.objects[key][0] for key in ("first", "second")]
     elif instance.kind == "module":
         modules = [instance.objects["module"]]
+    elif instance.kind == "monodromy":
+        # a violated parameter constraint is a structural error (exit 2)
+        check_constraints(instance.objects["monodromy"])
     for module in modules:
         try:
             validate_module(module)
         except PhinError as exc:
             return False, None, {"reason": str(exc)}
-    # parameter records are fully validated while parsing
     return True, None, None
 
 

@@ -11,7 +11,8 @@ a product element, which is how first-order family directions are tracked.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
+import operator
 
 from .errors import FieldMismatch, LevelMismatch, ShapeMismatch
 from .padic import FieldElement, LocalFieldDesc
@@ -75,10 +76,19 @@ class ProductElement:
 
     @classmethod
     def constant(cls, desc, shape, level, value) -> "ProductElement":
-        v = _to_field(desc, value)
-        return cls(desc, shape, level, tuple(v for _ in range(shape.size(level))))
+        """value in every component: a FieldElement of the field, or an int
+        taken exactly, as FieldElement arithmetic takes it."""
+        v = desc.zero()._coerce(value)
+        if v is None:
+            raise FieldMismatch(f"cannot interpret {type(value).__name__} as a field element")
+        return cls(desc, shape, level, (v,) * shape.size(level))
 
-    def _coerce(self, other):
+    def _map2(self, other, op):
+        """op(a, b) per component a of self: b is the matching component of
+        a product element over the same shape, level and field, or a scalar
+        (a FieldElement or an int) handed as it is to each component's own
+        arithmetic, so a component keeps the precision FieldElement gives
+        it.  NotImplemented for any other operand."""
         if isinstance(other, ProductElement):
             if other.shape != self.shape:
                 raise ShapeMismatch("mixing product elements over different shapes")
@@ -86,55 +96,46 @@ class ProductElement:
                 raise LevelMismatch(f"mixing levels {self.level} and {other.level}")
             if other.desc is not self.desc:
                 raise FieldMismatch("mixing coefficient fields")
-            return other
-        if isinstance(other, (FieldElement, int, Fraction)):
-            return ProductElement.constant(self.desc, self.shape, self.level, other)
-        return None
-
-    def _map2(self, other, op):
-        o = self._coerce(other)
-        if o is None:
+            others = other.comps
+        elif isinstance(other, (FieldElement, int)):
+            others = itertools.repeat(other)
+        else:
             return NotImplemented
-        return ProductElement(
-            self.desc, self.shape, self.level, tuple(op(a, b) for a, b in zip(self.comps, o.comps))
-        )
+        return tuple(map(op, self.comps, others))
+
+    def _like(self, comps):
+        """A product element over self's shape, level and field."""
+        if comps is NotImplemented:
+            return comps
+        return ProductElement(self.desc, self.shape, self.level, tuple(comps))
 
     def __add__(self, other):
-        return self._map2(other, lambda a, b: a + b)
+        return self._like(self._map2(other, operator.add))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._map2(other, lambda a, b: a - b)
+        return self._like(self._map2(other, operator.sub))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
+        return self._like(self._map2(other, lambda a, b: b - a))
 
     def __neg__(self):
-        return ProductElement(self.desc, self.shape, self.level, tuple(-a for a in self.comps))
+        return self._like(-a for a in self.comps)
 
     def __mul__(self, other):
-        return self._map2(other, lambda a, b: a * b)
+        return self._like(self._map2(other, operator.mul))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._map2(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o / self
+        return self._like(self._map2(other, operator.truediv))
 
     def inverse(self) -> "ProductElement":
-        return ProductElement(self.desc, self.shape, self.level, tuple(a.inverse() for a in self.comps))
+        return self._like(a.inverse() for a in self.comps)
 
     def __pow__(self, k: int):
-        out = ProductElement.constant(self.desc, self.shape, self.level, 1)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(int(k))):
-            out = out * base
-        return out
+        return self._like(a**k for a in self.comps)
 
     def frobenius(self) -> "ProductElement":
         """Shift the unramified slot index by one: slot i receives slot i-1."""
@@ -145,7 +146,7 @@ class ProductElement:
             comps = tuple(
                 self.comps[self.shape.index(i - 1, j)] for i in range(f) for j in range(e)
             )
-        return ProductElement(self.desc, self.shape, self.level, comps)
+        return self._like(comps)
 
     def trace(self) -> FieldElement:
         acc = self.comps[0]
@@ -164,27 +165,10 @@ class ProductElement:
         return all(c.is_zero_at_prec() for c in self.comps)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None or o is NotImplemented:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.comps, o.comps))
+        eq = self._map2(other, operator.eq)
+        return eq if eq is NotImplemented else all(eq)
 
     __hash__ = None
-
-    def __repr__(self):
-        return f"ProductElement({self.level}, {list(self.comps)!r})"
-
-
-def _to_field(desc: LocalFieldDesc, value) -> FieldElement:
-    if isinstance(value, FieldElement):
-        if value.desc is not desc:
-            raise FieldMismatch("value from a different coefficient field")
-        return value
-    if isinstance(value, int):
-        return desc.from_int(value)
-    if isinstance(value, Fraction):
-        return desc.from_rational(value)
-    raise FieldMismatch(f"cannot interpret {type(value).__name__} as a field element")
 
 
 @frozen(eq=False)
@@ -194,69 +178,43 @@ class DualNumber:
     a0: object
     a1: object
 
-    def _wrap(self, other):
-        if isinstance(other, DualNumber):
-            return other
-        if isinstance(other, (FieldElement, ProductElement, int, Fraction)):
-            return DualNumber(other, _zero_like(self.a0))
-        return None
+    # A scalar s acts as s + 0*eps: it goes as it is to the parts' own
+    # arithmetic, whose precision rule then holds.
 
     def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.a0 + o.a0, self.a1 + o.a1)
+        if isinstance(other, DualNumber):
+            return DualNumber(self.a0 + other.a0, self.a1 + other.a1)
+        return DualNumber(self.a0 + other, self.a1) if isinstance(other, _SCALARS) else NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.a0 - o.a0, self.a1 - o.a1)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else o - self
-
-    def __neg__(self):
-        return DualNumber(-self.a0, -self.a1)
+        if isinstance(other, DualNumber):
+            return DualNumber(self.a0 - other.a0, self.a1 - other.a1)
+        return DualNumber(self.a0 - other, self.a1) if isinstance(other, _SCALARS) else NotImplemented
 
     def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.a0 * o.a0, self.a0 * o.a1 + self.a1 * o.a0)
+        if isinstance(other, DualNumber):
+            return DualNumber(self.a0 * other.a0, self.a0 * other.a1 + self.a1 * other.a0)
+        return DualNumber(self.a0 * other, self.a1 * other) if isinstance(other, _SCALARS) else NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "DualNumber":
-        i0 = self.a0.inverse() if hasattr(self.a0, "inverse") else 1 / self.a0
+        i0 = self.a0.inverse()
         return DualNumber(i0, -(self.a1 * i0 * i0))
 
     def __truediv__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else o * self.inverse()
+        if isinstance(other, DualNumber):
+            return self * other.inverse()
+        return DualNumber(self.a0 / other, self.a1 / other) if isinstance(other, _SCALARS) else NotImplemented
 
     def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.a0 == o.a0 and self.a1 == o.a1
+        if isinstance(other, DualNumber):
+            return self.a0 == other.a0 and self.a1 == other.a1
+        return self.a0 == other and self.a1 == 0 if isinstance(other, _SCALARS) else NotImplemented
 
     __hash__ = None
 
-    def __repr__(self):
-        return f"DualNumber({self.a0!r} + {self.a1!r} eps)"
 
-
-def _zero_like(x):
-    if isinstance(x, FieldElement):
-        return x.desc.zero()
-    if isinstance(x, ProductElement):
-        return ProductElement.constant(x.desc, x.shape, x.level, 0)
-    return 0
+_SCALARS = (FieldElement, ProductElement, int)

@@ -260,10 +260,6 @@ class Subspace:
     def full(cls, desc: LocalFieldDesc, ambient: int) -> "Subspace":
         return cls.from_vectors(desc, ambient, [tuple(r) for r in identity(desc, ambient)])
 
-    @classmethod
-    def zero(cls, desc: LocalFieldDesc, ambient: int) -> "Subspace":
-        return cls.from_vectors(desc, ambient, [])
-
     @property
     def dim(self) -> int:
         return len(self.gens)
@@ -297,8 +293,6 @@ class Subspace:
         return Subspace.from_vectors(self.desc, self.ambient, list(self.gens) + list(other.gens))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.desc, self.ambient)
         cols = [list(g) for g in self.gens] + [[-x for x in g] for g in other.gens]
         a = tuple(tuple(col[i] for col in cols) for i in range(self.ambient))
         combos = right_kernel(a, self.desc)

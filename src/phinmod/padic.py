@@ -561,14 +561,6 @@ class FieldElement:
             return other
         if isinstance(other, int):
             return self.desc.from_int(other, INF)
-        if isinstance(other, Fraction):
-            den = other.denominator
-            while den % self.desc.p == 0:
-                den //= self.desc.p
-            if den == 1:
-                return self.desc._from_rational(other, INF)
-            k = self._k if self._k is not INF else self.desc._digits(None)
-            return self.desc._from_rational(other, k)
         return None
 
     def _combine(self, other, op):
@@ -622,12 +614,6 @@ class FieldElement:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
@@ -657,12 +643,9 @@ class FieldElement:
         if rel is INF:
             rel = desc._digits(None)
             unit = make_element(desc, unit.mant, unit.shift, rel)
-        c = unit.mant
-        if unit.shift:
-            q = desc.p**unit.shift
-            c = [x // q for x in c]  # a unit's mantissa is divisible by p^shift
-        # x^{-1} = unit^{-1} * (monomial of valuation -v)
-        return _times_monomial(make_element(desc, _unit_inverse(desc, c, rel), 0, rel), -v)
+        # x^{-1} = unit^{-1} * (monomial of valuation -v); make_element
+        # stores a unit with shift 0, its mantissa integral
+        return _times_monomial(make_element(desc, _unit_inverse(desc, unit.mant, rel), 0, rel), -v)
 
     # -- comparison -------------------------------------------------------
 
@@ -961,14 +944,13 @@ def lower_hull(points):
 def newton_slopes(coeffs):
     """Segments of the Newton polygon of a monic polynomial.
 
-    Returns a list of (root_valuation, length, x1, x2) segments, the hull
-    running from index x1 to x2.  Coefficients indistinguishable from zero
-    are fine as long as their precision floors certify that they lie above
-    the hull.  The hull is built on valuations in pi-adic digits; only the
-    returned slopes are rationals.
+    Returns a list of (drop, run, x1, x2) segments, the hull running from
+    index x1 to x2 = x1 + run and falling by drop pi-adic digits, so the
+    run roots of the segment have valuation drop/run digits.  Coefficients
+    indistinguishable from zero are fine as long as their precision floors
+    certify that they lie above the hull.
     """
     d = len(coeffs) - 1
-    e = coeffs[0].desc.e_l
     pts, floors = [], []
     for i, c in enumerate(coeffs):
         v = c._val()
@@ -992,10 +974,7 @@ def newton_slopes(coeffs):
     for i, floor in floors:
         if below_hull(i, floor):
             raise PrecisionLoss(f"coefficient {i} cannot be certified above the Newton polygon")
-    return [
-        (Fraction(y1 - y2, (x2 - x1) * e), x2 - x1, x1, x2)
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-    ]
+    return [(y1 - y2, x2 - x1, x1, x2) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
 
 def hensel_root(coeffs, x0: FieldElement) -> FieldElement:
@@ -1106,12 +1085,11 @@ def roots_in_field(coeffs) -> list[FieldElement]:
     """
     desc = coeffs[0].desc
     e, f = desc.e_l, desc.f_l
-    segs = newton_slopes(coeffs)
     vals = [c._val() for c in coeffs]
     roots: list[FieldElement] = []
     unresolved = 0
-    for val, length, i1, i2 in segs:
-        n, off_grid = divmod(val.numerator * e, val.denominator)
+    for drop, length, i1, _ in newton_slopes(coeffs):
+        n, off_grid = divmod(drop, length)
         if off_grid:
             unresolved += length
             continue

@@ -18,7 +18,7 @@ from .errors import ParseError, ValidationError
 from .filtration import Filtration
 from .linalg import Matrix, Subspace, mat
 from .modules import PhiNModule
-from .monodromy import MonodromyData, check_constraints
+from .monodromy import MonodromyData
 from .padic import INF, MAX_P, FieldElement, LocalFieldDesc
 from .record import frozen
 
@@ -211,9 +211,9 @@ def parse_shape(data, path: str = "/shape") -> GaloisShape:
     data = _expect_dict(data, path)
     e = _get(data, "e", path)
     f = _get(data, "f", path)
-    if not _is_int(e) or not _is_int(f) or e < 1 or f < 1:
-        _fail(path, "e and f must be positive integers")
     for name, val in (("e", e), ("f", f)):
+        if not _is_int(val) or val < 1:
+            _fail(f"{path}/{name}", "expected a positive integer")
         if val > MAX_SHAPE_DEGREE:
             _fail(f"{path}/{name}", f"shape degree {val} exceeds the bound {MAX_SHAPE_DEGREE}")
     return GaloisShape(e, f)
@@ -255,16 +255,20 @@ def parse_element(desc: LocalFieldDesc, data, path: str) -> FieldElement:
 
 def _element_from_grid(desc, grid, prec, path: str) -> FieldElement:
     grid = _expect_list(grid, path)
+    e, f = desc.e_l, desc.f_l
     if grid and not isinstance(grid[0], list):
-        if len(grid) != desc.e_l * desc.f_l:
-            _fail(path, f"flat coefficient list must have {desc.e_l * desc.f_l} entries")
-        grid = [grid[a * desc.f_l : (a + 1) * desc.f_l] for a in range(desc.e_l)]
-    rows = []
-    for a, row in enumerate(grid):
-        row = _expect_list(row, f"{path}/{a}", desc.f_l)
-        rows.append([_coefficient(c, f"{path}/{a}/{b}") for b, c in enumerate(row)])
-    if len(rows) != desc.e_l:
-        _fail(path, f"expected {desc.e_l} coefficient rows")
+        # flat, index a*f_l + b: each entry's pointer is its flat index
+        if len(grid) != e * f:
+            _fail(path, f"flat coefficient list must have {e * f} entries")
+        flat = [_coefficient(c, f"{path}/{i}") for i, c in enumerate(grid)]
+        rows = [flat[a * f : (a + 1) * f] for a in range(e)]
+    else:
+        rows = []
+        for a, row in enumerate(grid):
+            row = _expect_list(row, f"{path}/{a}", f)
+            rows.append([_coefficient(c, f"{path}/{a}/{b}") for b, c in enumerate(row)])
+        if len(rows) != e:
+            _fail(path, f"expected {e} coefficient rows")
     try:
         return desc.element(rows, prec)
     except ValidationError as exc:
@@ -462,8 +466,11 @@ class Instance:
 
 
 def parse_instance(source, override_prec: int | None = None) -> Instance:
-    """Parse bytes, text, or an already-decoded object into a validated
-    Instance; the payload kind is inferred from the keys present."""
+    """Parse bytes, text, or an already-decoded object into an Instance;
+    the payload kind is inferred from the keys present.  Parsing checks
+    structure only: a parameter record's constraints (check_constraints)
+    are evaluated by the command that uses it, after the command has
+    checked the payload kind."""
     if isinstance(source, (bytes, bytearray, str)):
         data = load_json(source, "invalid JSON")
     else:
@@ -496,9 +503,7 @@ def parse_instance(source, override_prec: int | None = None) -> Instance:
             objects[key] = (module, fil)
     elif "monodromy" in payload:
         kind = "monodromy"
-        record = parse_monodromy(desc, shape, payload["monodromy"], "/payload/monodromy")
-        check_constraints(record)
-        objects["monodromy"] = record
+        objects["monodromy"] = parse_monodromy(desc, shape, payload["monodromy"], "/payload/monodromy")
     elif "germ" in payload:
         kind = "germ"
         objects["germ"] = parse_germ(desc, shape, payload["germ"], "/payload/germ")

@@ -104,6 +104,7 @@ def test_structural_errors_exit_two():
 
 
 def test_constraint_violation_at_parse():
+    # parsing checks structure only; validate evaluates the record's constraints
     bad = _load("monodromy_qp.json")
     bad["payload"]["monodromy"]["m"] = [3]
     bad["payload"]["monodromy"]["k"] = [3]
@@ -111,6 +112,86 @@ def test_constraint_violation_at_parse():
     assert code == 2
     assert report["error"]["type"] == "ConstraintViolation"
     assert "jump" in report["error"]["message"]
+
+
+def test_payload_kind_is_checked_before_record_constraints():
+    # a record is parsed for structure only; each command checks its payload
+    # kind first, so the exit code of a wrong kind does not depend on the
+    # precision at which the record's constraints would be evaluated
+    for options in (Options(), Options(precision=1)):
+        report, code = execute("colmez", FIXTURES / "monodromy_ramified.json", options)
+        assert code == 2 and report["error"]["type"] == "ValidationError"
+        assert "needs a germ payload" in report["error"]["message"]
+    assert main(["colmez", str(FIXTURES / "monodromy_ramified.json"), "--precision", "1"]) == 2
+    bad = _load("monodromy_qp.json")
+    bad["payload"]["monodromy"]["m"] = [3]
+    bad["payload"]["monodromy"]["k"] = [3]
+    assert parse_instance(json.dumps(bad)).kind == "monodromy"
+    for command in ("validate", "admissible", "end0-check"):
+        report, code = execute(command, json.dumps(bad), Options())
+        assert code == 2 and report["error"]["type"] == "ConstraintViolation", command
+    report, code = execute("extract", json.dumps(bad), Options())
+    assert code == 2 and "needs a module payload" in report["error"]["message"]
+
+
+DELETE = object()
+
+
+def _edit(name, path, value):
+    """A fixture's text with the value at a JSON pointer replaced (or, for
+    value DELETE, the key removed)."""
+    inst = _load(name)
+    *parents, last = path.strip("/").split("/")
+    node = inst
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[int(last) if isinstance(node, list) else last] = value
+    return json.dumps(inst)
+
+
+@pytest.mark.parametrize(
+    "command, source, pointer",
+    [
+        ("validate", '{"field": {"p": 3}, "shape": ', "/"),
+        ("validate", _edit("module_plain.json", "/payload/module/phi", DELETE), "/payload/module"),
+        ("validate", _edit("monodromy_qp.json", "/payload/monodromy/m", [0, 0]), "/payload/monodromy/m"),
+        ("colmez", _edit("germ_vanishing.json", "/payload/germ/alpha/0", "1/0"), "/payload/germ/alpha/0"),
+        ("validate", _edit("monodromy_qp.json", "/payload/monodromy/degenerate", 1), "/payload/monodromy/degenerate"),
+        ("validate", _edit("module_plain.json", "/payload/filtration/0/0/jump", "0"), "/payload/filtration/0/0/jump"),
+        ("validate", _edit("module_plain.json", "/payload/module/rank", 0), "/payload/module/rank"),
+        ("validate", _edit("module_plain.json", "/shape/e", 0), "/shape/e"),
+        # Q3(sqrt 3) takes flat lists of eL * fL = 2 coefficients
+        ("validate", _edit("monodromy_ramified.json", "/payload/monodromy/alpha", ["3", "1/0"]), "/payload/monodromy/alpha/1"),
+        ("validate", _edit("monodromy_ramified.json", "/payload/monodromy/alpha", ["3"]), "/payload/monodromy/alpha"),
+    ],
+    ids=[
+        "invalid-json",
+        "missing-key",
+        "array-length",
+        "zero-denominator",
+        "degenerate-not-bool",
+        "jump-not-int",
+        "rank-zero",
+        "shape-e-zero",
+        "flat-list-entry",
+        "flat-list-length",
+    ],
+)
+def test_malformed_input_names_its_pointer(command, source, pointer):
+    report, code = execute(command, source, Options())
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["message"].startswith(f"{pointer}: ")
+
+
+def test_flat_coefficient_list_reads_as_its_grid():
+    flat = parse_instance(_edit("monodromy_ramified.json", "/payload/monodromy/alpha", ["3", "1"]))
+    grid = parse_instance(_edit("monodromy_ramified.json", "/payload/monodromy/alpha", [["3"], ["1"]]))
+    assert flat.objects["monodromy"].alpha == grid.objects["monodromy"].alpha
+    assert flat.objects["monodromy"].alpha.valuation() == Fraction(1, 2)
 
 
 def test_parse_error_carries_pointer():
@@ -420,6 +501,28 @@ def test_batch_isolates_entry_failures():
     assert code == 2
     assert reports[0]["value"] == 3 and reports[2]["value"] == 3
     assert reports[1]["error"]["type"] == "ParseError"
+
+
+def test_batch_entry_without_instance_fails_alone():
+    entries = [
+        {"command": "newton", "instance": "monodromy_qp.json"},
+        {"command": "colmez", "instance": "germ_vanishing.json"},
+    ]
+    alone, code = run_batch({"entries": entries}, Options(), base_dir=FIXTURES)
+    assert code == 0
+    mixed, code = run_batch({"entries": [entries[0], {"command": "newton"}, entries[1]]}, Options(), base_dir=FIXTURES)
+    assert code == 2
+    assert mixed[1]["command"] == "newton"
+    assert mixed[1]["error"] == {"type": "ParseError", "message": "manifest entry needs command and instance keys"}
+    assert [render(r, "json") for r in (mixed[0], mixed[2])] == [render(r, "json") for r in alone]
+
+
+def test_timing_flag_reports_milliseconds(capsys):
+    assert main(["newton", str(FIXTURES / "monodromy_qp.json"), "--timing"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert isinstance(report["timing_ms"], float) and report["timing_ms"] >= 0
+    report, _ = execute("newton", FIXTURES / "monodromy_qp.json", Options())
+    assert report["timing_ms"] is None
 
 
 def test_report_bytes_stable_for_fixed_inputs():

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from phinmod.coeff import DualNumber, GaloisShape, ProductElement
-from phinmod.errors import LevelMismatch, ShapeMismatch
+from phinmod.errors import FieldMismatch, LevelMismatch, ShapeMismatch
 from phinmod.padic import INF
 from util import sample_element
 
@@ -107,3 +109,59 @@ def test_dual_number_product_rule_over_products(q2):
     y = DualNumber(pe(q2, s, "K0", [7, 1]), pe(q2, s, "K0", [0, 2]))
     assert (x * y).a1 == x.a0 * y.a1 + x.a1 * y.a0
     assert (x * y).a1.trace() == q2.from_int(3 * 0 + 5 * 2 + 1 * 7 + 0 * 1)
+
+
+def bits(x):
+    """Everything a field element stores: mantissa, shift and floor."""
+    return x.mant, x.shift, x.prec
+
+
+def test_scalar_operands_follow_the_field_element_rule(q3):
+    # components known to 100 digits, past the field's default of 60: an
+    # exact int goes to each component's own arithmetic, as for x * 2
+    s = GaloisShape(1, 2)
+    xs = [q3.from_int(7, prec=100), q3.from_int(-4, prec=100)]
+    x = ProductElement.from_components(q3, s, "K0", xs)
+    two = q3.from_int(2, INF)
+    cases = [
+        (x * 2, [c * 2 for c in xs]),
+        (2 * x, [c * 2 for c in xs]),
+        (x * two, [c * two for c in xs]),
+        (x + 1, [c + 1 for c in xs]),
+        (1 - x, [1 - c for c in xs]),
+        (x - two, [c - two for c in xs]),
+        (x**3, [c**3 for c in xs]),
+    ]
+    for got, want in cases:
+        assert [c.prec for c in got.comps] == [100, 100]
+        assert [bits(c) for c in got.comps] == [bits(c) for c in want]
+    # pe ** k is a ** k per component, for every k
+    for k in (0, 1, 5, -3, 200000):
+        assert [bits(c) for c in (x**k).comps] == [bits(c**k) for c in xs]
+    assert ProductElement.constant(q3, s, "K0", 2) == x * 0 + 2
+    assert ProductElement.constant(q3, s, "K0", 2).comps[0].prec == INF
+    with pytest.raises(FieldMismatch):
+        ProductElement.constant(q3, s, "K0", Fraction(1, 2))
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
+
+
+def test_dual_number_scalars_act_on_both_parts(q3):
+    a0, a1 = q3.from_int(5, prec=100), q3.from_int(6, prec=100)
+    d = DualNumber(a0, a1)
+    assert [bits(c) for c in ((d * 2).a0, (d * 2).a1)] == [bits(a0 * 2), bits(a1 * 2)]
+    assert bits((d + 1).a0) == bits(a0 + 1) and (d + 1).a1 is a1
+    assert bits((d - 1).a0) == bits(a0 - 1) and (d - 1).a1 is a1
+    assert bits((d / 2).a1) == bits(a1 / 2)
+    assert DualNumber(q3.from_int(3), q3.zero()) == 3
+    s = GaloisShape(1, 2)
+    p = pe(q3, s, "K0", [1, 2])
+    dp = DualNumber(p, p) * 2
+    assert dp.a0 == p * 2 and dp.a1 == p * 2
+
+
+def test_reprs_come_from_the_record_helper(q3):
+    s = GaloisShape(1, 1)
+    x = pe(q3, s, "K0", [1])
+    assert repr(x).startswith("ProductElement(desc=LocalFieldDesc(p=3,")
+    assert repr(DualNumber(x, x)).startswith("DualNumber(a0=ProductElement(")

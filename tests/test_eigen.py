@@ -48,6 +48,22 @@ def test_rank3_lines_and_planes(q3):
     assert sorted(s.rank for s in subs) == [1, 1, 1, 2, 2, 2]
 
 
+def test_rank3_root_plus_irreducible_quadratic(q3):
+    # 3 (+) companion(T^2 - 2): T^2 - 2 has no root mod 3, so the cycle has
+    # one root in Q3 and the complementary plane is the kernel of the
+    # deflated quadratic evaluated at the cycle
+    m = onestot(q3, [[3, 0, 0], [0, 0, 2], [0, 1, 0]], [[0] * 3] * 3)
+    subs, family = enumerate_submodules(m)
+    assert family is None
+    assert [s.rank for s in subs] == [1, 2]
+    line, plane = subs
+    one, zero = q3.from_int(1), q3.zero()
+    assert line.slot_spaces[0].contains_vector((one, zero, zero))
+    assert line.module.phi[0][0][0] == q3.from_int(3)
+    assert plane.slot_spaces[0].contains_vector((zero, one, zero))
+    assert plane.slot_spaces[0].contains_vector((zero, zero, one))
+
+
 def test_rank4_unsupported(q3):
     a = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [0, 0]])
     with pytest.raises(UnsupportedEnumeration):

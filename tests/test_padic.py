@@ -578,8 +578,8 @@ def test_roots_on_towers_where_pi_e_is_not_p(eis):
 def test_newton_slopes_shape(q3):
     one = q3.one()
     coeffs = [q3.from_int(9), q3.from_int(3), one]
-    segs = newton_slopes(coeffs)
-    assert [(val, ln) for val, ln, _, _ in segs] == [(1, 2)]
+    # the hull falls 2 digits over a run of 2: two roots of valuation 1
+    assert newton_slopes(coeffs) == [(2, 2, 0, 2)]
 
 
 def test_newton_slopes_certify_unknown_coefficients(q3, q3_ram):
@@ -589,10 +589,28 @@ def test_newton_slopes_certify_unknown_coefficients(q3, q3_ram):
     for desc, a, floor in ((q3, 9, 1), (q3_ram, 3, Fraction(1, 2))):
         coeffs = [desc.from_int(a), desc.from_int(3, prec=floor), desc.one()]
         assert coeffs[1].is_zero_at_prec()
-        assert newton_slopes(coeffs) == [(floor, 2, 0, 2)]
+        # v(a) is 2 digits on both towers: a drop of 2 over a run of 2
+        assert newton_slopes(coeffs) == [(2, 2, 0, 2)]
         coeffs[1] = desc.from_int(3, prec=0)
         with pytest.raises(PrecisionLoss):
             newton_slopes(coeffs)
+
+
+def test_roots_in_field_refuses_an_off_grid_segment(q3):
+    # T^2 - 3 over Q3: the hull falls 1 digit over a run of 2, so both roots
+    # would have valuation 1/2, outside the value group of Q3
+    coeffs = [q3.from_int(-3), q3.zero(), q3.one()]
+    assert newton_slopes(coeffs) == [(1, 2, 0, 2)]
+    with pytest.raises(RootLiftingError, match="2 roots could not be resolved"):
+        roots_in_field(coeffs)
+
+
+def test_field_element_repr(q3, q3_ram):
+    assert repr(q3.from_int(18)) == "FieldElement(v=2, prec=60)"
+    assert repr(q3.zero()) == "FieldElement(v=inf, prec=inf)"
+    # no digit survives below the floor: the valuation is only bounded
+    assert repr(q3.from_int(9, prec=2)) == "FieldElement(v=>=2, prec=2)"
+    assert repr(q3_ram.uniformizer()) == "FieldElement(v=1/2, prec=60)"
 
 
 def test_hensel_root_quadratic(q2):
