@@ -277,9 +277,7 @@ def run(command: str, instance: Instance, options: Options) -> tuple[dict, int]:
     and the process exit code; every error, the package's own and, as a
     last resort, any other exception, becomes an error report rather than
     propagating."""
-    handler = _HANDLERS.get(command)
-    if handler is None:
-        raise UnknownCommand(f"unknown command {command!r}")
+    handler = _HANDLERS[command]  # execute has refused an unknown command
     started = time.perf_counter()
     try:
         verdict, value, witness = handler(instance, options)
@@ -359,11 +357,8 @@ def run_batch(manifest_source, options: Options, base_dir: Path | None = None):
         command, source = entry["command"], entry["instance"]
         if isinstance(source, str):
             source = base / source
-        try:
-            return execute(command, source, options)
-        except Exception as exc:
-            # last resort: whatever escapes stays in this entry's report
-            return _error_report(command, options.precision, exc)
+        # execute turns every error into this entry's report
+        return execute(command, source, options)
 
     entries = manifest["entries"]
     if options.jobs > 1:

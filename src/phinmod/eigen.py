@@ -87,21 +87,14 @@ def _poly_of_matrix(coeffs, a: Matrix) -> Matrix:
 
 
 def propagate_space(m: PhiNModule, space0: Subspace) -> tuple[Subspace, ...] | None:
-    f = m.shape.f
+    """The slot spaces of the bundle through space0 at slot 0: its images
+    under phi[0], phi[0..1], ..., one per slot.  None unless the full cycle
+    carries space0 back onto itself at the working precision (a transition
+    that drops the dimension cannot)."""
     spaces = [space0]
-    for i in range(f - 1):
-        img = Subspace.from_vectors(
-            m.desc, m.rank, [mat_vec(m.phi[i], g) for g in spaces[-1].gens]
-        )
-        if img.dim != space0.dim:
-            return None
-        spaces.append(img)
-    back = Subspace.from_vectors(
-        m.desc, m.rank, [mat_vec(m.phi[f - 1], g) for g in spaces[-1].gens]
-    )
-    if back != space0:
-        return None
-    return tuple(spaces)
+    for a in m.phi:
+        spaces.append(spaces[-1].image(a))
+    return tuple(spaces[:-1]) if spaces[-1] == space0 else None
 
 
 def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
@@ -113,14 +106,12 @@ def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
         for g in spaces[i].gens:
             if not spaces[i].contains_vector(mat_vec(m.nmat[i], g)):
                 return None
-    phi_r, n_r = [], []
-    for i in range(f):
-        pm = restrict_operator(m.phi[i], spaces[i].gens, spaces[(i + 1) % f].gens, m.desc)
-        nm = restrict_operator(m.nmat[i], spaces[i].gens, spaces[i].gens, m.desc)
-        if pm is None or nm is None:
-            return None
-        phi_r.append(pm)
-        n_r.append(nm)
+    # the containment tests above and the solves below decide at the
+    # working precision in different ways, so a solve can still fail
+    phi_r = [restrict_operator(m.phi[i], spaces[i].gens, spaces[(i + 1) % f].gens, m.desc) for i in range(f)]
+    n_r = [restrict_operator(m.nmat[i], spaces[i].gens, spaces[i].gens, m.desc) for i in range(f)]
+    if None in phi_r or None in n_r:
+        return None
     sub = PhiNModule(m.desc, m.shape, space0.dim, tuple(phi_r), tuple(n_r))
     return StableSubmodule(space0.dim, spaces, sub)
 
@@ -176,8 +167,6 @@ def enumerate_submodules(
         else:
             raise UnsupportedEnumeration("cycle spectrum does not split at this precision") from None
     else:
-        if (d == 2 and len(roots) == 1) or (d == 3 and len(roots) == 2):
-            raise UnsupportedEnumeration("inconsistent root count for the cycle")
         line_vecs = [eigenline(a, lam, desc, UnsupportedEnumeration) for lam in roots]
         if d == 3 and len(roots) == 1:
             quad = _deflate(cp, roots[0])

@@ -126,10 +126,12 @@ def restrict_steps(sigs, spans, bases, desc: LocalFieldDesc) -> tuple[SigmaSteps
             key = (onto, _bits(v.gens))
             piece = done.get(key)
             if piece is None:
+                # v.intersect(span) lies in the span, but the solve decides
+                # at the working precision and can still fail
                 coords = [solve_columns(basis, g, desc) for g in v.intersect(span).gens]
-                if any(c is None for c in coords):
+                if None in coords:
                     raise ValidationError("filtration step leaves the subspace it is restricted to")
-                piece = done[key] = Subspace.from_vectors(desc, len(basis), [tuple(c) for c in coords])
+                piece = done[key] = Subspace.from_vectors(desc, len(basis), coords)
             collected.append((jump, piece))
         out.append(_dedupe(collected))
     return tuple(out)

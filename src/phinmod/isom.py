@@ -15,12 +15,10 @@ from .errors import RootLiftingError, UnsupportedEnumeration, ValidationError
 from .filtration import Filtration
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     inv,
-    mat_from_cols,
     mat_mul,
-    mat_vec,
+    transpose,
 )
 from .modules import PhiNModule, frobenius_composite
 from .padic import FieldElement
@@ -50,7 +48,7 @@ def _eigen_frames(m: PhiNModule) -> tuple[list[FieldElement], list[Matrix]]:
         raise UnsupportedEnumeration("cycle spectrum does not split simply")
     roots = sorted(roots, key=_root_key)
     cols = [eigenline(a, lam, m.desc, UnsupportedEnumeration) for lam in roots]
-    frames = [mat_from_cols(cols)]
+    frames = [transpose(cols)]
     for i in range(m.shape.f - 1):
         frames.append(mat_mul(m.phi[i], frames[-1]))
     return roots, frames
@@ -108,12 +106,6 @@ def _line_constraints(graph, v1: Vector, v2: Vector) -> bool:
     return True
 
 
-def _coords_space(frame_inv: Matrix, space: Subspace, desc, d: int) -> Subspace:
-    return Subspace.from_vectors(
-        desc, d, [mat_vec(frame_inv, g) for g in space.gens]
-    )
-
-
 def is_isomorphic(
     m1: PhiNModule, f1: Filtration, m2: PhiNModule, f2: Filtration
 ) -> IsoVerdict:
@@ -166,8 +158,8 @@ def is_isomorphic(
         for (_, v1), (_, v2) in zip(s1, s2):
             if v1.dim == d:
                 continue
-            c1 = _coords_space(inv1[i], v1, desc, d)
-            c2 = _coords_space(inv2[i], v2, desc, d)
+            c1 = v1.image(inv1[i])
+            c2 = v2.image(inv2[i])
             if v1.dim == 1:
                 if not _line_constraints(graph, c1.gens[0], c2.gens[0]):
                     return IsoVerdict(False, "filtration lines cannot be aligned")

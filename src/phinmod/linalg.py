@@ -61,14 +61,9 @@ def vec_scale(c: FieldElement, v: Vector) -> Vector:
     return tuple(c * x for x in v)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
-def mat_from_cols(cols) -> Matrix:
-    if not cols:
-        return ()
-    return tuple(tuple(c[i] for c in cols) for i in range(len(cols[0])))
+def transpose(a) -> Matrix:
+    """The transpose; also the matrix whose columns are the given vectors."""
+    return tuple(zip(*a))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -87,8 +82,7 @@ def trace(a: Matrix) -> FieldElement:
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
+    """Entrywise equality of two matrices of one shape."""
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
@@ -109,8 +103,6 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
     canonical at the working precision.
     """
     rows = [list(r) for r in rows_in]
-    if not rows:
-        return rows, []
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -147,7 +139,7 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
 
 def right_kernel(a: Matrix, desc: LocalFieldDesc) -> list[Vector]:
     """Canonical basis of the right kernel (columns v with a v = 0)."""
-    ncols = len(a[0]) if a else 0
+    ncols = len(a[0])
     rows, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
     one, zero = desc.from_int(1, INF), desc.zero()
@@ -164,8 +156,6 @@ def right_kernel(a: Matrix, desc: LocalFieldDesc) -> list[Vector]:
 def solve_columns(cols, v: Vector, desc: LocalFieldDesc):
     """Solve sum_j x_j cols[j] = v.  Returns the canonical solution with free
     coordinates zero, or None when the residual is certified nonzero."""
-    if not cols:
-        return [] if all(x.is_zero_at_prec() for x in v) else None
     n = len(v)
     aug = [[cols[j][i] for j in range(len(cols))] + [v[i]] for i in range(n)]
     rows, pivots = rref(aug)
@@ -181,13 +171,8 @@ def solve_columns(cols, v: Vector, desc: LocalFieldDesc):
 def restrict_operator(op: Matrix, src, dst, desc: LocalFieldDesc) -> Matrix | None:
     """Matrix of op from the span of the vectors src into the span of the
     vectors dst, on those generators; None when an image leaves that span."""
-    cols = []
-    for g in src:
-        x = solve_columns(dst, mat_vec(op, g), desc)
-        if x is None:
-            return None
-        cols.append(x)
-    return mat_from_cols(cols)
+    cols = [solve_columns(dst, mat_vec(op, g), desc) for g in src]
+    return None if None in cols else transpose(cols)
 
 
 def det(a: Matrix) -> FieldElement:
@@ -288,6 +273,10 @@ class Subspace:
         return all(x == y for ga, gb in zip(self.gens, other.gens) for x, y in zip(ga, gb))
 
     __hash__ = None
+
+    def image(self, a: Matrix) -> "Subspace":
+        """The image of this subspace under the square matrix a."""
+        return Subspace.from_vectors(self.desc, self.ambient, [mat_vec(a, g) for g in self.gens])
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(self.desc, self.ambient, list(self.gens) + list(other.gens))

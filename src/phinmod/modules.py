@@ -168,6 +168,8 @@ def end0_module(m: PhiNModule) -> tuple[PhiNModule, list[Vector]]:
     basis = end0_basis(m.desc, d)
 
     def restrict(op: Matrix) -> Matrix:
+        # conjugation by phi and the commutator with N keep the trace at
+        # zero, but the solve decides at the working precision of op
         r = restrict_operator(op, basis, basis, m.desc)
         if r is None:
             raise RelationViolation("subspace is not stable under the operator")

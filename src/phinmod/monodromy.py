@@ -102,13 +102,9 @@ def check_constraints(data: MonodromyData) -> None:
             f"slope degree {e * (2 * v + f)} does not match jump degree {degree}",
             constraint="degree-balance",
         )
-    if not data.degenerate:
-        if e * v < sum(data.m):
-            raise ConstraintViolation(
-                f"kernel line has slope degree {e * v}, below the lower jumps {sum(data.m)}",
-                constraint="kernel-line-bound",
-            )
-    else:
+    # the kernel line's bound e*v >= sum(m) follows from the two above:
+    # 2*e*v + n = sum(k) + sum(m) >= 2*sum(m) + n
+    if data.degenerate:
         if data.ell.is_zero():
             raise ZeroEll("degenerate parameters need a nonzero marked slope")
         bound = sum(
@@ -400,19 +396,16 @@ def end0_check(data: MonodromyData) -> End0Verdict:
             direct = False
         if not mat_eq(mat_mul(e0.nmat[i], g), mat_mul(g, wmod.nmat[i])):
             direct = False
+    # both step lists have jumps -k, 0, k (End0 of a two-step flag has
+    # pieces of dimension 3, 2, 1 there), so pieces pair up in order.
     # build_w shares step objects across embeddings (one `full` space), so
     # each distinct one is mapped once; wfil keeps every key alive
     images = {}
     for ws, es in zip(wfil.steps, efil.steps):
-        if [j for j, _ in ws] != [j for j, _ in es]:
-            direct = False
-            continue
         for (_, wv), (_, ev) in zip(ws, es):
             image = images.get(id(wv))
             if image is None:
-                image = images[id(wv)] = Subspace.from_vectors(
-                    data.desc, 3, [mat_vec(g, gen) for gen in wv.gens]
-                )
+                image = images[id(wv)] = wv.image(g)
             if image != ev:
                 direct = False
     return End0Verdict(intrinsic, direct)

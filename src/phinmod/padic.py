@@ -236,8 +236,7 @@ class LocalFieldDesc:
         return (LocalFieldDesc, (self.p, self.f_l, self.e_l, self.unram_poly, self.eis_poly, self.default_prec))
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValidationError("p must be at least 2")
+        # p < 2 fails the primality certificate
         if self.f_l < 1 or self.e_l < 1:
             raise ValidationError("tower degrees must be positive")
         if self.default_prec < 1:
@@ -386,7 +385,7 @@ class LocalFieldDesc:
         pi-adic digits, rounded up to the next one; INF stays INF."""
         if prec is None:
             return self.default_prec * self.e_l
-        if prec is INF:
+        if prec == INF:
             return INF
         return math.ceil(Fraction(prec) * self.e_l)
 
@@ -612,6 +611,10 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o._k is INF and self._k is not INF and self._val() is not None:
+            # an exact divisor is inverted to the dividend's relative
+            # precision, so the quotient keeps every digit the dividend has
+            o = make_element(self.desc, o.mant, o.shift, self._k - self._val() + o._val())
         return self * o.inverse()
 
     def __pow__(self, k: int):
@@ -818,14 +821,10 @@ def _scaled(x: FieldElement, mono, q: int, n: int) -> FieldElement:
 
 def _residue_vec(x: FieldElement) -> tuple[int, ...]:
     """Residue of an integral element as a theta-vector mod p."""
-    p, s = x.desc.p, x.shift
-    q = p ** s
-    out = []
-    for c in x.mant[: x.desc.f_l]:
-        if c % q:
-            raise PrecisionLoss("residue of a non-integral element")
-        out.append((c // q) % p)
-    return tuple(out)
+    p = x.desc.p
+    # x is integral, so p^shift divides the pi^0 row of its mantissa
+    q = p**x.shift
+    return tuple(c // q % p for c in x.mant[: x.desc.f_l])
 
 
 def _gfq_mul(desc: LocalFieldDesc, u, v):
@@ -950,7 +949,6 @@ def newton_slopes(coeffs):
     indistinguishable from zero are fine as long as their precision floors
     certify that they lie above the hull.
     """
-    d = len(coeffs) - 1
     pts, floors = [], []
     for i, c in enumerate(coeffs):
         v = c._val()
@@ -958,8 +956,6 @@ def newton_slopes(coeffs):
             floors.append((i, c._k))
         elif v is not INF:
             pts.append((i, v))
-    if not pts or pts[-1][0] != d:
-        raise PrecisionLoss("leading coefficient not certified nonzero")
     if pts[0][0] != 0:
         raise PrecisionLoss("constant coefficient not certified nonzero")
     hull = lower_hull(pts)
@@ -969,7 +965,6 @@ def newton_slopes(coeffs):
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x1 <= x <= x2:
                 return floor * (x2 - x1) < y1 * (x2 - x1) + (y2 - y1) * (x - x1)
-        return False
 
     for i, floor in floors:
         if below_hull(i, floor):

@@ -11,6 +11,7 @@ import pytest
 
 from phinmod import cli
 from phinmod.cli import Options, execute, main, render, run_batch
+from phinmod.errors import ParseError
 from phinmod.padic import MAX_P
 from phinmod.serial import (
     MAX_COEFF_DIGITS,
@@ -547,3 +548,303 @@ def test_console_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["verdict"] is True
+
+
+# ---------------------------------------------------------------------------
+# inline instances for the branches no fixture takes; each goes through
+# execute as an already-decoded object
+
+
+def _doc(payload, shape=(1, 1), field=None):
+    return {"field": field or {"p": 3}, "shape": {"e": shape[0], "f": shape[1]}, "payload": payload}
+
+
+def _module(*phi, n=None):
+    """A module payload with one transition per slot; N vanishes unless given."""
+    d = len(phi[0])
+    zero = [[0] * d for _ in range(d)]
+    return {"rank": d, "phi": list(phi), "N": n or [zero] * len(phi)}
+
+
+def _flag(*steps, embeddings=1):
+    """The same (jump, basis) step list at every embedding."""
+    return [[{"jump": j, "basis": b} for j, b in steps]] * embeddings
+
+
+def _diag(*entries):
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def _low(c, prec=1):
+    """c known modulo 3^prec only: an entry that is zero at its own floor
+    when 3^prec divides c."""
+    return {"c": [[str(c)]], "prec": prec}
+
+
+FULL2 = _diag(1, 1)
+LINE_FLAG = _flag((0, FULL2), (1, [[1, 0]]))
+
+
+def _failure(command, doc, code, error_type, message):
+    report, got = execute(command, doc, Options())
+    assert got == code, report
+    assert report["error"]["type"] == error_type
+    assert message in report["error"]["message"]
+
+
+def _pair(first, second, shape=(1, 1), field=None):
+    return _doc({"first": first, "second": second}, shape, field)
+
+
+def test_iso_of_ranks_one_and_two_differs():
+    first = {"module": _module([[3]]), "filtration": _flag((0, [[1]]))}
+    second = {"module": _module(_diag(9, 3)), "filtration": LINE_FLAG}
+    report, code = execute("iso", _pair(first, second), Options())
+    assert code == 1 and report["witness"]["reason"] == "ranks differ"
+
+
+def test_iso_on_a_cycle_without_roots_is_unsupported():
+    # the cycle's charpoly T^2 - 2 has no root in Q3
+    half = {"module": _module([[0, 1], [2, 0]]), "filtration": LINE_FLAG}
+    _failure("iso", _pair(half, half), 2, "UnsupportedEnumeration", "does not split simply")
+
+
+def test_iso_on_a_singular_transition_cannot_certify_the_spectrum():
+    half = {"module": _module(_diag(1, 0)), "filtration": LINE_FLAG}
+    _failure("iso", _pair(half, half), 3, "PrecisionLoss", "constant coefficient")
+
+
+@pytest.mark.parametrize(
+    "first, second, reason",
+    [
+        # N vanishes on one side only
+        ((_diag(9, 3), None, LINE_FLAG), (_diag(9, 3), [[[0, 0], [1, 0]]], LINE_FLAG),
+         "slot operator supports differ"),
+        # t0/t1 = 1 from one entry and t1/t0 = 2 from the other
+        ((_diag(9, 3), [[[0, 1], [1, 0]]], LINE_FLAG), (_diag(9, 3), [[[0, 1], [2, 0]]], LINE_FLAG),
+         "slot operator ratios are inconsistent"),
+    ],
+)
+def test_iso_slot_operator_mismatches(first, second, reason):
+    halves = [{"module": _module(phi, n=n), "filtration": fil} for phi, n, fil in (first, second)]
+    report, code = execute("iso", _pair(*halves), Options())
+    assert code == 1 and report["witness"]["reason"] == reason
+
+
+FULL3 = _diag(1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "step1, step2, reason",
+    [
+        ([[1, 0, 0]], [[1, 0, 0], [0, 1, 0]], "filtration step dimensions differ"),
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 1]], "filtration hyperplanes cannot be aligned"),
+    ],
+)
+def test_iso_flag_mismatches_in_rank_three(step1, step2, reason):
+    # cycle roots 1, 2, 4 are simple with distinct residues in Q5
+    halves = [
+        {"module": _module(_diag(1, 2, 4)), "filtration": _flag((0, FULL3), (1, step))}
+        for step in (step1, step2)
+    ]
+    report, code = execute("iso", _pair(*halves, field={"p": 5}), Options())
+    assert code == 1 and report["witness"]["reason"] == reason
+
+
+def test_iso_with_a_plane_in_rank_four_is_unsupported():
+    full4 = _diag(1, 1, 1, 1)
+    half = {"module": _module(_diag(1, 2, 3, 4)), "filtration": _flag((0, full4), (1, full4[:2]))}
+    _failure("iso", _pair(half, half, field={"p": 7}), 2, "UnsupportedEnumeration", "intermediate dimension")
+
+
+def test_extract_needs_rank_two():
+    doc = _doc({"module": _module([[3]]), "filtration": _flag((0, [[1]]))})
+    _failure("extract", doc, 2, "NotMonodromyType", "rank-two input required")
+
+
+@pytest.mark.parametrize(
+    "module, fil, message",
+    [
+        # charpoly T^2 - 3: the slopes 1/2 are off the value group of Q3
+        (_module([[0, 3], [1, 0]]), LINE_FLAG, "does not split over the coefficients"),
+        # charpoly T^2 - 2: no root in Q3
+        (_module([[0, 1], [2, 0]]), LINE_FLAG, "two simple slopes"),
+        # N does not twist across phi = 1
+        (_module(FULL2, n=[[[0, 1], [0, 0]]]), LINE_FLAG, "incoherent module"),
+        (_module(_diag(3, 1), n=[[[0, 0], [1, 0]]]), _flag((0, FULL2)), "expected a two-step flag"),
+        # N0 is 3 known modulo 3 below N1 = 243: the twist holds at N0's floor,
+        # but N0 vanishes there and has no kernel line
+        (_module(FULL2, _diag(9, 1), n=[[[0, 0], [_low(3), 0]], [[0, 0], [243, 0]]]),
+         _flag((0, FULL2), (1, [[1, 0]]), embeddings=2), "operator kernel is not a line"),
+    ],
+)
+def test_extract_refuses_non_monodromy_modules(module, fil, message):
+    shape = (1, len(module["phi"]))
+    _failure("extract", _doc({"module": module, "filtration": fil}, shape), 2, "NotMonodromyType", message)
+
+
+def test_admissible_on_rank_one_has_no_certificates():
+    doc = _doc({"module": _module([[3]]), "filtration": _flag((1, [[1]]))})
+    report, code = execute("admissible", doc, Options())
+    assert code == 0 and report["verdict"] is True
+    assert report["witness"]["certificates"] == [] and report["witness"]["family"] is None
+
+
+def test_admissible_reports_the_line_family():
+    # phi = 3 I with N = 0: every line is stable; the line (1, 0) at jump 2
+    # outweighs the cycle's slope 1
+    doc = _doc({"module": _module(_diag(3, 3)), "filtration": _flag((0, FULL2), (2, [[1, 0]]))})
+    report, code = execute("admissible", doc, Options())
+    assert code == 1 and report["verdict"] is False
+    assert report["witness"]["family"] == {"line_newton": 1, "max_line_hodge": 2, "ok": False}
+    assert '"family":{"line_newton":1,"max_line_hodge":2,"ok":false}' in render(report, "json")
+
+
+def test_admissible_family_pulls_later_slots_back():
+    # cycle phi1 phi0 = 3 I over two slots; slot 1's line (0, 1) is the
+    # line (-1, 1) at slot 0
+    phi0, phi1 = [[1, 1], [0, 1]], [[3, -3], [0, 3]]
+    fil = [
+        [{"jump": 0, "basis": FULL2}, {"jump": 1, "basis": [[1, 0]]}],
+        [{"jump": 0, "basis": FULL2}, {"jump": 1, "basis": [[0, 1]]}],
+    ]
+    report, code = execute("admissible", _doc({"module": _module(phi0, phi1), "filtration": fil}, (1, 2)), Options())
+    assert code == 0 and report["verdict"] is True
+    assert report["witness"]["family"] == {"line_newton": 1, "max_line_hodge": 1, "ok": True}
+
+
+@pytest.mark.parametrize(
+    "phi, field, message",
+    [
+        (FULL3, None, "repeated cycle eigenvalues are handled only in rank 2"),
+        # charpoly T^2 - 3: off-grid slopes, and b = a is not nilpotent
+        ([[0, 3], [1, 0]], None, "does not split at this precision"),
+        # two roots of one valuation, but the residue field is too large to search
+        (_diag(1, 2), {"p": 10007}, "does not split at this precision"),
+        # a = 1 + b, b = [[O(3), -99], [-81, O(3)]]: b^2 vanishes modulo its
+        # floors while b keeps rank 2
+        ([[_low(1), -99], [-81, _low(1)]], None, "cannot separate the cycle kernel"),
+    ],
+)
+def test_admissible_unsupported_cycles(phi, field, message):
+    d = len(phi)
+    doc = _doc({"module": _module(phi), "filtration": _flag((0, _diag(*[1] * d)))}, field=field)
+    _failure("admissible", doc, 2, "UnsupportedEnumeration", message)
+
+
+def test_validate_finds_a_slot_operator_that_is_not_nilpotent():
+    # N0 = 3 known modulo 3 twists into N1 = 243 at N0's floor, but N1 is a
+    # nonzero operator on a line
+    module = _module([[1]], [[9]], n=[[[_low(3)]], [[243]]])
+    report, code = execute("validate", _doc({"module": module}, (1, 2)), Options())
+    assert code == 1 and report["verdict"] is False
+    assert report["witness"]["reason"] == "slot operator is not nilpotent (slot 1)"
+
+
+def test_trailing_zero_step_is_refused():
+    doc = _doc({"module": _module(FULL2), "filtration": _flag((0, FULL2), (1, []))})
+    _failure("hodge", doc, 2, "ValidationError", "trailing zero step must be dropped")
+
+
+def test_validate_on_a_pair():
+    good = {"module": _module(_diag(3, 1), n=[[[0, 0], [1, 0]]]), "filtration": LINE_FLAG}
+    report, code = execute("validate", _pair(good, good), Options())
+    assert code == 0 and report["verdict"] is True
+    bad = {"module": _module(FULL2, n=[[[0, 1], [0, 0]]]), "filtration": LINE_FLAG}
+    report, code = execute("validate", _pair(good, bad), Options())
+    assert code == 1 and "twist" in report["witness"]["reason"]
+
+
+@pytest.mark.parametrize("command", ["hodge", "admissible", "extract"])
+def test_commands_needing_a_filtration_refuse_a_bare_module(command):
+    _failure(command, _doc({"module": _module(FULL2)}), 2, "ValidationError", "needs a filtration")
+
+
+def test_solve_ell_needs_a_direction():
+    germ = {"alpha": [1, 1], "delta": [0, 3], "kappa": [[0], [2]], "ell": [1]}
+    _failure("solve-ell", _doc({"germ": germ}), 2, "ValidationError", "needs a direction")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_doc([]), "/payload: expected an object"),
+        (_doc({"module": {"rank": 1, "phi": {}, "N": [[[0]]]}}), "/payload/module/phi: expected an array"),
+        (_doc({"module": _module([[{"c": [[1.5]]}]])}), "/payload/module/phi/0/0/0/c/0/0: expected an integer or a fraction"),
+        (_doc({"module": _module([[None]])}), "/payload/module/phi/0/0/0: expected a scalar"),
+        (_doc({"module": _module([[{"c": [[1]]}]])}, field={"p": 3, "eL": 2}), "expected 2 coefficient rows"),
+        (_doc({"ell": [1], "k": ["1"]}), "/payload/k/0: expected an integer"),
+    ],
+)
+def test_malformed_inline_instances(doc, message):
+    _failure("validate", doc, 2, "ParseError", message)
+
+
+def test_field_and_element_refusals_name_their_path():
+    _failure("validate", _doc({"module": _module([[1]])}, field={"p": 4}), 2, "ValidationError", "/field: p = 4 is not prime")
+    # an exact 1/2 would need the inverse of 2 to infinitely many digits
+    half = {"c": [["1/2"]], "prec": "inf"}
+    _failure("validate", _doc({"module": _module([[half]])}), 2, "ValidationError", "/payload/module/phi/0/0/0/c: cannot invert")
+
+
+def test_element_without_prec_takes_the_field_default():
+    report, code = execute("newton", _doc({"module": _module([[{"c": [[3]]}]])}), Options())
+    assert code == 0 and report["value"] == 1
+
+
+def test_batch_manifest_needs_an_entries_array():
+    for manifest in ({"entries": 5}, []):
+        with pytest.raises(ParseError, match="/entries: manifest needs an entries array"):
+            run_batch(manifest, Options())
+
+
+# Entries known to one to three digits make the working-precision decisions
+# of a verdict disagree with one another (a containment test against a solve,
+# a kernel against a square).  Each instance below passes validate and was
+# found by a seeded search over such entries.
+
+
+def test_admissible_drops_a_line_that_does_not_close_up():
+    phi = [[1, _low(2), _low(3, 3)], [-3, -3, 1], [27, -99, 6]]
+    report, code = execute("admissible", _doc({"module": _module(phi), "filtration": _flag((0, FULL3))}), Options())
+    assert code == 1 and not report["witness"]["balanced"]
+    assert len(report["witness"]["certificates"]) == 1
+
+
+def test_admissible_drops_a_line_whose_restriction_does_not_solve():
+    phi = [[0, 2, _low(3, 2)], [-1, 2, _low(3, 3)], [-99, _low(81, 2), 3]]
+    report, code = execute("admissible", _doc({"module": _module(phi), "filtration": _flag((0, FULL3))}), Options())
+    assert code == 1 and report["witness"]["certificates"] == []
+
+
+@pytest.mark.parametrize(
+    "module, fil, error_type, message",
+    [
+        (_module([[_low(6, 2), -1, _low(-99)], [9, _low(1, 3), 0], [9, _low(2, 2), 3]]),
+         _flag((0, FULL3), (1, [[_low(27), -1, 6], [-99, _low(-81), _low(3, 3)]])),
+         "ValidationError", "filtration step leaves the subspace it is restricted to"),
+        (_module([[27, _low(4, 2), _low(-1, 3)], [2, 3, -81], [-3, 27, 0]]), _flag((0, FULL3)),
+         "UnsupportedEnumeration", "complementary stable plane is not certified"),
+        # a scalar cycle at precision whose family line does not come back
+        (_module([[81, 0], [_low(-99), 81]]), _flag((0, FULL2), (1, [[_low(-81, 3), 27]])),
+         "ValidationError", "line bundle does not close up under the transitions"),
+    ],
+)
+def test_admissible_refusals_at_low_precision(module, fil, error_type, message):
+    _failure("admissible", _doc({"module": module, "filtration": fil}), 2, error_type, message)
+
+
+@pytest.mark.parametrize(
+    "module, line, code, error_type, message",
+    [
+        (_module([[2, _low(27, 3)], [_low(3), 6]], n=[[[_low(6), -1], [_low(-81, 3), 27]]]), [_low(6, 2), 0],
+         2, "NotMonodromyType", "heavy line does not map into the operator kernel"),
+        (_module([[81, _low(4, 3)], [6, _low(2)]], n=[[[_low(27, 3), 27], [_low(3), _low(6)]]]), [3, _low(-3, 2)],
+         3, "PrecisionLoss", "cannot certify the operator on the heavy line"),
+        (_module([[27, _low(1)], [-3, 1]], n=[[[-81, _low(-81)], [-81, _low(81, 4)]]]), [_low(6, 4), 1],
+         3, "PrecisionLoss", "marked line could not be expressed in the slope frame"),
+    ],
+)
+def test_extract_refusals_at_low_precision(module, line, code, error_type, message):
+    doc = _doc({"module": module, "filtration": _flag((0, FULL2), (1, [line]))})
+    _failure("extract", doc, code, error_type, message)

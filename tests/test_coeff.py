@@ -165,3 +165,26 @@ def test_reprs_come_from_the_record_helper(q3):
     x = pe(q3, s, "K0", [1])
     assert repr(x).startswith("ProductElement(desc=LocalFieldDesc(p=3,")
     assert repr(DualNumber(x, x)).startswith("DualNumber(a0=ProductElement(")
+
+
+def test_product_element_refuses_mixed_data(q3, q2):
+    shape = GaloisShape(1, 2)
+    pe = ProductElement.constant(q3, shape, "K", 1)
+    with pytest.raises(FieldMismatch, match="component from a different"):
+        ProductElement.from_components(q3, shape, "K", [q3.from_int(1), q2.from_int(1)])
+    with pytest.raises(ShapeMismatch, match="different shapes"):
+        pe + ProductElement.constant(q3, GaloisShape(2, 1), "K", 1)
+    with pytest.raises(FieldMismatch, match="mixing coefficient fields"):
+        pe * ProductElement.constant(q2, shape, "K", 1)
+    with pytest.raises(LevelMismatch, match="expects level K0"):
+        pe.embed_K()
+
+
+def test_exact_scalar_division_keeps_component_precision(q3):
+    x = q3.from_int(1, prec=100)
+    pe = ProductElement.constant(q3, GaloisShape(1, 2), "K", x)
+    assert [c.prec for c in (pe / 3).comps] == [99, 99]
+    assert [c.prec for c in (pe / 2).comps] == [100, 100]
+    d = DualNumber(x, q3.from_int(3, prec=100))
+    assert ((d / 3).a0.prec, (d / 3).a1.prec) == (99, 99)
+    assert ((d / 2).a0.prec, (d / 2).a1.prec) == (100, 100)

@@ -15,7 +15,7 @@ from phinmod.cohomology import (
     satisfies_colmez_condition,
     unipotent_extension_class,
 )
-from phinmod.errors import NotUnipotent, ShapeMismatch, ValidationError
+from phinmod.errors import FieldMismatch, LevelMismatch, NotUnipotent, ShapeMismatch, ValidationError
 from phinmod.linalg import identity, mat
 from phinmod.modules import PhiNModule
 from phinmod.padic import INF
@@ -190,3 +190,39 @@ def test_unipotent_rejects(q3):
         unipotent_extension_class(withn, (one, zero), (zero, one))
     with pytest.raises(ValidationError):
         unipotent_extension_class(m, (one, zero), (q3.from_int(2), zero))
+    line = PhiNModule(q3, GaloisShape(1, 1), 1, (mat([[one]]),), (mat([[zero]]),))
+    with pytest.raises(NotUnipotent, match="rank-two"):
+        unipotent_extension_class(line, (one,), (one,))
+
+
+def test_classes_refuse_mixed_data(q3, q2):
+    shape = GaloisShape(1, 2)
+    k3 = ProductElement.constant(q3, shape, "K", 1)
+    k0 = ProductElement.constant(q3, shape, "K0", 1)
+    with pytest.raises(LevelMismatch, match="K-level"):
+        H1Trivial(q3.from_int(1), k0)
+    with pytest.raises(FieldMismatch, match="different coefficient fields"):
+        H1Tate(q2.from_int(1), k3)
+    x = H1Trivial(q3.from_int(1), k3)
+    y2 = H1Tate(q2.from_int(1), ProductElement.constant(q2, shape, "K", 1))
+    with pytest.raises(FieldMismatch, match="classes use different"):
+        cup(x, y2)
+    with pytest.raises(LevelMismatch, match="K-level"):
+        monodromy_extension_class(k0)
+    other = ProductElement.constant(q3, GaloisShape(2, 1), "K", 1)
+    with pytest.raises(ShapeMismatch):
+        satisfies_colmez_condition(x, other)
+    with pytest.raises(ShapeMismatch):
+        degenerate_condition(x, other)
+
+
+def test_unipotent_defect_outside_a_low_precision_fixed_line(q3):
+    # sub = (-81 mod 3, 9) passes as fixed at its floor, but the cycle's
+    # defect on quot leaves its line
+    shape = GaloisShape(1, 1)
+    a = mat([[q3.from_int(1, INF), q3.from_int(2, INF)], [q3.zero(), q3.from_int(1, INF)]])
+    m = PhiNModule(q3, shape, 2, (a,), (mat([[q3.zero()] * 2] * 2),))
+    sub = [q3.from_int(-81, prec=1), q3.from_int(9, INF)]
+    quot = [q3.from_int(4, prec=3), q3.from_int(6, prec=3)]
+    with pytest.raises(NotUnipotent, match="defect leaves the fixed line"):
+        unipotent_extension_class(m, sub, quot)

@@ -1,9 +1,9 @@
 import pytest
 
 from phinmod.coeff import GaloisShape
-from phinmod.eigen import LineBundleFamily, enumerate_submodules
+from phinmod.eigen import LineBundleFamily, eigenline, enumerate_submodules, propagate_space
 from phinmod.errors import UnsupportedEnumeration
-from phinmod.linalg import mat
+from phinmod.linalg import Subspace, mat
 from phinmod.modules import PhiNModule, tensor_module
 from phinmod.padic import INF
 
@@ -114,3 +114,29 @@ def test_two_slot_propagation(q3):
         v = s.slot_spaces[0].gens[0]
         swapped = (v[1], v[0])
         assert s.slot_spaces[1].contains_vector(swapped)
+
+
+def test_eigenline_refuses_a_plane(q3):
+    one = q3.from_int(1, INF)
+    with pytest.raises(UnsupportedEnumeration, match="not a line"):
+        eigenline(imat(q3, [[1, 0], [0, 1]]), one, q3, UnsupportedEnumeration)
+
+
+def test_propagate_space_carries_a_stable_line_and_not_others(q3):
+    # phi0 = [[1, 1], [0, 1]], phi1 = 3 phi0^-1: the cycle is 3, so every
+    # line closes up; phi0 = [[0, 1], [1, 0]] alone swaps the two axes
+    m = PhiNModule(q3, GaloisShape(1, 2), 2, (imat(q3, [[1, 1], [0, 1]]), imat(q3, [[3, -3], [0, 3]])), (imat(q3, [[0, 0], [0, 0]]),) * 2)
+    line = Subspace.from_vectors(q3, 2, [(q3.from_int(1, INF), q3.from_int(1, INF))])
+    spaces = propagate_space(m, line)
+    assert spaces[0] == line and spaces[1] == Subspace.from_vectors(q3, 2, [(q3.from_int(2), q3.from_int(1))])
+    swap = onestot(q3, [[0, 1], [1, 0]], [[0, 0], [0, 0]])
+    axis = Subspace.from_vectors(q3, 2, [(q3.from_int(1, INF), q3.zero())])
+    assert propagate_space(swap, axis) is None
+
+
+def test_enumeration_refuses_an_invertible_slot_operator(q3):
+    # a scalar cycle with an operator that has no kernel line; validate_module
+    # would refuse the module, is_admissible and enumerate_submodules do not
+    m = onestot(q3, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(UnsupportedEnumeration, match="slot operator kernel is not a line"):
+        enumerate_submodules(m)

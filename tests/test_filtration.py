@@ -176,3 +176,18 @@ def test_admissibility_line_family_accepts_uniform(q3):
     verdict = is_admissible(m, f)
     assert verdict.balanced and verdict.family is not None and verdict.family.ok
     assert verdict.admissible
+
+
+def test_validation_names_each_malformed_step_list(q3, q2):
+    shape = GaloisShape(1, 1)
+    cases = [
+        ((), 2, "empty step list"),
+        (((Fraction(1, 2), full(q3, 2)),), 2, "jumps must be integers"),
+        (((0, full(q3, 3)), (1, span(q3, 3, [1, 0, 0], [0, 1, 0])), (2, span(q3, 3, [0, 0, 1]))), 3, "steps must be nested"),
+        (((0, full(q3, 2)), (1, span(q3, 3, [1, 0, 0]))), 2, "wrong ambient space"),
+    ]
+    for sig, rank, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            Filtration(q3, shape, rank, (sig,))
+    with pytest.raises(ValidationError, match="different bases"):
+        tensor_filtration(fil1(q3, 1, [(0, full(q3, 1))]), fil1(q2, 1, [(0, full(q2, 1))]))

@@ -1,7 +1,7 @@
 import pytest
 
 from phinmod.coeff import GaloisShape
-from phinmod.errors import UnsupportedEnumeration
+from phinmod.errors import UnsupportedEnumeration, ValidationError
 from phinmod.filtration import Filtration
 from phinmod.isom import is_isomorphic
 from phinmod.linalg import Subspace, inv, mat, mat_mul, mat_vec
@@ -97,3 +97,15 @@ def test_jordan_spectrum_unsupported(q2):
     f = fil1(q2, 2, [(0, Subspace.full(q2, 2)), (1, span(q2, 2, [1, 0]))])
     with pytest.raises(UnsupportedEnumeration):
         is_isomorphic(m, f, m, f)
+
+
+def test_is_isomorphic_refuses_mismatched_inputs(q3, q2):
+    m = onestot(q3, [[9, 0], [0, 3]], [[0, 0], [0, 0]])
+    fil = fil1(q3, 2, [(0, Subspace.full(q3, 2)), (1, span(q3, 2, [1, 0]))])
+    other = onestot(q2, [[4, 0], [0, 2]], [[0, 0], [0, 0]])
+    other_fil = fil1(q2, 2, [(0, Subspace.full(q2, 2)), (1, span(q2, 2, [1, 0]))])
+    with pytest.raises(ValidationError, match="different bases"):
+        is_isomorphic(m, fil, other, other_fil)
+    line_fil = fil1(q3, 1, [(0, Subspace.full(q3, 1))])
+    with pytest.raises(ValidationError, match="filtration rank"):
+        is_isomorphic(m, line_fil, m, fil)

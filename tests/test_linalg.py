@@ -444,3 +444,20 @@ def test_fused_kernels_cancel_to_zero_at_precision(all_fields):
         # exact operands cancel to an exact zero
         two = desc.from_int(2, INF)
         assert _sub_mul(desc.from_int(6, INF), two, desc.from_int(3, INF)).is_exact_zero()
+
+
+def test_subspace_equality_and_the_zero_subspace(q3):
+    one, zero = q3.from_int(1, INF), q3.zero()
+    x_axis = Subspace.from_vectors(q3, 2, [(one, zero)])
+    y_axis = Subspace.from_vectors(q3, 2, [(zero, one)])
+    assert x_axis != y_axis and x_axis.pivots != y_axis.pivots
+    assert x_axis.__eq__(1) is NotImplemented
+    nothing = Subspace.from_vectors(q3, 2, [])
+    assert nothing.dim == 0 and nothing.annihilator() == Subspace.full(q3, 2)
+
+
+def test_subspace_image(q3):
+    swap = mat([[q3.zero(), q3.from_int(1, INF)], [q3.from_int(1, INF), q3.zero()]])
+    x_axis = Subspace.from_vectors(q3, 2, [(q3.from_int(1, INF), q3.zero())])
+    assert x_axis.image(swap) == Subspace.from_vectors(q3, 2, [(q3.zero(), q3.from_int(1, INF))])
+    assert Subspace.full(q3, 2).image(swap) == Subspace.full(q3, 2)

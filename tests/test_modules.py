@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from phinmod.coeff import GaloisShape
-from phinmod.errors import NonInvertiblePhi, RelationViolation
+from phinmod.errors import FieldMismatch, NonInvertiblePhi, RelationViolation, ShapeMismatch
 from phinmod.linalg import mat, mat_eq, mat_mul, mat_vec, identity, kron
 from phinmod.modules import (
     PhiNModule,
@@ -153,3 +153,39 @@ def test_end0_of_standard_module(q3):
     assert got_phi[0][0] == q3.from_int(3)
     assert got_phi[1][1] == q3.from_rational(Fraction(1, 3))
     assert got_phi[2][2] == q3.from_int(1)
+
+
+def test_module_refuses_malformed_slot_matrices(q3, q2):
+    one = mat([[q3.from_int(1, INF)]])
+    shape = GaloisShape(1, 2)
+    with pytest.raises(ShapeMismatch, match="need 2 slot matrices"):
+        PhiNModule(q3, shape, 1, (one,), (one,))
+    with pytest.raises(ShapeMismatch, match="must be 1x1"):
+        PhiNModule(q3, GaloisShape(1, 1), 1, (identity(q3, 2),), (one,))
+    with pytest.raises(FieldMismatch, match="different field"):
+        PhiNModule(q3, GaloisShape(1, 1), 1, (mat([[q2.from_int(1)]]),), (one,))
+    a = PhiNModule(q3, GaloisShape(1, 1), 1, (one,), (one,))
+    b = PhiNModule(q3, shape, 1, (one, one), (one, one))
+    with pytest.raises(ShapeMismatch, match="different bases"):
+        tensor_module(a, b)
+
+
+def test_end0_of_a_line_is_zero(q3):
+    three = mat([[q3.from_int(3, INF)]])
+    m = PhiNModule(q3, GaloisShape(1, 1), 1, (three,), (mat([[q3.zero()]]),))
+    e0, basis = end0_module(m)
+    assert e0.rank == 0 and basis == [] and e0.phi == ((),)
+
+
+def test_end0_refuses_an_operator_it_cannot_restrict(q3):
+    # an unvalidated rank-3 module whose entries are known to one to five
+    # digits: conjugating a trace-zero map by phi no longer solves on the
+    # trace-zero basis at the working precision
+    def el(c, prec=INF):
+        return q3.from_rational(Fraction(c), prec)
+
+    phi = mat([[el(1), el(-1), el(243, 1)], [el(2), el(-99), el(9, 3)], [el(243), el(-1, 5), el(Fraction(1, 3), 3)]])
+    nmat = mat([[el(-2), q3.zero(), q3.zero()], [q3.zero(), el(4), q3.zero()], [q3.zero()] * 3])
+    m = PhiNModule(q3, GaloisShape(1, 1), 3, (phi,), (nmat,))
+    with pytest.raises(RelationViolation, match="not stable under the operator"):
+        end0_module(m)

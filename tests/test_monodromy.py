@@ -3,15 +3,18 @@ from __future__ import annotations
 import pytest
 
 from phinmod.coeff import GaloisShape, ProductElement
+from phinmod import monodromy
 from phinmod.errors import (
     ConstraintViolation,
+    FieldMismatch,
     LevelMismatch,
     NotMonodromyType,
+    ShapeMismatch,
     ValidationError,
     ZeroEll,
 )
 from phinmod.filtration import Filtration, hodge_number, is_admissible
-from phinmod.linalg import Subspace, mat_eq
+from phinmod.linalg import Subspace, identity, mat_eq
 from phinmod.modules import n_kernel_flag, newton_number, validate_module
 from phinmod.monodromy import (
     MonodromyData,
@@ -234,3 +237,41 @@ def test_end0_check_matches_bracket_module(q3):
     assert verdict2.ok
     with pytest.raises(ConstraintViolation):
         end0_check(kdata(q3, s1, q3.from_int(9), [1], [4], [2]))
+
+
+def test_records_and_builders_refuse_mixed_data(q3, q2):
+    s1, s2 = GaloisShape(1, 1), GaloisShape(1, 2)
+    with pytest.raises(FieldMismatch, match="different coefficient fields"):
+        kdata(q3, s1, q2.from_int(3), [0], [3], [2])
+    with pytest.raises(ValidationError, match="not marked degenerate"):
+        build_degenerate(kdata(q3, s1, q3.from_int(3), [0], [3], [2]))
+    with pytest.raises(LevelMismatch, match="K-level"):
+        build_w(ProductElement.constant(q3, s2, "K0", 1), (1, 1))
+    with pytest.raises(ValidationError, match="need 2 jump entries"):
+        build_w(ProductElement.constant(q3, s2, "K", 1), (1,))
+    base = kdata(q3, s2, q3.from_int(9), [0, 0], [3, 3], [1, 2], degenerate=True)
+    with pytest.raises(FieldMismatch, match="different coefficient fields"):
+        iso_degenerate(base, kdata(q2, s2, q2.from_int(4), [0, 0], [3, 3], [1, 2], degenerate=True))
+    with pytest.raises(ShapeMismatch, match="different shapes"):
+        iso_degenerate(base, kdata(q3, GaloisShape(2, 1), q3.from_int(9), [0, 0], [3, 3], [1, 2], degenerate=True))
+
+
+def test_extract_refuses_a_filtration_of_another_module(q3):
+    s1 = GaloisShape(1, 1)
+    mod, fil = build_monodromy(kdata(q3, s1, q3.from_int(3), [0], [3], [2]))
+    line = Filtration(q3, s1, 1, (((0, Subspace.full(q3, 1)),),))
+    with pytest.raises(ValidationError, match="does not match the module"):
+        extract_invariants(mod, line)
+
+
+def test_twist_to_zero_keeps_a_record_already_at_zero(q3):
+    data = kdata(q3, GaloisShape(1, 1), q3.from_int(3), [0], [3], [2])
+    assert twist_to_zero(data) is data
+
+
+def test_end0_check_reports_a_wrong_direct_map(q3, monkeypatch):
+    data = kdata(q3, GaloisShape(1, 1), q3.from_int(6), [0], [3], [2])
+    # the identity on (f1, f2, f3) intertwines neither operator nor the flags
+    monkeypatch.setattr(monodromy, "_w_map", lambda desc: identity(desc, 3))
+    verdict = end0_check(data)
+    assert verdict.intrinsic.isomorphic and not verdict.direct_map and not verdict.ok

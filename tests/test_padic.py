@@ -13,6 +13,7 @@ import pytest
 from phinmod import padic
 from phinmod.coeff import GaloisShape, ProductElement
 from phinmod.errors import (
+    FieldMismatch,
     PrecisionLoss,
     RootLiftingError,
     ValidationError,
@@ -116,6 +117,25 @@ def test_bad_fields_rejected():
     with pytest.raises(ValidationError):
         # composite, and a strong pseudoprime to every base of the primality test
         LocalFieldDesc(padic.MAX_P, 1, 1, (0, 1), ((-padic.MAX_P,), (1,)))
+
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, 0, 1, (1,), ((-3,), (1,))), "tower degrees must be positive"),
+        ((3, 1, 1, (0, 1), ((-3,), (1,)), 0), "default precision must be positive"),
+        ((3, 1, 1, (0, 2), ((-3,), (1,))), "unramified polynomial must be monic"),
+        ((3, 1, 2, (0, 1), ((-3,), (1,))), "degree equal to the ramification index"),
+        ((3, 2, 1, (1, 0, 1), ((-3,), (1,))), "vectors over the unramified step"),
+        ((3, 1, 1, (0, 1), ((-3,), (2,))), "Eisenstein polynomial must be monic"),
+        ((3, 1, 2, (0, 1), ((-3,), (1,), (1,))), "coefficient 1 has valuation below 1"),
+        ((1, 1, 1, (0, 1), ((-1,), (1,))), "p = 1 is not prime"),
+    ],
+)
+def test_malformed_towers_name_their_fault(args, message):
+    with pytest.raises(ValidationError, match=message):
+        LocalFieldDesc(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -837,3 +857,61 @@ def test_roots_need_a_residue_digit(q3):
     roots = roots_in_field(coeffs)
     assert sorted(r.coefficients()[0][0] for r in roots) == [1, 2]
     assert all(r.prec == 1 for r in roots)
+
+
+def test_vp_refuses_zero():
+    with pytest.raises(ZeroInput):
+        padic._vp(0, 3)
+
+
+def test_moduli_cache_is_dropped_when_full(q3):
+    size = padic._MODULI_CACHE_SIZE
+    q3._moduli_cache.clear()
+    for k in range(1, size + 1):
+        q3._moduli(k)
+    assert len(q3._moduli_cache) == size
+    assert q3._moduli(size + 1) == (3 ** (size + 1),)
+    assert list(q3._moduli_cache) == [size + 1]
+
+
+def test_construction_refusals(q3, q2):
+    with pytest.raises(ValidationError, match="infinite precision"):
+        q3.from_rational(Fraction(1, 2), INF)
+    with pytest.raises(ValidationError, match="e_l rows of f_l entries"):
+        q3.element([[1, 2]])
+    with pytest.raises(FieldMismatch):
+        q3.from_int(1) + q2.from_int(1)
+
+
+def test_operators_decline_foreign_operands(q3):
+    x = q3.from_int(2)
+    for method, operand in [
+        (x.__add__, "a"),
+        (x.__rsub__, "a"),
+        (x.__mul__, "a"),
+        (x.__truediv__, "a"),
+        (x.__pow__, 0.5),
+        (x.__eq__, "a"),
+    ]:
+        assert method(operand) is NotImplemented
+    with pytest.raises(TypeError):
+        x * 1.5
+
+
+def test_exact_divisor_keeps_the_dividends_digits(q3, q3_ram):
+    x = q3.from_int(1, prec=100)
+    assert (x / 3).prec == 99 and (x / 3).valuation() == -1
+    assert (x / 2).prec == 100 and (x / 2) * 2 == x
+    assert (q3.from_int(9, prec=100) / 9).prec == 98
+    # an inexact divisor still caps the quotient at its own relative digits
+    assert (x / q3.from_int(2, prec=5)).prec == 5
+    # an exact dividend takes the default digits, as inverse() does
+    assert (q3.from_int(1, INF) / 2).prec == 60
+    y = q3_ram.uniformizer(prec=80)
+    assert (y / 3).prec == 79 and (y / 3).valuation() == Fraction(-1, 2)
+
+
+def test_float_infinity_is_exact_precision(q3):
+    two = q3.from_int(2, float("inf"))
+    assert two.prec == INF and two == q3.from_int(2, INF)
+    assert q3.from_rational(Fraction(3, 1), float("inf")).prec == INF

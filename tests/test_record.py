@@ -173,3 +173,8 @@ def test_field_descriptor_copies_stay_interned():
     assert copy.copy(d) is d and copy.deepcopy(d) is d
     assert pickle.loads(pickle.dumps(d)) is d
     assert "__eq__" in vars(LocalFieldDesc)
+
+
+def test_a_field_given_twice_is_refused():
+    with pytest.raises(TypeError, match="multiple values for field 'precision'"):
+        Options(None, precision=3)

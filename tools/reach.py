@@ -9,8 +9,9 @@ body or the module body.
 What the system runs, in one process:
 
 * every fixture under every command at precisions 60, 3 and 1;
-* ``batch`` on fixtures/manifest.json with one and two workers, and the
-  ``main`` entry point on one command and on the batch;
+* ``batch`` on fixtures/manifest.json with one and two workers, the
+  ``main`` entry point on one command and on the batch, and ``phinmod.cli``
+  run as ``__main__`` (as ``python -m phinmod.cli`` runs it);
 * the inputs bench/gen.py makes for seeds 5 and 9: the ``cli`` entries and
   the ``verdicts-p60`` cold entries through ``execute``, and every
   ``verdicts-p60`` op of bench/work.py on their records.
@@ -18,7 +19,8 @@ What the system runs, in one process:
 bench/ is only read: its modules are imported without writing bytecode.
 With ``--tests`` the tier-1 suite then runs in the same process under the
 same tracer, and every line falls in one of three sets: reached by the
-system, by tests only, by neither.
+system, by tests only, by neither; the ids of tests that fail under the
+tracer are printed with the totals (a CPU-time bound may not hold there).
 
 Usage, from the repository root::
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import runpy
 import sys
 import threading
 import types
@@ -105,6 +108,13 @@ def run_system() -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(["admissible", str(fixtures[0]), "--format", "text", "--timing"])
         cli.main(["batch", str(manifest)])
+        argv, sys.argv = sys.argv, ["phinmod", "newton", str(fixtures[0])]
+        try:
+            runpy.run_module("phinmod.cli", run_name="__main__")
+        except SystemExit:
+            pass
+        finally:
+            sys.argv = argv
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "bench"))
@@ -124,12 +134,25 @@ def run_system() -> None:
             work.OPS[kind](items[i])
 
 
-def run_tests() -> int:
+class _Failures:
+    """pytest plugin: the ids of the tests that fail, in run order."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed and report.nodeid not in self.ids:
+            self.ids.append(report.nodeid)
+
+
+def run_tests() -> list[str]:
     import pytest
 
+    failures = _Failures()
     # the suite's own report goes to stderr, the reach report alone to stdout
     with contextlib.redirect_stdout(sys.stderr):
-        return int(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+        pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[failures])
+    return failures.ids
 
 
 def _ranges(lines) -> str:
@@ -154,7 +177,7 @@ def main(argv=None) -> int:
         run_system()
         system = set(_hits)
         _hits.clear()
-        code = run_tests() if args.tests else None
+        failed = run_tests() if args.tests else []
         tests = set(_hits)
     finally:
         sys.settrace(None)
@@ -177,10 +200,12 @@ def main(argv=None) -> int:
     neither = total - reached - tests_only
     summary = f"executable {total}, reached by the system {reached}"
     if args.tests:
-        summary += f", by tests only {tests_only}, by neither {neither} (pytest exit {code})"
+        summary += f", by tests only {tests_only}, by neither {neither}"
     else:
         summary += f", not by the system {neither}"
     print(summary)
+    for test_id in failed:
+        print(f"failed under the tracer: {test_id}")
     return 0
 
 
