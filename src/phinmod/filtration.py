@@ -19,7 +19,7 @@ from .eigen import (
     propagate_space,
     pull_to_slot_zero,
 )
-from .errors import ValidationError
+from .errors import PrecisionLoss, ValidationError
 from .linalg import Subspace, solve_columns
 from .modules import PhiNModule, newton_number
 from .padic import LocalFieldDesc
@@ -130,7 +130,7 @@ def restrict_steps(sigs, spans, bases, desc: LocalFieldDesc) -> tuple[SigmaSteps
                 # at the working precision and can still fail
                 coords = [solve_columns(basis, g, desc) for g in v.intersect(span).gens]
                 if None in coords:
-                    raise ValidationError("filtration step leaves the subspace it is restricted to")
+                    raise PrecisionLoss("filtration step leaves the subspace it is restricted to")
                 piece = done[key] = Subspace.from_vectors(desc, len(basis), coords)
             collected.append((jump, piece))
         out.append(_dedupe(collected))
@@ -245,7 +245,7 @@ class AdmissibilityVerdict:
 def _line_bundle_hodge(m: PhiNModule, fil: Filtration, line0: Subspace) -> Fraction:
     spaces = propagate_space(m, line0)
     if spaces is None:
-        raise ValidationError("line bundle does not close up under the transitions")
+        raise PrecisionLoss("line bundle does not close up under the transitions")
     total = 0
     for (i, j) in m.shape.sigmas():
         total += jump_at(fil.sigma_steps(i, j), spaces[i])

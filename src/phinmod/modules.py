@@ -33,8 +33,8 @@ from .linalg import (
     mat_mul,
     mat_neg,
     mat_scale,
+    mat_sub,
     det,
-    restrict_operator,
     right_kernel,
     rref,
     transpose,
@@ -157,27 +157,43 @@ def end0_basis(desc: LocalFieldDesc, d: int) -> list[Vector]:
     return basis
 
 
+def _end0_coords(x: Matrix) -> Vector:
+    """Coordinates of a trace-zero matrix on end0_basis: the off-diagonal
+    entries as they are, then the running sums of the diagonal.  The last
+    running sum is the trace, which must be certified zero."""
+    d = len(x)
+    coords = [x[i][j] for i in range(d) for j in range(d) if i != j]
+    acc = x[0][0]
+    for i in range(1, d):
+        coords.append(acc)
+        acc = acc + x[i][i]
+    # conjugation by phi and the commutator with N keep the trace at zero,
+    # but entries known to a few digits can leave it uncertified
+    if not acc.is_zero_at_prec():
+        raise RelationViolation("subspace is not stable under the operator")
+    return tuple(coords)
+
+
 def end0_module(m: PhiNModule) -> tuple[PhiNModule, list[Vector]]:
     """Trace-zero endomorphism module, expressed on the reference basis.
 
-    Returns the restricted module together with the basis embedding into
-    the rank d*d hom coordinates.
+    Column b of the slot-i transition holds the end0_basis coordinates of
+    phi[i] B phi[i]^-1, and of the slot operator those of N B - B N, for the
+    b-th basis map B.  Returns the module together with the basis embedding
+    into the rank d*d hom coordinates.
     """
     d = m.rank
-    h = hom_module(m, m)
     basis = end0_basis(m.desc, d)
-
-    def restrict(op: Matrix) -> Matrix:
-        # conjugation by phi and the commutator with N keep the trace at
-        # zero, but the solve decides at the working precision of op
-        r = restrict_operator(op, basis, basis, m.desc)
-        if r is None:
-            raise RelationViolation("subspace is not stable under the operator")
-        return r
-
-    phi = tuple(restrict(a) for a in h.phi)
-    nmat = tuple(restrict(a) for a in h.nmat)
-    return PhiNModule(m.desc, m.shape, d * d - 1, phi, nmat), basis
+    maps = [tuple(tuple(v[j * d + i] for j in range(d)) for i in range(d)) for v in basis]
+    phi = []
+    for a in m.phi:
+        a_inv = inv(a)
+        phi.append(transpose([_end0_coords(mat_mul(mat_mul(a, b), a_inv)) for b in maps]))
+    nmat = tuple(
+        transpose([_end0_coords(mat_sub(mat_mul(n, b), mat_mul(b, n))) for b in maps])
+        for n in m.nmat
+    )
+    return PhiNModule(m.desc, m.shape, d * d - 1, tuple(phi), nmat), basis
 
 
 def n_kernel_flag(m: PhiNModule) -> tuple[Subspace, ...]:

@@ -27,7 +27,7 @@ from .errors import (
     ZeroEll,
 )
 from .eigen import cycle_roots, eigenline
-from .filtration import Filtration, dual_filtration, restrict_steps, tensor_filtration
+from .filtration import Filtration, _dedupe
 from .isom import IsoVerdict, is_isomorphic
 from .linalg import (
     Subspace,
@@ -345,15 +345,41 @@ def twist_to_zero(data: MonodromyData) -> MonodromyData:
 
 
 def end0_with_filtration(m: PhiNModule, fil: Filtration) -> tuple[PhiNModule, Filtration]:
-    """Trace-zero endomorphisms with the filtration cut out of the
-    internal-hom filtration, both on the reference basis."""
+    """Trace-zero endomorphisms with their filtration, both on the
+    reference basis.
+
+    Fil^c End0 is the trace-zero X with X(Fil^j) inside Fil^(j+c) for every
+    j.  Per embedding and candidate degree c (a difference of two jumps) it
+    is one kernel: for each step (j, V), each generator g of V and each
+    covector lam killing Fil^(j+c), the row of lam(B g) over the basis maps
+    B.  Fil^c only changes at those degrees, so the steps are the candidates
+    with consecutive equal pieces merged.  This is the internal-hom
+    filtration restricted to trace zero, without the rank d*d hom space."""
     e0, basis = end0_module(m)
     desc = m.desc
-    hfil = tensor_filtration(dual_filtration(fil), fil)
-    span = Subspace.from_vectors(desc, m.rank * m.rank, basis)
-    n = len(hfil.steps)
-    steps = restrict_steps(hfil.steps, [span] * n, [basis] * n, desc)
-    return e0, Filtration(desc, m.shape, e0.rank, steps)
+    full = Subspace.full(desc, e0.rank)
+    zero = Subspace.from_vectors(desc, m.rank, [])
+    killers = {}
+    steps = []
+    for sig in fil.steps:
+        jumps = [j for j, _ in sig]
+        collected = []
+        for c in sorted({b - a for a in jumps for b in jumps}):
+            rows = []
+            for j, v in sig:
+                # Fil^(j+c) is the first step at or past degree j + c, zero
+                # past the last jump; one annihilator per distinct step
+                # (build_monodromy shares its full space across embeddings)
+                target = next((w for jw, w in sig if jw >= j + c), zero)
+                lams = killers.get(id(target))
+                if lams is None:
+                    lams = killers[id(target)] = target.annihilator().gens
+                # lam(B g) is B paired with the map lam g^T
+                rows += [mat_vec(basis, tuple(x * y for x in g for y in lam)) for g in v.gens for lam in lams]
+            piece = Subspace.from_vectors(desc, e0.rank, right_kernel(rows, desc)) if rows else full
+            collected.append((c, piece))
+        steps.append(_dedupe(collected))
+    return e0, Filtration(desc, m.shape, e0.rank, tuple(steps))
 
 
 @frozen

@@ -947,8 +947,11 @@ def newton_slopes(coeffs):
     index x1 to x2 = x1 + run and falling by drop pi-adic digits, so the
     run roots of the segment have valuation drop/run digits.  Coefficients
     indistinguishable from zero are fine as long as their precision floors
-    certify that they lie above the hull.
+    certify that they lie above the hull.  The exact zero as constant
+    coefficient, a root no precision removes, raises ZeroInput.
     """
+    if coeffs[0].is_exact_zero():
+        raise ZeroInput("constant coefficient is the exact zero")
     pts, floors = [], []
     for i, c in enumerate(coeffs):
         v = c._val()

@@ -1,4 +1,4 @@
-"""Differential property test over generated parameter records.
+"""Differential property tests over generated parameter records.
 
 Records are drawn over Q_p for p in {3, 5, 7, 10007} at precision 60, on
 shapes with e, f <= 2, from bounded integers only.  For every record with a
@@ -6,6 +6,11 @@ two-step flag (each upper jump above its lower jump) the built module must
 give the record back under extract_invariants, and its admissibility verdict
 must agree with check_constraints.  A record with a crossed jump pair fails
 check_constraints, and its collapsed flag is refused by the extractor.
+
+Every built module is isomorphic to its transport by a random change of
+basis per slot, and wherever a record passes check_constraints and its lower
+jumps twist away, the trace-zero endomorphisms of the twisted record match
+the bracket module (end0_check).
 """
 from __future__ import annotations
 
@@ -18,14 +23,18 @@ from hypothesis import strategies as st
 from phinmod.coeff import GaloisShape, ProductElement
 from phinmod.errors import ConstraintViolation, NotMonodromyType
 from phinmod.filtration import is_admissible
+from phinmod.isom import is_isomorphic
 from phinmod.monodromy import (
     MonodromyData,
     build_degenerate,
     build_monodromy,
     check_constraints,
+    end0_check,
     extract_invariants,
+    twist_to_zero,
 )
 from phinmod.padic import LocalFieldDesc
+from util import transport
 
 PRIMES = (3, 5, 7, 10007)
 
@@ -35,17 +44,19 @@ def _qp(p: int) -> LocalFieldDesc:
 
 
 @st.composite
-def records(draw) -> MonodromyData:
+def records(draw, passing=False) -> MonodromyData:
+    """A parameter record; with passing, a non-degenerate one that passes
+    check_constraints (every jump gap positive, the degrees balanced)."""
     p = draw(st.sampled_from(PRIMES))
     desc = _qp(p)
     shape = GaloisShape(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
     n = shape.n
-    degenerate = draw(st.booleans())
+    degenerate = not passing and draw(st.booleans())
     v = draw(st.integers(-2, 3))
     unit = draw(st.integers(0, 5)) * p + draw(st.integers(1, min(p - 1, 30)))
     m = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    k = [a + draw(st.integers(-1, 4)) for a in m]
-    if draw(st.booleans()):
+    k = [a + draw(st.integers(1 if passing else -1, 4)) for a in m]
+    if passing or draw(st.booleans()):
         # the last jump pair balances the degrees, with a gap of 1 or 2
         rest = shape.e * (2 * v + shape.f) - sum(m[:-1]) - sum(k[:-1])
         gap = 2 - rest % 2
@@ -83,3 +94,24 @@ def test_builders_extractor_and_verdict_agree_with_the_constraints(r):
         assert not passes
         with pytest.raises(NotMonodromyType, match="two-step flag"):
             extract_invariants(module, fil)
+
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(records(), st.integers(0, 2**16))
+def test_transport_keeps_the_isomorphism_class(r, seed):
+    build = build_degenerate if r.degenerate else build_monodromy
+    module, fil = build(r, check=False)
+    assert is_isomorphic(module, fil, *transport(module, fil, seed)).isomorphic
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(records(passing=True))
+def test_end0_matches_the_bracket_module_after_the_twist(r):
+    check_constraints(r)
+    try:
+        twisted = twist_to_zero(r)
+    except ConstraintViolation as exc:
+        assert exc.constraint == "twist-integrality"
+        return
+    assert end0_check(twisted).ok

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from phinmod.coeff import GaloisShape, ProductElement
-from phinmod import monodromy
+from phinmod import monodromy, serial
 from phinmod.errors import (
     ConstraintViolation,
     FieldMismatch,
@@ -23,12 +25,15 @@ from phinmod.monodromy import (
     build_w,
     check_constraints,
     end0_check,
+    end0_with_filtration,
     extract_invariants,
     iso_degenerate,
     twist_to_zero,
 )
 from phinmod.padic import INF
-from util import transport
+from util import bench_gen, end0_via_hom, transport
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def kdata(desc, shape, alpha, m, k, ells, degenerate=False):
@@ -275,3 +280,39 @@ def test_end0_check_reports_a_wrong_direct_map(q3, monkeypatch):
     monkeypatch.setattr(monodromy, "_w_map", lambda desc: identity(desc, 3))
     verdict = end0_check(data)
     assert verdict.intrinsic.isomorphic and not verdict.direct_map and not verdict.ok
+
+
+def _end0_inputs():
+    """(module, filtration) pairs: the built module of every fixture with a
+    monodromy payload and of each end0 record of the verdicts-p60 inputs
+    for seeds 5 and 9, then the rank-three bracket modules on those
+    records."""
+    records = []
+    for path in sorted(FIXTURES.glob("monodromy_*.json")):
+        instance = serial.parse_instance(path.read_text("utf-8"))
+        if instance.kind == "monodromy":
+            records.append(instance.objects["monodromy"])
+    gen = bench_gen()
+    brackets = []
+    for seed in (5, 9):
+        doc = gen.inputs("verdicts-p60", seed)
+        for spec in doc["records"]:
+            if spec["end0"]:
+                desc = serial.parse_field(doc["fields"][spec["tower"]])
+                shape = serial.parse_shape(spec["shape"])
+                record = serial.parse_monodromy(desc, shape, spec["monodromy"], "/monodromy")
+                records.append(record)
+                brackets.append(build_w(record.ell, record.k))
+    built = [(build_degenerate if r.degenerate else build_monodromy)(r, check=False) for r in records]
+    return built + brackets
+
+
+def test_end0_matches_the_route_through_the_hom_module():
+    inputs = _end0_inputs()
+    # three fixtures, nine end0 records per seed and their bracket modules
+    assert len(inputs) == 3 + 2 * 18
+    for mod, fil in inputs:
+        e0, efil = end0_with_filtration(mod, fil)
+        ref, ref_fil = end0_via_hom(mod, fil)
+        assert e0.rank == ref.rank and e0.phi == ref.phi and e0.nmat == ref.nmat
+        assert efil.steps == ref_fil.steps

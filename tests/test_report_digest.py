@@ -7,12 +7,9 @@ of every command: a change meant to be a pure speed-up must leave the
 digest as it is.
 """
 import hashlib
-import importlib.util
-from pathlib import Path
 
 from phinmod.cli import Options, execute, render
-
-GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+from util import bench_gen
 
 WORKLOADS = ("verdicts-p60", "cli")
 SEEDS = (5, 9)
@@ -20,15 +17,8 @@ REPORTS = 54
 DIGEST = "8a3515c26a4ef988f103b579383866035f2e6b3e3c32a83a721aa4b77343923a"
 
 
-def _gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_generated_reports_are_pinned():
-    gen = _gen()
+    gen = bench_gen()
     h = hashlib.sha256()
     count = 0
     for workload in WORKLOADS:

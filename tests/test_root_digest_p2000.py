@@ -13,7 +13,8 @@ from phinmod import serial
 from phinmod.linalg import charpoly
 from phinmod.modules import frobenius_composite
 from phinmod.padic import roots_in_field
-from test_verdict_digest import _Bits, _gen
+from test_verdict_digest import _Bits
+from util import bench_gen
 
 SEED = 5
 ROOTS = 36
@@ -21,7 +22,7 @@ DIGEST = "28e518f370558d66e60dfb5262516355a70b663939e1a5d589d37eb4c0e050dc"
 
 
 def test_p2000_root_bits_are_pinned():
-    doc = _gen().inputs("verdicts-p2000", SEED)
+    doc = bench_gen().inputs("verdicts-p2000", SEED)
     bits = _Bits()
     for spec in doc["records"]:
         desc = serial.parse_field(doc["fields"][spec["tower"]])

@@ -10,27 +10,17 @@ Frobenius cycles, the built one and the transported one.  A change meant
 to be a pure speed-up must leave the digest as it is.
 """
 import hashlib
-import importlib.util
-from pathlib import Path
 
 import phinmod
 from phinmod import serial
 from phinmod.linalg import charpoly
 from phinmod.modules import frobenius_composite
 from phinmod.padic import FieldElement, LocalFieldDesc, roots_in_field
-
-GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+from util import bench_gen
 
 SEEDS = (5, 9)
 ELEMENTS = 858
 DIGEST = "3f0767f753333fec2b067a56773e85a30c85377fa85eb69c369b4b6728e7e5b2"
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class _Bits:
@@ -69,7 +59,7 @@ class _Bits:
 
 
 def test_verdict_and_root_bits_are_pinned():
-    gen = _gen()
+    gen = bench_gen()
     bits = _Bits()
     for seed in SEEDS:
         doc = gen.inputs("verdicts-p60", seed)

@@ -1,14 +1,28 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
-random basis transport of a (module, filtration) pair, and small views of
-package data that only the tests need."""
+random basis transport of a (module, filtration) pair, the benchmark's input
+generator, a reference route to End0, and small views of package data that
+only the tests need."""
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from phinmod.filtration import Filtration
-from phinmod.linalg import Matrix, Subspace, Vector, identity, inv, mat, mat_mul, mat_vec, solve_columns
-from phinmod.modules import PhiNModule
+from phinmod.filtration import Filtration, dual_filtration, restrict_steps, tensor_filtration
+from phinmod.linalg import (
+    Matrix,
+    Subspace,
+    Vector,
+    identity,
+    inv,
+    mat,
+    mat_mul,
+    mat_vec,
+    restrict_operator,
+    solve_columns,
+)
+from phinmod.modules import PhiNModule, end0_basis, hom_module
 from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, make_element
 
 
@@ -98,3 +112,32 @@ def transport(mod: PhiNModule, fil: Filtration, seed: int):
             )
         )
     return moved, Filtration(desc, shape, r, tuple(steps))
+
+
+def bench_gen():
+    """bench/gen.py, the generator of every benchmark input, as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def end0_via_hom(mod: PhiNModule, fil: Filtration):
+    """End0 and its filtration the long way round, for comparison with
+    monodromy.end0_with_filtration: the rank d*d hom module's operators and
+    the internal-hom filtration, each restricted onto the span of
+    end0_basis."""
+    desc, d = mod.desc, mod.rank
+    basis = end0_basis(desc, d)
+    h = hom_module(mod, mod)
+
+    def restrict(op: Matrix) -> Matrix:
+        return restrict_operator(op, basis, basis, desc)
+
+    e0 = PhiNModule(desc, mod.shape, len(basis), tuple(map(restrict, h.phi)), tuple(map(restrict, h.nmat)))
+    hfil = tensor_filtration(dual_filtration(fil), fil)
+    span = Subspace.from_vectors(desc, d * d, basis)
+    n = len(hfil.steps)
+    steps = restrict_steps(hfil.steps, [span] * n, [basis] * n, desc)
+    return e0, Filtration(desc, mod.shape, len(basis), steps)
