@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import PhinError, RootLiftingError, UnsupportedEnumeration
+from .errors import PhinError, PrecisionLoss, RootLiftingError, UnsupportedEnumeration
 from .linalg import (
     Matrix,
     Subspace,
@@ -98,19 +98,19 @@ def propagate_space(m: PhiNModule, space0: Subspace) -> tuple[Subspace, ...] | N
 
 
 def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
+    """The submodule through space0, a sum of cycle eigenspaces, or None
+    when a slot operator does not keep its slot space.  The full cycle maps
+    each of its eigenspaces onto itself, so a bundle that does not close up
+    or a transition that does not restrict means lost precision."""
     spaces = propagate_space(m, space0)
     if spaces is None:
-        return None
+        raise PrecisionLoss("cycle eigenspace does not close up under the transitions")
     f = m.shape.f
-    for i in range(f):
-        for g in spaces[i].gens:
-            if not spaces[i].contains_vector(mat_vec(m.nmat[i], g)):
-                return None
-    # the containment tests above and the solves below decide at the
-    # working precision in different ways, so a solve can still fail
-    phi_r = [restrict_operator(m.phi[i], spaces[i].gens, spaces[(i + 1) % f].gens, m.desc) for i in range(f)]
-    n_r = [restrict_operator(m.nmat[i], spaces[i].gens, spaces[i].gens, m.desc) for i in range(f)]
-    if None in phi_r or None in n_r:
+    phi_r = [restrict_operator(m.phi[i], spaces[i], spaces[(i + 1) % f]) for i in range(f)]
+    if None in phi_r:
+        raise PrecisionLoss("transition does not restrict to the propagated eigenspaces")
+    n_r = [restrict_operator(m.nmat[i], spaces[i], spaces[i]) for i in range(f)]
+    if None in n_r:
         return None
     sub = PhiNModule(m.desc, m.shape, space0.dim, tuple(phi_r), tuple(n_r))
     return StableSubmodule(space0.dim, spaces, sub)

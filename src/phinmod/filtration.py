@@ -20,7 +20,7 @@ from .eigen import (
     pull_to_slot_zero,
 )
 from .errors import PrecisionLoss, ValidationError
-from .linalg import Subspace, solve_columns
+from .linalg import Subspace, right_kernel, transpose
 from .modules import PhiNModule, newton_number
 from .padic import LocalFieldDesc
 from .record import frozen
@@ -108,30 +108,31 @@ def _bits(vectors):
     return tuple(flat)
 
 
-def restrict_steps(sigs, spans, bases, desc: LocalFieldDesc) -> tuple[SigmaSteps, ...]:
+def restrict_steps(sigs, spans, desc: LocalFieldDesc) -> tuple[SigmaSteps, ...]:
     """Cut every step of each embedding's step list down to that
-    embedding's span and write it in coordinates on its basis, a list of
-    vectors spanning the span.
+    embedding's span, in coordinates on the span's stored generators.
+
+    A piece is one right kernel: the kernel vectors of the matrix with
+    columns [span.gens | -v.gens] are the relations sum a_j s_j = sum b_l v_l,
+    and their first span.dim entries a are the coordinates of the
+    intersection's vectors on the span's generators.
 
     Embeddings of one slot share a span, and their steps often share pieces
     (one full space for every embedding, equal lines), so a piece whose
-    stored data was already restricted onto the same span and basis in this
-    call is not restricted again."""
+    stored data was already restricted onto the same span in this call is
+    not restricted again."""
     done = {}
     out = []
-    for sig, span, basis in zip(sigs, spans, bases):
-        onto = (_bits(span.gens), _bits(basis))
+    for sig, span in zip(sigs, spans):
+        onto = _bits(span.gens)
         collected = []
         for jump, v in sig:
             key = (onto, _bits(v.gens))
             piece = done.get(key)
             if piece is None:
-                # v.intersect(span) lies in the span, but the solve decides
-                # at the working precision and can still fail
-                coords = [solve_columns(basis, g, desc) for g in v.intersect(span).gens]
-                if None in coords:
-                    raise PrecisionLoss("filtration step leaves the subspace it is restricted to")
-                piece = done[key] = Subspace.from_vectors(desc, len(basis), coords)
+                cols = list(span.gens) + [tuple(-x for x in g) for g in v.gens]
+                rels = right_kernel(transpose(cols), desc)
+                piece = done[key] = Subspace.from_vectors(desc, span.dim, [k[: span.dim] for k in rels])
             collected.append((jump, piece))
         out.append(_dedupe(collected))
     return tuple(out)
@@ -140,8 +141,7 @@ def restrict_steps(sigs, spans, bases, desc: LocalFieldDesc) -> tuple[SigmaSteps
 def induce_on_submodule(fil: Filtration, sub: StableSubmodule) -> Filtration:
     """Intersect every step with the submodule fibers, in fiber coordinates."""
     spans = [sub.slot_spaces[i] for (i, _) in fil.shape.sigmas()]
-    new_steps = restrict_steps(fil.steps, spans, [w.gens for w in spans], fil.desc)
-    return Filtration(fil.desc, fil.shape, sub.rank, new_steps)
+    return Filtration(fil.desc, fil.shape, sub.rank, restrict_steps(fil.steps, spans, fil.desc))
 
 
 def dual_filtration(fil: Filtration) -> Filtration:

@@ -18,6 +18,7 @@ from .linalg import (
     Vector,
     inv,
     mat_mul,
+    mat_vec,
     transpose,
 )
 from .modules import PhiNModule, frobenius_composite
@@ -158,14 +159,17 @@ def is_isomorphic(
         for (_, v1), (_, v2) in zip(s1, s2):
             if v1.dim == d:
                 continue
-            c1 = v1.image(inv1[i])
-            c2 = v2.image(inv2[i])
+            # eigen coordinates: a line's generator through the inverse
+            # frame (the constraints ignore its scale), a hyperplane's
+            # covector through the transposed frame
             if v1.dim == 1:
-                if not _line_constraints(graph, c1.gens[0], c2.gens[0]):
+                c1 = mat_vec(inv1[i], v1.gens[0])
+                c2 = mat_vec(inv2[i], v2.gens[0])
+                if not _line_constraints(graph, c1, c2):
                     return IsoVerdict(False, "filtration lines cannot be aligned")
             elif v1.dim == d - 1:
-                u1 = c1.annihilator().gens[0]
-                u2 = c2.annihilator().gens[0]
+                u1 = mat_vec(transpose(frames1[i]), v1.annihilator().gens[0])
+                u2 = mat_vec(transpose(frames2[i]), v2.annihilator().gens[0])
                 if not _line_constraints(graph, u2, u1):
                     return IsoVerdict(False, "filtration hyperplanes cannot be aligned")
             else:

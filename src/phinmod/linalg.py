@@ -53,10 +53,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(_dot(r, v) for r in a)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_scale(c: FieldElement, v: Vector) -> Vector:
     return tuple(c * x for x in v)
 
@@ -168,10 +164,13 @@ def solve_columns(cols, v: Vector, desc: LocalFieldDesc):
     return x
 
 
-def restrict_operator(op: Matrix, src, dst, desc: LocalFieldDesc) -> Matrix | None:
-    """Matrix of op from the span of the vectors src into the span of the
-    vectors dst, on those generators; None when an image leaves that span."""
-    cols = [solve_columns(dst, mat_vec(op, g), desc) for g in src]
+def restrict_operator(op: Matrix, src: "Subspace", dst: "Subspace") -> Matrix | None:
+    """Matrix of op from src into dst, on their stored generators.
+
+    Column j is dst.coords of the image of src's generator j: one reduction
+    against dst's echelon generators both decides that the image lies in dst
+    and gives its coordinates there.  None when some image leaves dst."""
+    cols = [dst.coords(mat_vec(op, g)) for g in src.gens]
     return None if None in cols else transpose(cols)
 
 
@@ -249,16 +248,28 @@ class Subspace:
     def dim(self) -> int:
         return len(self.gens)
 
-    def reduce_vector(self, v: Vector) -> Vector:
+    def _reduce(self, v: Vector) -> tuple[list[FieldElement], list[FieldElement]]:
+        """One pass of v against the echelon generators: the entries met at
+        the pivots, which are the coefficients of v's part in this subspace
+        (the generators have unit pivots and zeros at each other's pivots),
+        and the residual left over."""
         w = list(v)
+        coeffs = []
         for g, pc in zip(self.gens, self.pivots):
             c = w[pc]
+            coeffs.append(c)
             if not c.is_zero_at_prec():
                 w = [_sub_mul(x, c, y) for x, y in zip(w, g)]
-        return tuple(w)
+        return coeffs, w
+
+    def coords(self, v: Vector) -> Vector | None:
+        """Coefficients of v on the stored generators, or None when the
+        residual of v is certified nonzero (v is not in this subspace)."""
+        coeffs, w = self._reduce(v)
+        return None if any(not x.is_zero_at_prec() for x in w) else tuple(coeffs)
 
     def contains_vector(self, v: Vector) -> bool:
-        return all(x.is_zero_at_prec() for x in self.reduce_vector(v))
+        return self.coords(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(g) for g in other.gens)
@@ -278,22 +289,6 @@ class Subspace:
         """The image of this subspace under the square matrix a."""
         return Subspace.from_vectors(self.desc, self.ambient, [mat_vec(a, g) for g in self.gens])
 
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.desc, self.ambient, list(self.gens) + list(other.gens))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        cols = [list(g) for g in self.gens] + [[-x for x in g] for g in other.gens]
-        a = tuple(tuple(col[i] for col in cols) for i in range(self.ambient))
-        combos = right_kernel(a, self.desc)
-        vectors = []
-        for k in combos:
-            v = None
-            for c, g in zip(k[: self.dim], self.gens):
-                t = vec_scale(c, g)
-                v = t if v is None else vec_add(v, t)
-            vectors.append(v)
-        return Subspace.from_vectors(self.desc, self.ambient, vectors)
-
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on this subspace, as a subspace of L^d."""
         if self.dim == 0:
@@ -304,6 +299,6 @@ class Subspace:
     def quotient_coords(self, v: Vector) -> Vector:
         """Coordinates of v + (this subspace) on the complementary standard
         basis vectors (the non-pivot positions)."""
-        w = self.reduce_vector(v)
+        _, w = self._reduce(v)
         free = [i for i in range(self.ambient) if i not in self.pivots]
         return tuple(w[i] for i in free)

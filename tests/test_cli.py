@@ -802,23 +802,10 @@ def test_batch_manifest_needs_an_entries_array():
             run_batch(manifest, Options())
 
 
-# Entries known to one to three digits make the working-precision decisions
-# of a verdict disagree with one another (a containment test against a solve,
-# a kernel against a square).  Each instance below passes validate and was
-# found by a seeded search over such entries.
-
-
-def test_admissible_drops_a_line_that_does_not_close_up():
-    phi = [[1, _low(2), _low(3, 3)], [-3, -3, 1], [27, -99, 6]]
-    report, code = execute("admissible", _doc({"module": _module(phi), "filtration": _flag((0, FULL3))}), Options())
-    assert code == 1 and not report["witness"]["balanced"]
-    assert len(report["witness"]["certificates"]) == 1
-
-
-def test_admissible_drops_a_line_whose_restriction_does_not_solve():
-    phi = [[0, 2, _low(3, 2)], [-1, 2, _low(3, 3)], [-99, _low(81, 2), 3]]
-    report, code = execute("admissible", _doc({"module": _module(phi), "filtration": _flag((0, FULL3))}), Options())
-    assert code == 1 and report["witness"]["certificates"] == []
+# Entries known to one to three digits leave decisions that the working
+# precision cannot make (a kernel against a square, an eigenline carried
+# round the cycle).  Each instance below passes validate and was found by a
+# seeded search over such entries.
 
 
 @pytest.mark.parametrize(
@@ -826,12 +813,22 @@ def test_admissible_drops_a_line_whose_restriction_does_not_solve():
     [
         (_module([[_low(6, 2), -1, _low(-99)], [9, _low(1, 3), 0], [9, _low(2, 2), 3]]),
          _flag((0, FULL3), (1, [[_low(27), -1, 6], [-99, _low(-81), _low(3, 3)]])),
-         "PrecisionLoss", "filtration step leaves the subspace it is restricted to"),
+         "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
         (_module([[27, _low(4, 2), _low(-1, 3)], [2, 3, -81], [-3, 27, 0]]), _flag((0, FULL3)),
          "UnsupportedEnumeration", "complementary stable plane is not certified"),
         # a scalar cycle at precision whose family line does not come back
         (_module([[81, 0], [_low(-99), 81]]), _flag((0, FULL2), (1, [[_low(-81, 3), 27]])),
          "PrecisionLoss", "line bundle does not close up under the transitions"),
+        # eigenlines of the cycle that the transition does not carry back
+        # onto themselves at the working precision
+        (_module([[1, _low(2), _low(3, 3)], [-3, -3, 1], [27, -99, 6]]), _flag((0, FULL3)),
+         "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
+        (_module([[0, 2, _low(3, 2)], [-1, 2, _low(3, 3)], [-99, _low(81, 2), 3]]), _flag((0, FULL3)),
+         "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
+        # an eigenline that closes up, but whose image is not certified
+        # inside the propagated line
+        (_module([[_low(6, 2), 0, 1], [-3, -3, -1], [27, -1, 81]]), _flag((0, FULL3)),
+         "PrecisionLoss", "transition does not restrict to the propagated eigenspaces"),
     ],
 )
 def test_admissible_refusals_at_low_precision(module, fil, error_type, message):

@@ -4,7 +4,9 @@ Records are drawn over Q_p for p in {3, 5, 7, 10007} at precision 60, on
 shapes with e, f <= 2, from bounded integers only.  For every record with a
 two-step flag (each upper jump above its lower jump) the built module must
 give the record back under extract_invariants, and its admissibility verdict
-must agree with check_constraints.  A record with a crossed jump pair fails
+must agree with check_constraints; the verdict law is also drawn at
+precision 2000, over p in {3, 5, 7} (p = 10007 is past the parse bound
+prec * log10(p) <= 3000 there).  A record with a crossed jump pair fails
 check_constraints, and its collapsed flag is refused by the extractor.
 
 Every built module is isomorphic to its transport by a random change of
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phinmod.coeff import GaloisShape, ProductElement
@@ -39,16 +41,17 @@ from util import transport
 PRIMES = (3, 5, 7, 10007)
 
 
-def _qp(p: int) -> LocalFieldDesc:
-    return LocalFieldDesc(p, 1, 1, (0, 1), ((-p,), (1,)), 60)
+def _qp(p: int, prec: int) -> LocalFieldDesc:
+    return LocalFieldDesc(p, 1, 1, (0, 1), ((-p,), (1,)), prec)
 
 
 @st.composite
-def records(draw, passing=False) -> MonodromyData:
-    """A parameter record; with passing, a non-degenerate one that passes
-    check_constraints (every jump gap positive, the degrees balanced)."""
-    p = draw(st.sampled_from(PRIMES))
-    desc = _qp(p)
+def records(draw, passing=False, prec=60, primes=PRIMES) -> MonodromyData:
+    """A parameter record at working precision prec; with passing, a
+    non-degenerate one that passes check_constraints (every jump gap
+    positive, the degrees balanced)."""
+    p = draw(st.sampled_from(primes))
+    desc = _qp(p, prec)
     shape = GaloisShape(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
     n = shape.n
     degenerate = not passing and draw(st.booleans())
@@ -77,14 +80,18 @@ def records(draw, passing=False) -> MonodromyData:
     return MonodromyData(alpha, tuple(m), tuple(k), ell, degenerate)
 
 
+def _passes(r: MonodromyData) -> bool:
+    try:
+        check_constraints(r)
+    except ConstraintViolation:
+        return False
+    return True
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(records())
 def test_builders_extractor_and_verdict_agree_with_the_constraints(r):
-    try:
-        check_constraints(r)
-        passes = True
-    except ConstraintViolation:
-        passes = False
+    passes = _passes(r)
     build = build_degenerate if r.degenerate else build_monodromy
     module, fil = build(r, check=False)
     if all(b > a for a, b in zip(r.m, r.k)):
@@ -95,6 +102,14 @@ def test_builders_extractor_and_verdict_agree_with_the_constraints(r):
         with pytest.raises(NotMonodromyType, match="two-step flag"):
             extract_invariants(module, fil)
 
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(records(prec=2000, primes=(3, 5, 7)))
+def test_verdict_agrees_with_the_constraints_at_precision_2000(r):
+    assume(all(b > a for a, b in zip(r.m, r.k)))
+    build = build_degenerate if r.degenerate else build_monodromy
+    module, fil = build(r, check=False)
+    assert is_admissible(module, fil).admissible == _passes(r)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

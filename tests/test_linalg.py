@@ -11,6 +11,7 @@ import pytest
 import sympy
 
 from phinmod.errors import PrecisionLoss
+from phinmod.filtration import restrict_steps
 from phinmod.linalg import (
     Subspace,
     _dot,
@@ -31,7 +32,7 @@ from phinmod.linalg import (
     transpose,
 )
 from phinmod.padic import INF, FieldElement, _mul_add, _sub_mul, poly_eval
-from util import coords_of, sample_element, sample_invertible
+from util import sample_element, sample_invertible
 
 
 def imat(desc, rows):
@@ -188,6 +189,13 @@ def test_trace_of_transpose(q3):
     assert trace(a) == trace(transpose(a))
 
 
+def _meet(u: Subspace, w: Subspace) -> Subspace:
+    """u ∩ w through filtration.restrict_steps, in coordinates on the
+    stored generators of w."""
+    (sig,) = restrict_steps([((0, u),)], [w], u.desc)
+    return sig[0][1] if sig else Subspace.from_vectors(u.desc, w.dim, [])
+
+
 def test_subspace_dimension_formula(q3):
     rng = random.Random(321)
     for trial in range(4):
@@ -201,15 +209,18 @@ def test_subspace_dimension_formula(q3):
         ]
         u = Subspace.from_vectors(q3, 4, vs)
         w = Subspace.from_vectors(q3, 4, ws)
-        assert u.intersect(w).dim + u.add(w).dim == u.dim + w.dim
+        both = Subspace.from_vectors(q3, 4, vs + ws)
+        assert _meet(u, w).dim + both.dim == u.dim + w.dim
 
 
 def test_subspace_intersection_explicit(q3):
     u = Subspace.from_vectors(q3, 3, [ivec(q3, [1, 0, 0]), ivec(q3, [0, 1, 0])])
     v = Subspace.from_vectors(q3, 3, [ivec(q3, [0, 1, 1]), ivec(q3, [1, 0, 1])])
-    w = u.intersect(v)
-    assert w.dim == 1
-    assert w.contains_vector(ivec(q3, [1, -1, 0]))
+    piece = _meet(u, v)
+    assert piece.dim == 1
+    # back in the ambient space through v's generators
+    line = Subspace.from_vectors(q3, 3, [mat_vec(transpose(v.gens), piece.gens[0])])
+    assert line == Subspace.from_vectors(q3, 3, [ivec(q3, [1, -1, 0])])
 
 
 def test_subspace_annihilator(q2):
@@ -229,7 +240,7 @@ def test_subspace_annihilator(q2):
 def test_subspace_membership_and_coords(q3):
     u = Subspace.from_vectors(q3, 3, [ivec(q3, [1, 1, 0]), ivec(q3, [0, 2, 1])])
     v = tuple(q3.from_rational(Fraction(c)) for c in (2, 5, Fraction(3, 2)))
-    coeffs = coords_of(u, v)
+    coeffs = u.coords(v)
     assert coeffs is not None
     rebuilt = [None, None, None]
     for c, g in zip(coeffs, u.gens):
@@ -238,6 +249,33 @@ def test_subspace_membership_and_coords(q3):
             rebuilt[i] = t if rebuilt[i] is None else rebuilt[i] + t
     assert all((a - b).is_zero_at_prec() or (a - b).is_exact_zero() for a, b in zip(rebuilt, v))
     assert not u.contains_vector(ivec(q3, [1, 0, 0]))
+
+
+def test_subspace_coords_rebuild_members_and_agree_with_solve_columns(q3, q5_unr):
+    for desc in (q3, q5_unr):
+        rng = random.Random(57)
+        for trial in range(6):
+            dim = rng.randrange(1, 4)
+            gens = [
+                tuple(sample_element(desc, rng.randrange(0, 2), 1000 * trial + 10 * k + i) for i in range(4))
+                for k in range(dim)
+            ]
+            u = Subspace.from_vectors(desc, 4, gens)
+            weights = [desc.from_int(rng.randrange(-9, 10), INF) for _ in gens]
+            member = tuple(_dot(weights, col) for col in transpose(gens))
+            coeffs = u.coords(member)
+            assert coeffs is not None and len(coeffs) == u.dim
+            rebuilt = mat_vec(transpose(u.gens), coeffs)
+            assert all(zero_elt(x - y) for x, y in zip(rebuilt, member))
+            solved = solve_columns(u.gens, member, desc)
+            assert all(x == y for x, y in zip(coeffs, solved))
+            if u.dim < 4:
+                # a standard basis vector at a non-pivot position is its
+                # own residual, so neither rule finds coefficients for it
+                free = next(i for i in range(4) if i not in u.pivots)
+                outside = identity(desc, 4)[free]
+                assert u.coords(outside) is None
+                assert solve_columns(u.gens, outside, desc) is None
 
 
 def test_quotient_coords_vanish_on_members(q3):

@@ -19,8 +19,8 @@ from phinmod.linalg import (
     mat,
     mat_mul,
     mat_vec,
-    restrict_operator,
     solve_columns,
+    transpose,
 )
 from phinmod.modules import PhiNModule, end0_basis, hom_module
 from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, make_element
@@ -81,11 +81,6 @@ def unram_gen(desc: LocalFieldDesc, prec=None) -> FieldElement:
     return make_element(desc, mant, 0, desc._digits(prec))
 
 
-def coords_of(space: Subspace, v: Vector):
-    """Coefficients of v on the stored generators of space, or None."""
-    return solve_columns(space.gens, v, space.desc)
-
-
 def vec_to_map(v: Vector, d1: int, d2: int) -> Matrix:
     """Inverse of modules.map_to_vec: hom coordinates back to a d2 x d1 matrix."""
     return tuple(tuple(v[j * d2 + i] for j in range(d1)) for i in range(d2))
@@ -127,17 +122,25 @@ def end0_via_hom(mod: PhiNModule, fil: Filtration):
     """End0 and its filtration the long way round, for comparison with
     monodromy.end0_with_filtration: the rank d*d hom module's operators and
     the internal-hom filtration, each restricted onto the span of
-    end0_basis."""
+    end0_basis by solves on that basis."""
     desc, d = mod.desc, mod.rank
     basis = end0_basis(desc, d)
     h = hom_module(mod, mod)
 
     def restrict(op: Matrix) -> Matrix:
-        return restrict_operator(op, basis, basis, desc)
+        return transpose([solve_columns(basis, mat_vec(op, g), desc) for g in basis])
 
     e0 = PhiNModule(desc, mod.shape, len(basis), tuple(map(restrict, h.phi)), tuple(map(restrict, h.nmat)))
     hfil = tensor_filtration(dual_filtration(fil), fil)
     span = Subspace.from_vectors(desc, d * d, basis)
-    n = len(hfil.steps)
-    steps = restrict_steps(hfil.steps, [span] * n, [basis] * n, desc)
+    # restrict_steps writes pieces on the span's echelon generators; column
+    # j of the change of basis holds generator j on end0_basis
+    change = transpose([solve_columns(basis, g, desc) for g in span.gens])
+    steps = tuple(
+        tuple(
+            (jump, Subspace.from_vectors(desc, len(basis), [mat_vec(change, g) for g in piece.gens]))
+            for jump, piece in sig
+        )
+        for sig in restrict_steps(hfil.steps, [span] * len(hfil.steps), desc)
+    )
     return e0, Filtration(desc, mod.shape, len(basis), steps)
