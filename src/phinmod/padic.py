@@ -121,37 +121,42 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _theta_mul(u, v, f, m=None) -> list[int]:
+    """Product of two length-n vectors in Z[theta]/(f), f monic of degree n
+    with ascending integer coefficients: the convolution, folded from the
+    top by theta^n = -(f_0 + ... + f_{n-1} theta^{n-1}); exact, or reduced
+    modulo m when m is given."""
+    n = len(f) - 1
+    conv = [0] * (2 * n - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                conv[i + j] += ui * vj
+    for k in range(2 * n - 2, n - 1, -1):
+        c = conv[k] if m is None else conv[k] % m
+        if c:
+            for i in range(n):
+                conv[k - n + i] -= c * f[i]
+    return conv[:n] if m is None else [c % m for c in conv[:n]]
+
+
 def _irreducible_mod_p(poly, p: int) -> bool:
-    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic polynomial with
-    ascending integer coefficients over F_p, p prime: f of degree n is
-    irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1 for
-    every prime q dividing n."""
+    """Distinct-degree test (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 14) for a monic polynomial with ascending integer
+    coefficients over F_p, p prime: f of degree n is irreducible iff
+    gcd(x^(p^k) - x, f) = 1 for k = 1 ... floor(n/2), since x^(p^k) - x is
+    the product of the monic irreducibles of degree dividing k and a
+    reducible f has a factor of degree at most n/2."""
     f = [c % p for c in poly]
     n = len(f) - 1
-    if n == 1:
-        return True
-
-    def mulmod(a, b):
-        # a, b: length-n residues mod f; x^n = -(f_0 + ... + f_{n-1} x^{n-1})
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k] % p
-            if c:
-                for i in range(n):
-                    prod[k - n + i] -= c * f[i]
-        return [c % p for c in prod[:n]]
 
     def frobenius(a):
         # a^p by square-and-multiply, most significant bit first
         out = a
         for bit in bin(p)[3:]:
-            out = mulmod(out, out)
+            out = _theta_mul(out, out, f, p)
             if bit == "1":
-                out = mulmod(out, a)
+                out = _theta_mul(out, a, f, p)
         return out
 
     def coprime_to_f(a):
@@ -174,17 +179,14 @@ def _irreducible_mod_p(poly, p: int) -> bool:
                     u.pop()
             u, v = v, u
 
-    tests = {n // q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)}
-    x = [0, 1] + [0] * (n - 2)
-    h = x
-    for k in range(1, n + 1):
+    h = [0, 1] + [0] * (n - 2)  # x, the start of x^(p^k)
+    for _ in range(n // 2):
         h = frobenius(h)
-        if k in tests:
-            h_minus_x = list(h)
-            h_minus_x[1] = (h_minus_x[1] - 1) % p
-            if not coprime_to_f(h_minus_x):
-                return False
-    return h == x
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        if not coprime_to_f(h_minus_x):
+            return False
+    return True
 
 
 # normalized tower parameters -> the one descriptor built from them
@@ -251,7 +253,6 @@ class LocalFieldDesc:
         if ep[-1] != (1,) + (0,) * (self.f_l - 1):
             raise ValidationError("Eisenstein polynomial must be monic")
         self._certify()
-        object.__setattr__(self, "_theta_red", self._build_theta_table())
         object.__setattr__(self, "_mul_table", self._build_mul_table())
         object.__setattr__(self, "_moduli_cache", {})
         object.__setattr__(self, "_zero", None)
@@ -275,90 +276,37 @@ class LocalFieldDesc:
             elif vmin is not None and vmin < 1:
                 raise ValidationError(f"Eisenstein coefficient {i} has valuation below 1")
 
-    # -- reduction tables -------------------------------------------------
-
-    def _build_theta_table(self) -> tuple[tuple[int, ...], ...]:
-        # theta^k for k = f..2f-2 expressed on the theta-basis, exact ints.
-        f = self.f_l
-        if f == 1:
-            return ()
-        rows = []
-        cur = [-c for c in self.unram_poly[:f]]
-        rows.append(tuple(cur))
-        for _ in range(f, 2 * f - 2):
-            nxt = [0] * f
-            for b in range(f - 1):
-                nxt[b + 1] += cur[b]
-            top = cur[f - 1]
-            if top:
-                for b in range(f):
-                    nxt[b] += top * rows[0][b]
-            rows.append(tuple(nxt))
-            cur = nxt
-        return tuple(rows)
-
-    def _umul(self, u, v) -> list[int]:
-        # product of two theta-vectors with exact integer coefficients
-        f = self.f_l
-        conv = [0] * (2 * f - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        conv[i + j] += ui * vj
-        for k in range(2 * f - 2, f - 1, -1):
-            c = conv[k]
-            if c:
-                red = self._theta_red[k - f]
-                for b in range(f):
-                    conv[b] += c * red[b]
-                conv[k] = 0
-        return conv[:f]
-
-    def _build_pi_table(self):
-        # pi^k for k = e..2e-2 as vectors of theta-vectors over the pi-basis
-        e, f = self.e_l, self.f_l
-        if e == 1:
-            return ()
-        neg = [tuple(-c for c in row) for row in self.eis_poly[:e]]
-        rows = [tuple(neg)]
-        cur = list(neg)
-        for _ in range(e, 2 * e - 2):
-            nxt = [[0] * f for _ in range(e)]
-            for a in range(e - 1):
-                for b in range(f):
-                    nxt[a + 1][b] += cur[a][b]
-            top = cur[e - 1]
-            if any(top):
-                for a in range(e):
-                    prod = self._umul(top, neg[a])
-                    for b in range(f):
-                        nxt[a][b] += prod[b]
-            cur = [tuple(r) for r in nxt]
-            rows.append(tuple(cur))
-        return tuple(rows)
+    # -- reduction table --------------------------------------------------
 
     def _build_mul_table(self):
         # the products of basis monomials reduced onto the basis, flat
         # indices a*f + b for pi^a theta^b: one (i, j, r, t) per nonzero
-        # term, monomial i times monomial j having coefficient t at index r
-        e, f = self.e_l, self.f_l
-        pi_rows = self._build_pi_table()
-        one, zero = (1,) + (0,) * (f - 1), (0,) * f
-
-        def reduced(a, b):
-            # pi^a theta^b for a <= 2e-2, b <= 2f-2
-            pi_a = pi_rows[a - e] if a >= e else [one if i == a else zero for i in range(e)]
-            theta_b = self._theta_red[b - f] if b >= f else [int(i == b) for i in range(f)]
-            flat = [c for row in pi_a for c in self._umul(row, theta_b)]
-            return tuple((i, c) for i, c in enumerate(flat) if c)
-
+        # term, monomial i times monomial j having coefficient t at index r.
+        # Each pi^a theta^b, a <= 2e-2 and b <= 2f-2, is formed once: theta^b
+        # by theta-multiplication, then pi step by step, the pi^e row folded
+        # by pi^e = -(eis_0 + ... + eis_{e-1} pi^{e-1}).
+        e, f, up = self.e_l, self.f_l, self.unram_poly
+        neg = [[-c for c in row] for row in self.eis_poly[:e]]
+        theta_b = [1] + [0] * (f - 1)
+        products = []  # products[b][a]: the nonzero (index, coefficient) of pi^a theta^b
+        for b in range(2 * f - 1):
+            if b:
+                theta_b = _theta_mul(theta_b, [0, 1] + [0] * (f - 2), up)
+            rows = [theta_b] + [[0] * f] * (e - 1)
+            powers = []
+            for a in range(2 * e - 1):
+                if a:
+                    top, rows = rows[-1], [[0] * f] + rows[:-1]
+                    if any(top):
+                        rows = [list(map(operator.add, row, _theta_mul(top, c, up))) for row, c in zip(rows, neg)]
+                powers.append(tuple((r, t) for r, t in enumerate(c for row in rows for c in row) if t))
+            products.append(powers)
         basis = [(a, b) for a in range(e) for b in range(f)]
         return tuple(
             (i, j, r, t)
             for i, (a1, b1) in enumerate(basis)
             for j, (a2, b2) in enumerate(basis)
-            for r, t in reduced(a1 + a2, b1 + b2)
+            for r, t in products[b1 + b2][a1 + a2]
         )
 
     def _moduli(self, k: int) -> tuple[int, ...]:
@@ -827,10 +775,6 @@ def _residue_vec(x: FieldElement) -> tuple[int, ...]:
     return tuple(c // q % p for c in x.mant[: x.desc.f_l])
 
 
-def _gfq_mul(desc: LocalFieldDesc, u, v):
-    return tuple(c % desc.p for c in desc._umul(list(u), list(v)))
-
-
 def _residue_inverse(desc: LocalFieldDesc, u) -> list[int]:
     """Inverse modulo pi of a nonzero residue theta-vector, as a flat mantissa."""
     if desc.f_l == 1:
@@ -1108,7 +1052,7 @@ def roots_in_field(coeffs) -> list[FieldElement]:
         res_poly = [(0,) * f if c.is_zero_at_prec() else _residue_vec(c) for c in h]
         if length == 1:
             b_inv = _residue_inverse(desc, res_poly[i1 + 1])[:f]
-            starts = [_gfq_mul(desc, [-c % desc.p for c in res_poly[i1]], b_inv)]
+            starts = [_theta_mul([-c for c in res_poly[i1]], b_inv, desc.unram_poly, desc.p)]
         else:
             if desc.p**f > _RESIDUE_SEARCH_CAP:
                 raise RootLiftingError("residue field too large for segment search")
@@ -1129,13 +1073,11 @@ def roots_in_field(coeffs) -> list[FieldElement]:
 
 
 def _gfq_eval(desc: LocalFieldDesc, poly, vec):
-    """Value at vec of a residue polynomial with ascending theta-vector coefficients."""
-    acc = (0,) * desc.f_l
-    power = (1,) + (0,) * (desc.f_l - 1)
-    for c in poly:
-        term = _gfq_mul(desc, c, power)
-        acc = tuple((a + t) % desc.p for a, t in zip(acc, term))
-        power = _gfq_mul(desc, power, vec)
+    """Value at vec of a residue polynomial with ascending theta-vector
+    coefficients, by Horner."""
+    acc = [0] * desc.f_l
+    for c in reversed(poly):
+        acc = [(a + t) % desc.p for a, t in zip(_theta_mul(acc, vec, desc.unram_poly), c)]
     return acc
 
 

@@ -112,13 +112,13 @@ def _prec_out(prec):
 # limit, leaving room for the powers of p a computation puts in denominators.
 MAX_PREC_DIGITS = 3000
 
-# Building a tower costs about e_L^3 f_L^4 exact products for its
-# multiplication table, on integers that grow with the polynomial
-# coefficients, plus f_L^3 log p steps of the irreducibility test.  At the
-# largest admitted p with fL = eL = 6, coefficients of 50 digits (room for
-# p^2) build in about 0.3 s and of 100 digits in about 0.8 s; fL = eL = 8
-# with coefficients below p^2 takes about 1.2 s (Python 3.11, one x86-64
-# core).
+# Building a tower costs about 4 e_L^2 f_L^3 exact products for its
+# multiplication table (each monomial pi^a theta^b formed once), on integers
+# that grow with the polynomial coefficients, plus about f_L^3 log p
+# products modulo p for the irreducibility test.  At the largest admitted p
+# with fL = eL = 6, coefficients of 50 digits (room for p^2) build in about
+# 0.04 s and of 100 digits in about 0.08 s; fL = eL = 8 with 50-digit
+# coefficients takes about 0.2 s (Python 3.11, one x86-64 core).
 MAX_TOWER_DEGREE = 6
 MAX_COEFF_DIGITS = 50
 
@@ -128,9 +128,9 @@ MAX_COEFF_DIGITS = 50
 # 0.7 s.  Submodule enumeration stops at rank 3 whatever this bound.
 MAX_RANK = 16
 
-# Every embedding carries its own flag and jump pair, and end0-check restricts
-# a rank-4 filtration per embedding: shape 16 x 16 (256 embeddings) takes
-# about 1 s on Q3 at precision 60.
+# Every embedding carries its own flag and jump pair, and end0-check cuts out
+# the filtration of the rank-3 End0 per embedding: a cold end0-check on shape
+# 16 x 16 (256 embeddings) takes about 0.4 s on Q3 at precision 60.
 MAX_SHAPE_DEGREE = 16
 
 # An element coefficient is no wider than the widest mantissa an admitted
@@ -452,9 +452,6 @@ def dump_classes(x: H1Trivial, y: H1Tate) -> dict:
 
 # ---------------------------------------------------------------------------
 # instances
-
-
-PAYLOAD_KINDS = ("module", "monodromy", "germ", "classes", "bracket", "pair")
 
 
 @frozen

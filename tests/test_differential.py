@@ -4,10 +4,11 @@ Records are drawn over Q_p for p in {3, 5, 7, 10007} at precision 60, on
 shapes with e, f <= 2, from bounded integers only.  For every record with a
 two-step flag (each upper jump above its lower jump) the built module must
 give the record back under extract_invariants, and its admissibility verdict
-must agree with check_constraints; the verdict law is also drawn at
-precision 2000, over p in {3, 5, 7} (p = 10007 is past the parse bound
-prec * log10(p) <= 3000 there).  A record with a crossed jump pair fails
-check_constraints, and its collapsed flag is refused by the extractor.
+must agree with check_constraints; those two laws and the transport law
+below are also drawn at precision 2000, over p in {3, 5, 7} (p = 10007 is
+past the parse bound prec * log10(p) <= 3000 there).  A record with a
+crossed jump pair fails check_constraints, and its collapsed flag is refused
+by the extractor.
 
 Every built module is isomorphic to its transport by a random change of
 basis per slot, and wherever a record passes check_constraints and its lower
@@ -109,15 +110,26 @@ def test_verdict_agrees_with_the_constraints_at_precision_2000(r):
     assume(all(b > a for a, b in zip(r.m, r.k)))
     build = build_degenerate if r.degenerate else build_monodromy
     module, fil = build(r, check=False)
+    assert extract_invariants(module, fil) == r
     assert is_admissible(module, fil).admissible == _passes(r)
+
+
+def _transport_law(r: MonodromyData, seed: int) -> None:
+    build = build_degenerate if r.degenerate else build_monodromy
+    module, fil = build(r, check=False)
+    assert is_isomorphic(module, fil, *transport(module, fil, seed)).isomorphic
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(records(), st.integers(0, 2**16))
 def test_transport_keeps_the_isomorphism_class(r, seed):
-    build = build_degenerate if r.degenerate else build_monodromy
-    module, fil = build(r, check=False)
-    assert is_isomorphic(module, fil, *transport(module, fil, seed)).isomorphic
+    _transport_law(r, seed)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(records(prec=2000, primes=(3, 5, 7)), st.integers(0, 2**16))
+def test_transport_keeps_the_isomorphism_class_at_precision_2000(r, seed):
+    _transport_law(r, seed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

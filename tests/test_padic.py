@@ -159,7 +159,8 @@ def test_irreducible_mod_p_matches_sympy(p):
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_irreducible_p
 
-    for degree in range(1, 5):
+    # degree 6, the largest tower degree admitted, only for p in {2, 3}
+    for degree in range(1, 7 if p < 5 else 5):
         for tail in itertools.product(range(p), repeat=degree):
             poly = tail + (1,)
             want = gf_irreducible_p([ZZ(c) for c in reversed(poly)], p, ZZ)
@@ -302,7 +303,9 @@ def test_capped_tail_is_invisible(q3):
 def test_product_matches_sympy_reduction(q3_ram, q3_mixed, q5_unr):
     import itertools
 
-    for desc in (q3_ram, q3_mixed, q5_unr):
+    # e, f = 2 with theta in the Eisenstein rows: pi^2 + 5 theta pi + 5 (1 + theta)
+    q5_twisted = LocalFieldDesc(5, 2, 2, (2, 1, 1), ((5, 5), (0, 5), (1, 0)))
+    for desc in (q3_ram, q3_mixed, q5_unr, q5_twisted):
         vals = [1, 2, -1]
         shapes = []
         for fill in itertools.product(vals, repeat=min(4, desc.e_l * desc.f_l)):
