@@ -115,7 +115,7 @@ def _iso_witness(verdict) -> dict:
     }
 
 
-def _cmd_validate(instance, options):
+def _cmd_validate(instance):
     modules = []
     if instance.kind == "pair":
         modules = [instance.objects[key][0] for key in ("first", "second")]
@@ -132,20 +132,20 @@ def _cmd_validate(instance, options):
     return True, None, None
 
 
-def _cmd_newton(instance, options):
+def _cmd_newton(instance):
     module, _ = _realized(instance, "newton")
     validate_module(module)
     return None, fraction_out(newton_number(module)), None
 
 
-def _cmd_hodge(instance, options):
+def _cmd_hodge(instance):
     _, fil = _realized(instance, "hodge")
     if fil is None:
         raise ValidationError("hodge number needs a filtration")
     return None, fraction_out(hodge_number(fil)), None
 
 
-def _cmd_admissible(instance, options):
+def _cmd_admissible(instance):
     module, fil = _realized(instance, "admissible")
     if fil is None:
         raise ValidationError("admissibility needs a filtration")
@@ -154,21 +154,21 @@ def _cmd_admissible(instance, options):
     return verdict.admissible, None, _admissibility_witness(verdict)
 
 
-def _cmd_build_monodromy(instance, options):
+def _cmd_build_monodromy(instance):
     _need(instance, "build-monodromy", "monodromy")
     module, fil = _realized(instance, "build-monodromy")
     value = {"module": dump_module(module), "filtration": dump_filtration(fil)}
     return None, value, None
 
 
-def _cmd_build_w(instance, options):
+def _cmd_build_w(instance):
     _need(instance, "build-w", "bracket")
     module, fil = build_w(instance.objects["ell"], instance.objects["k"])
     value = {"module": dump_module(module), "filtration": dump_filtration(fil)}
     return None, value, None
 
 
-def _cmd_extract(instance, options):
+def _cmd_extract(instance):
     _need(instance, "extract", "module")
     fil = instance.objects.get("filtration")
     if fil is None:
@@ -177,14 +177,14 @@ def _cmd_extract(instance, options):
     return None, dump_monodromy(record), None
 
 
-def _cmd_end0_check(instance, options):
+def _cmd_end0_check(instance):
     _need(instance, "end0-check", "monodromy")
     verdict = end0_check(instance.objects["monodromy"])
     witness = {"intrinsic": _iso_witness(verdict.intrinsic), "direct_map": verdict.direct_map}
     return verdict.ok, None, witness
 
 
-def _cmd_iso(instance, options):
+def _cmd_iso(instance):
     _need(instance, "iso", "pair")
     m1, f1 = instance.objects["first"]
     m2, f2 = instance.objects["second"]
@@ -192,23 +192,23 @@ def _cmd_iso(instance, options):
     return verdict.isomorphic, None, _iso_witness(verdict)
 
 
-def _cmd_cup(instance, options):
+def _cmd_cup(instance):
     _need(instance, "cup", "classes")
     value = cup(instance.objects["x"], instance.objects["y"])
     return None, dump_element(value.c), None
 
 
-def _cmd_colmez(instance, options):
+def _cmd_colmez(instance):
     _need(instance, "colmez", "germ")
     return None, dump_element(colmez_form(instance.objects["germ"])), None
 
 
-def _cmd_degenerate(instance, options):
+def _cmd_degenerate(instance):
     _need(instance, "degenerate", "germ")
     return None, dump_element(degenerate_form(instance.objects["germ"])), None
 
 
-def _cmd_gamma_check(instance, options):
+def _cmd_gamma_check(instance):
     _need(instance, "gamma-check", "germ")
     germ = instance.objects["germ"]
     gamma, residual = gamma_consistency(germ)
@@ -221,7 +221,7 @@ def _cmd_gamma_check(instance, options):
     return residual == form, None, witness
 
 
-def _cmd_solve_ell(instance, options):
+def _cmd_solve_ell(instance):
     _need(instance, "solve-ell", "germ")
     direction = instance.objects.get("direction")
     if direction is None:
@@ -280,7 +280,7 @@ def run(command: str, instance: Instance, options: Options) -> tuple[dict, int]:
     handler = _HANDLERS[command]  # execute has refused an unknown command
     started = time.perf_counter()
     try:
-        verdict, value, witness = handler(instance, options)
+        verdict, value, witness = handler(instance)
     except Exception as exc:
         report, code = _error_report(command, instance.desc.default_prec, exc)
     else:

@@ -1,28 +1,24 @@
 """Isomorphism testing for filtered slot modules.
 
-Supported regime: rank 1, or a cycle with simple spectrum split over the
-coefficient field.  Propagating each eigenframe through the transitions
-turns every transition into the identity except the wrap, which becomes the
-eigenvalue diagonal; any isomorphism is then a single diagonal scaling
-matrix, and matching the slot operators and filtration steps reduces to a
+One rule serves every rank.  The two Frobenius cycles must have the same
+characteristic polynomial, else the spectra differ; its roots must be simple
+and lie in the coefficient field.  Both modules take their eigenframes at
+those roots, propagated through the transitions, which turns every
+transition into the identity except the wrap, the eigenvalue diagonal; any
+isomorphism is then a single diagonal scaling matrix.  A slot operator is
+matched entry by entry, and a filtration step through the reduced echelon
+form of its eigen coordinates, where the scaling keeps the pivots and
+multiplies the entry (c, pivot) by t_c / t_pivot.  Both reduce to a
 multiplicative consistency problem on entrywise ratios.
 """
 from __future__ import annotations
 
-
-from .eigen import cycle_roots, eigenline
+from .eigen import eigenline
 from .errors import RootLiftingError, UnsupportedEnumeration, ValidationError
 from .filtration import Filtration
-from .linalg import (
-    Matrix,
-    Vector,
-    inv,
-    mat_mul,
-    mat_vec,
-    transpose,
-)
+from .linalg import Matrix, Subspace, charpoly, inv, mat_mul, transpose
 from .modules import PhiNModule, frobenius_composite
-from .padic import FieldElement
+from .padic import FieldElement, roots_in_field
 from .record import frozen
 
 
@@ -38,21 +34,13 @@ def _root_key(x: FieldElement):
     return (x._certified_val(), flat)
 
 
-def _eigen_frames(m: PhiNModule) -> tuple[list[FieldElement], list[Matrix]]:
-    """Cycle roots in canonical order and the propagated frame per slot."""
-    a = frobenius_composite(m)
-    try:
-        roots = cycle_roots(a)
-    except RootLiftingError as exc:
-        raise UnsupportedEnumeration("cycle spectrum does not split simply") from exc
-    if len(roots) != m.rank:
-        raise UnsupportedEnumeration("cycle spectrum does not split simply")
-    roots = sorted(roots, key=_root_key)
-    cols = [eigenline(a, lam, m.desc, UnsupportedEnumeration) for lam in roots]
-    frames = [transpose(cols)]
+def _eigen_frames(m: PhiNModule, a: Matrix, roots: list[FieldElement]) -> list[Matrix]:
+    """The eigenframe of the cycle a at the given roots, propagated through
+    the transitions to one frame per slot."""
+    frames = [transpose([eigenline(a, lam, m.desc, UnsupportedEnumeration) for lam in roots])]
     for i in range(m.shape.f - 1):
         frames.append(mat_mul(m.phi[i], frames[-1]))
-    return roots, frames
+    return frames
 
 
 class _RatioGraph:
@@ -89,22 +77,20 @@ class _RatioGraph:
         return tuple(out)
 
 
-def _zero_pattern(vec) -> tuple[bool, ...]:
-    return tuple(x.is_zero_at_prec() for x in vec)
-
-
-def _line_constraints(graph, v1: Vector, v2: Vector) -> bool:
-    """Impose that the diagonal scaling carries the line of v1 to that of v2;
-    a hyperplane's covectors transform inversely, so pass them swapped."""
-    if _zero_pattern(v1) != _zero_pattern(v2):
+def _align(graph, e1: Subspace, e2: Subspace) -> bool:
+    """Impose that the diagonal scaling carries e1 onto e2, both in reduced
+    echelon form.  The scaling keeps every row's zero pattern, and so its
+    pivot, and multiplies the entry (c, pivot) by t_c / t_pivot: the
+    patterns must agree and every other nonzero entry fixes one ratio."""
+    zeros1 = [[x.is_zero_at_prec() for x in g] for g in e1.gens]
+    if zeros1 != [[x.is_zero_at_prec() for x in g] for g in e2.gens]:
         return False
-    support = [a for a, x in enumerate(v1) if not x.is_zero_at_prec()]
-    base = support[0]
-    q_base = v2[base] / v1[base]
-    for a in support[1:]:
-        if not graph.relate(a, base, (v2[a] / v1[a]) / q_base):
-            return False
-    return True
+    return all(
+        graph.relate(c, pc, x2 / x1)
+        for g1, g2, pc in zip(e1.gens, e2.gens, e1.pivots)
+        for c, (x1, x2) in enumerate(zip(g1, g2))
+        if c != pc and not x1.is_zero_at_prec()
+    )
 
 
 def is_isomorphic(
@@ -117,26 +103,24 @@ def is_isomorphic(
     if m1.rank != m2.rank:
         return IsoVerdict(False, "ranks differ")
     d = m1.rank
-    desc = m1.desc
-    if d == 1:
-        a1 = frobenius_composite(m1)[0][0]
-        a2 = frobenius_composite(m2)[0][0]
-        if a1 != a2:
-            return IsoVerdict(False, "cycle scalars differ")
-        for s1, s2 in zip(f1.steps, f2.steps):
-            if [j for j, _ in s1] != [j for j, _ in s2]:
-                return IsoVerdict(False, "filtration jumps differ")
-        return IsoVerdict(True, None, (desc.from_int(1),))
-
-    roots1, frames1 = _eigen_frames(m1)
-    roots2, frames2 = _eigen_frames(m2)
-    for r1, r2 in zip(roots1, roots2):
-        if r1 != r2:
-            return IsoVerdict(False, "cycle spectra differ")
+    a1 = frobenius_composite(m1)
+    a2 = frobenius_composite(m2)
+    cp = charpoly(a1)
+    if cp != charpoly(a2):
+        return IsoVerdict(False, "cycle spectra differ")
+    try:
+        roots = roots_in_field(cp)
+    except RootLiftingError as exc:
+        raise UnsupportedEnumeration("cycle spectrum does not split simply") from exc
+    if len(roots) != d:
+        raise UnsupportedEnumeration("cycle spectrum does not split simply")
+    roots.sort(key=_root_key)
+    frames1 = _eigen_frames(m1, a1, roots)
+    frames2 = _eigen_frames(m2, a2, roots)
 
     inv1 = [inv(w) for w in frames1]
     inv2 = [inv(w) for w in frames2]
-    graph = _RatioGraph(d, desc.from_int(1))
+    graph = _RatioGraph(d, m1.desc.from_int(1))
 
     for i in range(m1.shape.f):
         n1 = mat_mul(inv1[i], mat_mul(m1.nmat[i], frames1[i]))
@@ -157,23 +141,7 @@ def is_isomorphic(
         if [v.dim for _, v in s1] != [v.dim for _, v in s2]:
             return IsoVerdict(False, "filtration step dimensions differ")
         for (_, v1), (_, v2) in zip(s1, s2):
-            if v1.dim == d:
-                continue
-            # eigen coordinates: a line's generator through the inverse
-            # frame (the constraints ignore its scale), a hyperplane's
-            # covector through the transposed frame
-            if v1.dim == 1:
-                c1 = mat_vec(inv1[i], v1.gens[0])
-                c2 = mat_vec(inv2[i], v2.gens[0])
-                if not _line_constraints(graph, c1, c2):
-                    return IsoVerdict(False, "filtration lines cannot be aligned")
-            elif v1.dim == d - 1:
-                u1 = mat_vec(transpose(frames1[i]), v1.annihilator().gens[0])
-                u2 = mat_vec(transpose(frames2[i]), v2.annihilator().gens[0])
-                if not _line_constraints(graph, u2, u1):
-                    return IsoVerdict(False, "filtration hyperplanes cannot be aligned")
-            else:
-                raise UnsupportedEnumeration(
-                    "filtration steps of intermediate dimension are not supported"
-                )
+            if v1.dim < d and not _align(graph, v1.image(inv1[i]), v2.image(inv2[i])):
+                kind = "lines" if v1.dim == 1 else "hyperplanes" if v1.dim == d - 1 else "steps"
+                return IsoVerdict(False, f"filtration {kind} cannot be aligned")
     return IsoVerdict(True, None, graph.solution(d))

@@ -361,7 +361,7 @@ def test_json_true_is_not_an_integer(key):
     assert all(type(v) is int for v in (desc.p, desc.f_l, desc.e_l, desc.default_prec))
 
 
-def _failing_handler(instance, options):
+def _failing_handler(instance):
     raise RuntimeError("not a package error")
 
 
@@ -607,6 +607,11 @@ def test_iso_on_a_cycle_without_roots_is_unsupported():
     # the cycle's charpoly T^2 - 2 has no root in Q3
     half = {"module": _module([[0, 1], [2, 0]]), "filtration": LINE_FLAG}
     _failure("iso", _pair(half, half), 2, "UnsupportedEnumeration", "does not split simply")
+    # against a split cycle the characteristic polynomials differ, in either order
+    split = {"module": _module(_diag(9, 3)), "filtration": LINE_FLAG}
+    for pair in (_pair(half, split), _pair(split, half)):
+        report, code = execute("iso", pair, Options())
+        assert code == 1 and report["witness"]["reason"] == "cycle spectra differ"
 
 
 def test_iso_on_a_singular_transition_cannot_certify_the_spectrum():
@@ -627,6 +632,9 @@ def test_iso_on_a_singular_transition_cannot_certify_the_spectrum():
         # t0/t1 = 1 from one entry and t1/t0 = 2 from the other
         ((_diag(9, 3), [[[0, 1], [1, 0]]], LINE_FLAG), (_diag(9, 3), [[[0, 1], [2, 0]]], LINE_FLAG),
          "slot operator ratios are inconsistent"),
+        # rank one goes the same way: N vanishes on one side only
+        (([[3]], [[[1]]], _flag((0, [[1]]))), ([[3]], None, _flag((0, [[1]]))),
+         "slot operator supports differ"),
     ],
 )
 def test_iso_slot_operator_mismatches(first, second, reason):
@@ -655,10 +663,24 @@ def test_iso_flag_mismatches_in_rank_three(step1, step2, reason):
     assert code == 1 and report["witness"]["reason"] == reason
 
 
-def test_iso_with_a_plane_in_rank_four_is_unsupported():
-    full4 = _diag(1, 1, 1, 1)
-    half = {"module": _module(_diag(1, 2, 3, 4)), "filtration": _flag((0, full4), (1, full4[:2]))}
-    _failure("iso", _pair(half, half, field={"p": 7}), 2, "UnsupportedEnumeration", "intermediate dimension")
+FULL4 = _diag(1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "plane1, plane2, reason",
+    [
+        (FULL4[:2], FULL4[:2], None),
+        (FULL4[:2], [[1, 0, 0, 0], [0, 1, 1, 0]], "filtration steps cannot be aligned"),
+    ],
+)
+def test_iso_planes_in_rank_four(plane1, plane2, reason):
+    # cycle roots 1, 2, 3, 4 are simple with distinct residues in Q7
+    halves = [
+        {"module": _module(_diag(1, 2, 3, 4)), "filtration": _flag((0, FULL4), (1, plane))}
+        for plane in (plane1, plane2)
+    ]
+    report, code = execute("iso", _pair(*halves, field={"p": 7}), Options())
+    assert code == (reason is not None) and report["witness"]["reason"] == reason
 
 
 def test_extract_needs_rank_two():

@@ -117,7 +117,9 @@ def test_verdict_agrees_with_the_constraints_at_precision_2000(r):
 def _transport_law(r: MonodromyData, seed: int) -> None:
     build = build_degenerate if r.degenerate else build_monodromy
     module, fil = build(r, check=False)
-    assert is_isomorphic(module, fil, *transport(module, fil, seed)).isomorphic
+    moved = transport(module, fil, seed)
+    assert is_isomorphic(module, fil, *moved).isomorphic
+    assert is_isomorphic(*moved, module, fil).isomorphic
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -53,11 +53,14 @@ def test_rank_one_iso_by_cycle_scalar(q3):
     m1 = onestot(q3, [[3]], [[0]])
     m2 = onestot(q3, [[3]], [[0]])
     m3 = onestot(q3, [[1]], [[0]])
+    m4 = onestot(q3, [[3]], [[1]])
     f = fil1(q3, 1, [(2, Subspace.full(q3, 1))])
     g = fil1(q3, 1, [(5, Subspace.full(q3, 1))])
     assert is_isomorphic(m1, f, m2, f).isomorphic
-    assert not is_isomorphic(m1, f, m3, f).isomorphic
-    assert not is_isomorphic(m1, f, m2, g).isomorphic
+    assert is_isomorphic(m1, f, m3, f).reason == "cycle spectra differ"
+    assert is_isomorphic(m1, f, m2, g).reason == "filtration jumps differ"
+    # rank one follows the general rule, so the slot operator counts
+    assert is_isomorphic(m4, f, m1, f).reason == "slot operator supports differ"
 
 
 def test_conjugated_pair_is_isomorphic(q3):
@@ -75,7 +78,12 @@ def test_line_position_is_an_invariant_when_operator_acts(q3):
     m = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [1, 0]])
     fa = fil1(q3, 2, [(0, Subspace.full(q3, 2)), (1, span(q3, 2, [1, 1]))])
     fb = fil1(q3, 2, [(0, Subspace.full(q3, 2)), (1, span(q3, 2, [1, 2]))])
-    assert not is_isomorphic(m, fa, m, fb).isomorphic
+    assert is_isomorphic(m, fa, m, fb).reason == "filtration lines cannot be aligned"
+    # a non-diagonal conjugate has the same characteristic polynomial but
+    # another frame, which is taken at m's roots
+    g = imat(q3, [[2, 1], [1, 1]])
+    verdict = is_isomorphic(m, fa, conjugate(m, g), push_fil(fb, g))
+    assert verdict.reason == "filtration lines cannot be aligned"
 
 
 def test_line_position_floats_without_operator(q3):
