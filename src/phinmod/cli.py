@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -361,11 +362,14 @@ def run_batch(manifest_source, options: Options, base_dir: Path | None = None):
         return execute(command, source, options)
 
     entries = manifest["entries"]
-    if options.jobs > 1:
+    # neither --jobs nor the manifest length is bounded: never start more
+    # threads than there are CPUs
+    workers = min(options.jobs, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: a single command or a serial batch never needs it
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, entries))
     else:
         results = [one(entry) for entry in entries]

@@ -1,10 +1,10 @@
 """Product-of-copies coefficient algebras indexed by embeddings.
 
 A base field of residue degree f and ramification e has n = e*f embeddings
-into a large enough coefficient field.  Per-slot data lives at two levels:
-"K0" carries one component per unramified slot (f of them, cyclically
-permuted by the Frobenius shift), "K" carries one component per embedding
-(n of them, ordered by slot-major index i*e + j).
+into a large enough coefficient field.  Per-embedding data (marked slopes,
+weight derivatives, exponential parts of H^1 classes) lives in K (x) L, a
+product of n copies of the coefficient field, one component per embedding
+in slot-major index order i*e + j.
 
 DualNumber adjoins a square-zero infinitesimal to either a field element or
 a product element, which is how first-order family directions are tracked.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .errors import FieldMismatch, LevelMismatch, ShapeMismatch
+from .errors import FieldMismatch, ShapeMismatch
 from .padic import FieldElement, LocalFieldDesc
 from .record import frozen
 
@@ -44,13 +44,6 @@ class GaloisShape:
             for j in range(self.e):
                 yield (i, j)
 
-    def size(self, level: str) -> int:
-        if level == "K0":
-            return self.f
-        if level == "K":
-            return self.n
-        raise LevelMismatch(f"unknown level {level!r}")
-
 
 @frozen(eq=False)
 class ProductElement:
@@ -58,42 +51,37 @@ class ProductElement:
 
     desc: LocalFieldDesc
     shape: GaloisShape
-    level: str
     comps: tuple[FieldElement, ...]
 
     def __post_init__(self):
-        if len(self.comps) != self.shape.size(self.level):
-            raise ShapeMismatch(
-                f"level {self.level} needs {self.shape.size(self.level)} components, got {len(self.comps)}"
-            )
+        if len(self.comps) != self.shape.n:
+            raise ShapeMismatch(f"shape needs {self.shape.n} components, got {len(self.comps)}")
         for c in self.comps:
             if c.desc is not self.desc:
                 raise FieldMismatch("component from a different coefficient field")
 
     @classmethod
-    def from_components(cls, desc, shape, level, comps) -> "ProductElement":
-        return cls(desc, shape, level, tuple(comps))
+    def from_components(cls, desc, shape, comps) -> "ProductElement":
+        return cls(desc, shape, tuple(comps))
 
     @classmethod
-    def constant(cls, desc, shape, level, value) -> "ProductElement":
+    def constant(cls, desc, shape, value) -> "ProductElement":
         """value in every component: a FieldElement of the field, or an int
         taken exactly, as FieldElement arithmetic takes it."""
         v = desc.zero()._coerce(value)
         if v is None:
             raise FieldMismatch(f"cannot interpret {type(value).__name__} as a field element")
-        return cls(desc, shape, level, (v,) * shape.size(level))
+        return cls(desc, shape, (v,) * shape.n)
 
     def _map2(self, other, op):
         """op(a, b) per component a of self: b is the matching component of
-        a product element over the same shape, level and field, or a scalar
+        a product element over the same shape and field, or a scalar
         (a FieldElement or an int) handed as it is to each component's own
         arithmetic, so a component keeps the precision FieldElement gives
         it.  NotImplemented for any other operand."""
         if isinstance(other, ProductElement):
             if other.shape != self.shape:
                 raise ShapeMismatch("mixing product elements over different shapes")
-            if other.level != self.level:
-                raise LevelMismatch(f"mixing levels {self.level} and {other.level}")
             if other.desc is not self.desc:
                 raise FieldMismatch("mixing coefficient fields")
             others = other.comps
@@ -104,10 +92,10 @@ class ProductElement:
         return tuple(map(op, self.comps, others))
 
     def _like(self, comps):
-        """A product element over self's shape, level and field."""
+        """A product element over self's shape and field."""
         if comps is NotImplemented:
             return comps
-        return ProductElement(self.desc, self.shape, self.level, tuple(comps))
+        return ProductElement(self.desc, self.shape, tuple(comps))
 
     def __add__(self, other):
         return self._like(self._map2(other, operator.add))
@@ -139,27 +127,14 @@ class ProductElement:
 
     def frobenius(self) -> "ProductElement":
         """Shift the unramified slot index by one: slot i receives slot i-1."""
-        f, e = self.shape.f, self.shape.e
-        if self.level == "K0":
-            comps = tuple(self.comps[(i - 1) % f] for i in range(f))
-        else:
-            comps = tuple(
-                self.comps[self.shape.index(i - 1, j)] for i in range(f) for j in range(e)
-            )
-        return self._like(comps)
+        shape = self.shape
+        return self._like(self.comps[shape.index(i - 1, j)] for i, j in shape.sigmas())
 
     def trace(self) -> FieldElement:
         acc = self.comps[0]
         for c in self.comps[1:]:
             acc = acc + c
         return acc
-
-    def embed_K(self) -> "ProductElement":
-        """Spread level-K0 data across the e ramified branches of each slot."""
-        if self.level != "K0":
-            raise LevelMismatch("embed_K expects level K0 data")
-        comps = tuple(self.comps[i] for i in range(self.shape.f) for _ in range(self.shape.e))
-        return ProductElement(self.desc, self.shape, "K", comps)
 
     def is_zero(self) -> bool:
         return all(c.is_zero_at_prec() for c in self.comps)

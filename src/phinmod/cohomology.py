@@ -1,7 +1,7 @@
 """Coordinate classes for first and second cohomology, and their cup product.
 
 A first-cohomology class of the trivial character is a pair (a1, a2): the
-value on the unramified direction and a K-level product element for the
+value on the unramified direction and a product element for the
 exponential directions.  A class of the Tate twist is a pair (b1, b2) of the
 same shape.  Cup products land in the one-dimensional second cohomology,
 coordinatized by a single scalar c.
@@ -13,7 +13,6 @@ from fractions import Fraction
 from .coeff import GaloisShape, ProductElement
 from .errors import (
     FieldMismatch,
-    LevelMismatch,
     NotUnipotent,
     ShapeMismatch,
     ValidationError,
@@ -35,8 +34,6 @@ from .record import frozen
 
 
 def _check_pair(scalar: FieldElement, vec: ProductElement, what: str):
-    if vec.level != "K":
-        raise LevelMismatch(f"{what}: exponential part must be a K-level product element")
     if scalar.desc is not vec.desc:
         raise FieldMismatch(f"{what}: components use different coefficient fields")
 
@@ -110,20 +107,18 @@ def pairing_is_perfect(desc: LocalFieldDesc, shape: GaloisShape) -> bool:
     def basis(cls, i):
         # i = -1 is the scalar direction, i >= 0 the i-th exponential one
         comps = [one if t == i else zero for t in range(n)]
-        return cls(one if i < 0 else zero, ProductElement.from_components(desc, shape, "K", comps))
+        return cls(one if i < 0 else zero, ProductElement.from_components(desc, shape, comps))
 
     rows = []
     for i in range(-1, n):
         rows.append([cup(basis(H1Trivial, i), basis(H1Tate, j)).c for j in range(-1, n)])
     gram = mat(rows)
-    ker = right_kernel(gram, desc)
+    ker = right_kernel(gram)
     return len(ker) == 0
 
 
 def monodromy_extension_class(ell: ProductElement) -> H1Tate:
     """The marked-line parameters seen as a Tate-twist class (1, ell)."""
-    if ell.level != "K":
-        raise LevelMismatch("marked slopes must be a K-level product element")
     return H1Tate(ell.desc.from_int(1, INF), ell)
 
 
@@ -168,9 +163,9 @@ def unipotent_extension_class(
         raise NotUnipotent("sub trivialization is not fixed by the cycle")
     moved = mat_vec(a, quot_vec)
     defect = tuple(u - v for u, v in zip(moved, quot_vec))
-    coeff = solve_columns([sub_vec], defect, desc)
+    coeff = solve_columns([sub_vec], defect)
     if coeff is None:
         raise NotUnipotent("cycle defect leaves the fixed line")
     return H1Trivial(
-        -_reciprocal(desc, shape.f) * coeff[0], ProductElement.constant(desc, shape, "K", desc.zero())
+        -_reciprocal(desc, shape.f) * coeff[0], ProductElement.constant(desc, shape, desc.zero())
     )

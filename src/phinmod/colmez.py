@@ -13,7 +13,6 @@ from fractions import Fraction
 from .coeff import DualNumber, ProductElement
 from .errors import (
     FieldMismatch,
-    LevelMismatch,
     PrecisionLoss,
     ShapeMismatch,
     SingularDirection,
@@ -27,7 +26,7 @@ from .record import frozen
 @frozen
 class FamilyGerm:
     """Dual-number family data: alpha and delta over the coefficient field,
-    kappa over the K-level product ring, ell the marked slopes at center."""
+    kappa over the product ring, ell the marked slopes at center."""
 
     alpha: DualNumber
     delta: DualNumber
@@ -43,8 +42,6 @@ class FamilyGerm:
             self.kappa.a1, ProductElement
         ):
             raise ValidationError("kappa must be a product-element dual number")
-        if self.ell.level != "K" or self.kappa.a0.level != "K" or self.kappa.a1.level != "K":
-            raise LevelMismatch("kappa and ell must live at the K level")
         if self.kappa.a0.shape != self.ell.shape:
             raise ShapeMismatch("kappa and ell use different shapes")
         descs = {
@@ -102,8 +99,6 @@ def solve_ell_scalar(g: FamilyGerm, direction: ProductElement) -> FieldElement:
     slopes are s * direction; the trace of direction against kappa' must be
     a certified unit."""
     desc, shape = g.desc, g.shape
-    if direction.level != "K":
-        raise LevelMismatch("direction must be a K-level product element")
     if direction.shape != shape:
         raise ShapeMismatch("direction uses a different shape")
     top = _scalar_part(g)

@@ -60,9 +60,9 @@ def _minus_scalar(a: Matrix, lam: FieldElement) -> Matrix:
     return tuple(tuple(x - lam if i == j else x for j, x in enumerate(r)) for i, r in enumerate(a))
 
 
-def eigenline(a: Matrix, lam: FieldElement, desc, error: type[PhinError]) -> Vector:
+def eigenline(a: Matrix, lam: FieldElement, error: type[PhinError]) -> Vector:
     """Generator of the kernel of a - lam; raises error unless it is a line."""
-    kern = right_kernel(_minus_scalar(a, lam), desc)
+    kern = right_kernel(_minus_scalar(a, lam))
     if len(kern) != 1:
         raise error("cycle eigenspace is not a line")
     return kern[0]
@@ -155,22 +155,22 @@ def enumerate_submodules(
             if all(is_zero_matrix(nm) for nm in m.nmat):
                 return [], LineBundleFamily(lam)
             slot = next(i for i, nm in enumerate(m.nmat) if not is_zero_matrix(nm))
-            kern = right_kernel(m.nmat[slot], desc)
+            kern = right_kernel(m.nmat[slot])
             if len(kern) != 1:
                 raise UnsupportedEnumeration("slot operator kernel is not a line")
             line_vecs = [pull_to_slot_zero(m, kern[0], slot)]
         elif is_zero_matrix(mat_mul(b, b)):
-            kern = right_kernel(b, desc)
+            kern = right_kernel(b)
             if len(kern) != 1:
                 raise UnsupportedEnumeration("cannot separate the cycle kernel at this precision")
             line_vecs = [kern[0]]
         else:
             raise UnsupportedEnumeration("cycle spectrum does not split at this precision") from None
     else:
-        line_vecs = [eigenline(a, lam, desc, UnsupportedEnumeration) for lam in roots]
+        line_vecs = [eigenline(a, lam, UnsupportedEnumeration) for lam in roots]
         if d == 3 and len(roots) == 1:
             quad = _deflate(cp, roots[0])
-            kern = right_kernel(_poly_of_matrix(quad, a), desc)
+            kern = right_kernel(_poly_of_matrix(quad, a))
             if len(kern) != 2:
                 raise UnsupportedEnumeration("complementary stable plane is not certified")
             planes.append(Subspace.from_vectors(desc, 3, kern))

@@ -22,10 +22,6 @@ class FieldMismatch(PhinError):
     """Operands live over different coefficient field descriptions."""
 
 
-class LevelMismatch(PhinError):
-    """Product-algebra operands have different levels (length f vs length n)."""
-
-
 class ShapeMismatch(PhinError):
     """Operands carry different Galois shapes (e, f)."""
 

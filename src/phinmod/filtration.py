@@ -108,7 +108,7 @@ def _bits(vectors):
     return tuple(flat)
 
 
-def restrict_steps(sigs, spans, desc: LocalFieldDesc) -> tuple[SigmaSteps, ...]:
+def restrict_steps(sigs, spans) -> tuple[SigmaSteps, ...]:
     """Cut every step of each embedding's step list down to that
     embedding's span, in coordinates on the span's stored generators.
 
@@ -131,8 +131,8 @@ def restrict_steps(sigs, spans, desc: LocalFieldDesc) -> tuple[SigmaSteps, ...]:
             piece = done.get(key)
             if piece is None:
                 cols = list(span.gens) + [tuple(-x for x in g) for g in v.gens]
-                rels = right_kernel(transpose(cols), desc)
-                piece = done[key] = Subspace.from_vectors(desc, span.dim, [k[: span.dim] for k in rels])
+                rels = right_kernel(transpose(cols))
+                piece = done[key] = Subspace.from_vectors(span.desc, span.dim, [k[: span.dim] for k in rels])
             collected.append((jump, piece))
         out.append(_dedupe(collected))
     return tuple(out)
@@ -141,7 +141,7 @@ def restrict_steps(sigs, spans, desc: LocalFieldDesc) -> tuple[SigmaSteps, ...]:
 def induce_on_submodule(fil: Filtration, sub: StableSubmodule) -> Filtration:
     """Intersect every step with the submodule fibers, in fiber coordinates."""
     spans = [sub.slot_spaces[i] for (i, _) in fil.shape.sigmas()]
-    return Filtration(fil.desc, fil.shape, sub.rank, restrict_steps(fil.steps, spans, fil.desc))
+    return Filtration(fil.desc, fil.shape, sub.rank, restrict_steps(fil.steps, spans))
 
 
 def dual_filtration(fil: Filtration) -> Filtration:

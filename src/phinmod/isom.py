@@ -37,7 +37,7 @@ def _root_key(x: FieldElement):
 def _eigen_frames(m: PhiNModule, a: Matrix, roots: list[FieldElement]) -> list[Matrix]:
     """The eigenframe of the cycle a at the given roots, propagated through
     the transitions to one frame per slot."""
-    frames = [transpose([eigenline(a, lam, m.desc, UnsupportedEnumeration) for lam in roots])]
+    frames = [transpose([eigenline(a, lam, UnsupportedEnumeration) for lam in roots])]
     for i in range(m.shape.f - 1):
         frames.append(mat_mul(m.phi[i], frames[-1]))
     return frames

@@ -133,11 +133,12 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
     return rows[:r], pivots
 
 
-def right_kernel(a: Matrix, desc: LocalFieldDesc) -> list[Vector]:
+def right_kernel(a: Matrix) -> list[Vector]:
     """Canonical basis of the right kernel (columns v with a v = 0)."""
     ncols = len(a[0])
     rows, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
+    desc = a[0][0].desc
     one, zero = desc.from_int(1, INF), desc.zero()
     basis = []
     for fc in free:
@@ -149,7 +150,7 @@ def right_kernel(a: Matrix, desc: LocalFieldDesc) -> list[Vector]:
     return basis
 
 
-def solve_columns(cols, v: Vector, desc: LocalFieldDesc):
+def solve_columns(cols, v: Vector):
     """Solve sum_j x_j cols[j] = v.  Returns the canonical solution with free
     coordinates zero, or None when the residual is certified nonzero."""
     n = len(v)
@@ -157,8 +158,7 @@ def solve_columns(cols, v: Vector, desc: LocalFieldDesc):
     rows, pivots = rref(aug)
     if len(cols) in pivots:
         return None
-    zero = desc.zero()
-    x = [zero] * len(cols)
+    x = [v[0].desc.zero()] * len(cols)
     for r, pc in zip(rows, pivots):
         x[pc] = r[-1]
     return x
@@ -294,7 +294,7 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(self.desc, self.ambient)
         a = tuple(tuple(g) for g in self.gens)
-        return Subspace.from_vectors(self.desc, self.ambient, right_kernel(a, self.desc))
+        return Subspace.from_vectors(self.desc, self.ambient, right_kernel(a))
 
     def quotient_coords(self, v: Vector) -> Vector:
         """Coordinates of v + (this subspace) on the complementary standard

@@ -202,7 +202,7 @@ def n_kernel_flag(m: PhiNModule) -> tuple[Subspace, ...]:
     flag: list[Subspace] = []
     power = m.nmat[0]
     while True:
-        ker = Subspace.from_vectors(m.desc, m.rank, right_kernel(power, m.desc))
+        ker = Subspace.from_vectors(m.desc, m.rank, right_kernel(power))
         if ker.dim >= m.rank or (flag and ker.dim == flag[-1].dim):
             break
         flag.append(ker)

@@ -16,7 +16,6 @@ from .coeff import ProductElement
 from .errors import (
     ConstraintViolation,
     FieldMismatch,
-    LevelMismatch,
     NonInvertiblePhi,
     NotMonodromyType,
     PrecisionLoss,
@@ -54,7 +53,7 @@ from .record import frozen
 class MonodromyData:
     """Slope unit, per-embedding jump pair, and marked-line slopes.
 
-    m and k follow the lexicographic embedding order; ell is a K-level
+    m and k follow the lexicographic embedding order; ell is a
     product element over the same shape.  The record itself enforces only
     shape coherence; parameter inequalities live in check_constraints.
     """
@@ -68,8 +67,6 @@ class MonodromyData:
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(int(x) for x in self.m))
         object.__setattr__(self, "k", tuple(int(x) for x in self.k))
-        if self.ell.level != "K":
-            raise LevelMismatch("marked slopes must be a K-level product element")
         if self.alpha.desc is not self.ell.desc:
             raise FieldMismatch("slope unit and marked slopes use different coefficient fields")
         n = self.ell.shape.n
@@ -182,8 +179,6 @@ def build_w(ell: ProductElement, k) -> tuple[PhiNModule, Filtration]:
     """Rank-three module on (f1, f2, f3) with N f1 = 2 f2, N f2 = f3 and the
     flag spanned by the squared marked line g1 = f1 + 2 ell f2 + ell^2 f3."""
     desc, shape = ell.desc, ell.shape
-    if ell.level != "K":
-        raise LevelMismatch("marked slopes must be a K-level product element")
     k = tuple(int(x) for x in k)
     if len(k) != shape.n:
         raise ValidationError(f"need {shape.n} jump entries")
@@ -256,15 +251,15 @@ def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
     cycle = frobenius_composite(m)
     light, heavy = _cycle_slopes(m, cycle)
     alpha = light
-    e2 = eigenline(cycle, heavy, desc, NotMonodromyType)
+    e2 = eigenline(cycle, heavy, NotMonodromyType)
     if degenerate:
-        e1 = eigenline(cycle, light, desc, NotMonodromyType)
+        e1 = eigenline(cycle, light, NotMonodromyType)
     else:
-        ker = right_kernel(m.nmat[0], desc)
+        ker = right_kernel(m.nmat[0])
         if len(ker) != 1:
             raise NotMonodromyType("operator kernel is not a line")
         e1 = ker[0]
-        c = solve_columns([e1], mat_vec(m.nmat[0], e2), desc)
+        c = solve_columns([e1], mat_vec(m.nmat[0], e2))
         if c is None:
             raise NotMonodromyType("heavy line does not map into the operator kernel")
         try:
@@ -282,7 +277,7 @@ def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
         if len(sig) != 2:
             raise NotMonodromyType(f"embedding ({i},{j}): expected a two-step flag")
         (m_t, _), (k_t, line) = sig
-        coords = solve_columns([tuple(frames2[i]), tuple(frames1[i])], line.gens[0], desc)
+        coords = solve_columns([tuple(frames2[i]), tuple(frames1[i])], line.gens[0])
         if coords is None:
             raise PrecisionLoss("marked line could not be expressed in the slope frame")
         x, y = coords
@@ -295,7 +290,7 @@ def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
         pivot = next((c for c in ells if not c.is_zero_at_prec()), None)
         if pivot is not None:
             ells = [c / pivot for c in ells]
-    ell = ProductElement.from_components(desc, shape, "K", ells)
+    ell = ProductElement.from_components(desc, shape, ells)
     return MonodromyData(alpha, tuple(m_vec), tuple(k_vec), ell, degenerate)
 
 
@@ -376,7 +371,7 @@ def end0_with_filtration(m: PhiNModule, fil: Filtration) -> tuple[PhiNModule, Fi
                     lams = killers[id(target)] = target.annihilator().gens
                 # lam(B g) is B paired with the map lam g^T
                 rows += [mat_vec(basis, tuple(x * y for x in g for y in lam)) for g in v.gens for lam in lams]
-            piece = Subspace.from_vectors(desc, e0.rank, right_kernel(rows, desc)) if rows else full
+            piece = Subspace.from_vectors(desc, e0.rank, right_kernel(rows)) if rows else full
             collected.append((c, piece))
         steps.append(_dedupe(collected))
     return e0, Filtration(desc, m.shape, e0.rank, tuple(steps))

@@ -282,12 +282,10 @@ def dump_element(x: FieldElement) -> dict:
     }
 
 
-def parse_product(
-    desc: LocalFieldDesc, shape: GaloisShape, level: str, data, path: str
-) -> ProductElement:
-    data = _expect_list(data, path, shape.size(level))
+def parse_product(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -> ProductElement:
+    data = _expect_list(data, path, shape.n)
     comps = [parse_element(desc, c, f"{path}/{i}") for i, c in enumerate(data)]
-    return ProductElement.from_components(desc, shape, level, comps)
+    return ProductElement.from_components(desc, shape, comps)
 
 
 def dump_product(x: ProductElement) -> list:
@@ -297,7 +295,7 @@ def dump_product(x: ProductElement) -> list:
 def _parse_dual(desc, shape, data, path: str, product: bool) -> DualNumber:
     data = _expect_list(data, path, 2)
     if product:
-        parts = [parse_product(desc, shape, "K", c, f"{path}/{i}") for i, c in enumerate(data)]
+        parts = [parse_product(desc, shape, c, f"{path}/{i}") for i, c in enumerate(data)]
     else:
         parts = [parse_element(desc, c, f"{path}/{i}") for i, c in enumerate(data)]
     return DualNumber(parts[0], parts[1])
@@ -397,7 +395,7 @@ def parse_monodromy(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -
         for i, x in enumerate(vec):
             if not _is_int(x):
                 _fail(f"{path}/{name}/{i}", "expected an integer")
-    ell = parse_product(desc, shape, "K", _get(data, "ell", path), path + "/ell")
+    ell = parse_product(desc, shape, _get(data, "ell", path), path + "/ell")
     degenerate = data.get("degenerate", False)
     if not isinstance(degenerate, bool):
         _fail(path + "/degenerate", "expected a boolean")
@@ -419,7 +417,7 @@ def parse_germ(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -> Fam
     alpha = _parse_dual(desc, shape, _get(data, "alpha", path), path + "/alpha", False)
     delta = _parse_dual(desc, shape, _get(data, "delta", path), path + "/delta", False)
     kappa = _parse_dual(desc, shape, _get(data, "kappa", path), path + "/kappa", True)
-    ell = parse_product(desc, shape, "K", _get(data, "ell", path), path + "/ell")
+    ell = parse_product(desc, shape, _get(data, "ell", path), path + "/ell")
     return FamilyGerm(alpha, delta, kappa, ell)
 
 
@@ -437,9 +435,9 @@ def parse_classes(desc, shape, data, path: str) -> tuple[H1Trivial, H1Tate]:
     x = _expect_dict(_get(data, "x", path), path + "/x")
     y = _expect_dict(_get(data, "y", path), path + "/y")
     a1 = parse_element(desc, _get(x, "a1", path + "/x"), path + "/x/a1")
-    a2 = parse_product(desc, shape, "K", _get(x, "a2", path + "/x"), path + "/x/a2")
+    a2 = parse_product(desc, shape, _get(x, "a2", path + "/x"), path + "/x/a2")
     b1 = parse_element(desc, _get(y, "b1", path + "/y"), path + "/y/b1")
-    b2 = parse_product(desc, shape, "K", _get(y, "b2", path + "/y"), path + "/y/b2")
+    b2 = parse_product(desc, shape, _get(y, "b2", path + "/y"), path + "/y/b2")
     return H1Trivial(a1, a2), H1Tate(b1, b2)
 
 
@@ -505,15 +503,13 @@ def parse_instance(source, override_prec: int | None = None) -> Instance:
         kind = "germ"
         objects["germ"] = parse_germ(desc, shape, payload["germ"], "/payload/germ")
         if "direction" in payload:
-            objects["direction"] = parse_product(
-                desc, shape, "K", payload["direction"], "/payload/direction"
-            )
+            objects["direction"] = parse_product(desc, shape, payload["direction"], "/payload/direction")
     elif "classes" in payload:
         kind = "classes"
         objects["x"], objects["y"] = parse_classes(desc, shape, payload["classes"], "/payload/classes")
     elif "ell" in payload:
         kind = "bracket"
-        objects["ell"] = parse_product(desc, shape, "K", payload["ell"], "/payload/ell")
+        objects["ell"] = parse_product(desc, shape, payload["ell"], "/payload/ell")
         k_raw = _expect_list(_get(payload, "k", "/payload"), "/payload/k", shape.n)
         for i, x in enumerate(k_raw):
             if not _is_int(x):

@@ -490,6 +490,37 @@ def test_batch_order_and_worker_independence():
     assert commands == [entry["command"] for entry in manifest["entries"]]
 
 
+def test_batch_threads_are_clamped_to_the_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    serial, _ = run_batch(FIXTURES / "manifest.json", Options(jobs=1))
+    want = [render(r, "json") for r in serial]
+    for cpus, jobs, made in ((2, 10**9, [2]), (4, 3, [3]), (1, 10**9, []), (None, 10**9, [])):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        reports, code = run_batch(FIXTURES / "manifest.json", Options(jobs=jobs))
+        assert sizes == made
+        assert code == 1 and [render(r, "json") for r in reports] == want
+
+
 def test_batch_isolates_entry_failures():
     manifest = {
         "entries": [

@@ -3,15 +3,13 @@ from fractions import Fraction
 import pytest
 
 from phinmod.coeff import DualNumber, GaloisShape, ProductElement
-from phinmod.errors import FieldMismatch, LevelMismatch, ShapeMismatch
+from phinmod.errors import FieldMismatch, ShapeMismatch
 from phinmod.padic import INF
 from util import sample_element
 
 
-def pe(desc, shape, level, ints):
-    return ProductElement.from_components(
-        desc, shape, level, [desc.from_int(v, INF) for v in ints]
-    )
+def pe(desc, shape, ints):
+    return ProductElement.from_components(desc, shape, [desc.from_int(v, INF) for v in ints])
 
 
 def test_shape_indexing():
@@ -25,14 +23,12 @@ def test_shape_indexing():
 def test_component_count_enforced(q3):
     s = GaloisShape(2, 2)
     with pytest.raises(ShapeMismatch):
-        pe(q3, s, "K", [1, 2, 3])
-    with pytest.raises(LevelMismatch):
-        s.size("bogus")
+        pe(q3, s, [1, 2, 3])
 
 
 def test_frobenius_cycles_slots(q3):
     s = GaloisShape(1, 3)
-    x = pe(q3, s, "K0", [10, 20, 30])
+    x = pe(q3, s, [10, 20, 30])
     y = x.frobenius()
     assert [c.coefficients()[0][0] for c in y.comps] == [30, 10, 20]
     z = x
@@ -43,7 +39,7 @@ def test_frobenius_cycles_slots(q3):
 
 def test_frobenius_on_level_K_fixes_branch(q2):
     s = GaloisShape(2, 2)
-    x = pe(q2, s, "K", [1, 2, 3, 4])
+    x = pe(q2, s, [1, 2, 3, 4])
     y = x.frobenius()
     # slot 0 branches receive slot 1 branches and conversely
     assert [c.coefficients()[0][0] for c in y.comps] == [3, 4, 1, 2]
@@ -51,38 +47,21 @@ def test_frobenius_on_level_K_fixes_branch(q2):
 
 def test_trace_is_frobenius_invariant(q3):
     s = GaloisShape(1, 4)
-    x = pe(q3, s, "K0", [3, -1, 7, 2])
+    x = pe(q3, s, [3, -1, 7, 2])
     assert x.trace() == q3.from_int(11)
     assert x.frobenius().trace() == x.trace()
 
 
-def test_embed_and_trace_scaling(q3):
-    s = GaloisShape(3, 2)
-    x = pe(q3, s, "K0", [5, 1])
-    emb = x.embed_K()
-    assert emb.level == "K" and len(emb.comps) == 6
-    assert emb.trace() == q3.from_int(3 * (5 + 1))
-    assert emb.comps[s.index(1, 2)] == q3.from_int(1)
-
-
 def test_ring_operations_and_broadcast(q5_unr):
     s = GaloisShape(1, 2)
-    x = pe(q5_unr, s, "K0", [2, 3])
-    y = pe(q5_unr, s, "K0", [4, -1])
+    x = pe(q5_unr, s, [2, 3])
+    y = pe(q5_unr, s, [4, -1])
     assert (x + y) * x == x * x + y * x
     assert x * 2 == x + x
     assert 1 - x == -(x - 1)
     assert (x * y) / y == x
     assert x**3 == x * x * x
-    assert x.inverse() * x == ProductElement.constant(q5_unr, s, "K0", 1)
-
-
-def test_mixing_levels_rejected(q3):
-    s = GaloisShape(2, 1)
-    a = pe(q3, s, "K0", [1])
-    b = pe(q3, s, "K", [1, 2])
-    with pytest.raises(LevelMismatch):
-        a + b
+    assert x.inverse() * x == ProductElement.constant(q5_unr, s, 1)
 
 
 def test_dual_number_arithmetic(q3):
@@ -105,8 +84,8 @@ def test_dual_number_inverse_roundtrip(q3):
 
 def test_dual_number_product_rule_over_products(q2):
     s = GaloisShape(1, 2)
-    x = DualNumber(pe(q2, s, "K0", [3, 5]), pe(q2, s, "K0", [1, 0]))
-    y = DualNumber(pe(q2, s, "K0", [7, 1]), pe(q2, s, "K0", [0, 2]))
+    x = DualNumber(pe(q2, s, [3, 5]), pe(q2, s, [1, 0]))
+    y = DualNumber(pe(q2, s, [7, 1]), pe(q2, s, [0, 2]))
     assert (x * y).a1 == x.a0 * y.a1 + x.a1 * y.a0
     assert (x * y).a1.trace() == q2.from_int(3 * 0 + 5 * 2 + 1 * 7 + 0 * 1)
 
@@ -121,7 +100,7 @@ def test_scalar_operands_follow_the_field_element_rule(q3):
     # exact int goes to each component's own arithmetic, as for x * 2
     s = GaloisShape(1, 2)
     xs = [q3.from_int(7, prec=100), q3.from_int(-4, prec=100)]
-    x = ProductElement.from_components(q3, s, "K0", xs)
+    x = ProductElement.from_components(q3, s, xs)
     two = q3.from_int(2, INF)
     cases = [
         (x * 2, [c * 2 for c in xs]),
@@ -138,10 +117,10 @@ def test_scalar_operands_follow_the_field_element_rule(q3):
     # pe ** k is a ** k per component, for every k
     for k in (0, 1, 5, -3, 200000):
         assert [bits(c) for c in (x**k).comps] == [bits(c**k) for c in xs]
-    assert ProductElement.constant(q3, s, "K0", 2) == x * 0 + 2
-    assert ProductElement.constant(q3, s, "K0", 2).comps[0].prec == INF
+    assert ProductElement.constant(q3, s, 2) == x * 0 + 2
+    assert ProductElement.constant(q3, s, 2).comps[0].prec == INF
     with pytest.raises(FieldMismatch):
-        ProductElement.constant(q3, s, "K0", Fraction(1, 2))
+        ProductElement.constant(q3, s, Fraction(1, 2))
     with pytest.raises(TypeError):
         x * Fraction(1, 2)
 
@@ -155,34 +134,32 @@ def test_dual_number_scalars_act_on_both_parts(q3):
     assert bits((d / 2).a1) == bits(a1 / 2)
     assert DualNumber(q3.from_int(3), q3.zero()) == 3
     s = GaloisShape(1, 2)
-    p = pe(q3, s, "K0", [1, 2])
+    p = pe(q3, s, [1, 2])
     dp = DualNumber(p, p) * 2
     assert dp.a0 == p * 2 and dp.a1 == p * 2
 
 
 def test_reprs_come_from_the_record_helper(q3):
     s = GaloisShape(1, 1)
-    x = pe(q3, s, "K0", [1])
+    x = pe(q3, s, [1])
     assert repr(x).startswith("ProductElement(desc=LocalFieldDesc(p=3,")
     assert repr(DualNumber(x, x)).startswith("DualNumber(a0=ProductElement(")
 
 
 def test_product_element_refuses_mixed_data(q3, q2):
     shape = GaloisShape(1, 2)
-    pe = ProductElement.constant(q3, shape, "K", 1)
+    pe = ProductElement.constant(q3, shape, 1)
     with pytest.raises(FieldMismatch, match="component from a different"):
-        ProductElement.from_components(q3, shape, "K", [q3.from_int(1), q2.from_int(1)])
+        ProductElement.from_components(q3, shape, [q3.from_int(1), q2.from_int(1)])
     with pytest.raises(ShapeMismatch, match="different shapes"):
-        pe + ProductElement.constant(q3, GaloisShape(2, 1), "K", 1)
+        pe + ProductElement.constant(q3, GaloisShape(2, 1), 1)
     with pytest.raises(FieldMismatch, match="mixing coefficient fields"):
-        pe * ProductElement.constant(q2, shape, "K", 1)
-    with pytest.raises(LevelMismatch, match="expects level K0"):
-        pe.embed_K()
+        pe * ProductElement.constant(q2, shape, 1)
 
 
 def test_exact_scalar_division_keeps_component_precision(q3):
     x = q3.from_int(1, prec=100)
-    pe = ProductElement.constant(q3, GaloisShape(1, 2), "K", x)
+    pe = ProductElement.constant(q3, GaloisShape(1, 2), x)
     assert [c.prec for c in (pe / 3).comps] == [99, 99]
     assert [c.prec for c in (pe / 2).comps] == [100, 100]
     d = DualNumber(x, q3.from_int(3, prec=100))

@@ -15,7 +15,7 @@ from phinmod.cohomology import (
     satisfies_colmez_condition,
     unipotent_extension_class,
 )
-from phinmod.errors import FieldMismatch, LevelMismatch, NotUnipotent, ShapeMismatch, ValidationError
+from phinmod.errors import FieldMismatch, NotUnipotent, ShapeMismatch, ValidationError
 from phinmod.linalg import identity, mat
 from phinmod.modules import PhiNModule
 from phinmod.padic import INF
@@ -26,7 +26,7 @@ SHAPES = [GaloisShape(1, 1), GaloisShape(2, 1), GaloisShape(1, 2), GaloisShape(2
 
 def pe(desc, shape, values):
     return ProductElement.from_components(
-        desc, shape, "K", [desc.from_rational(v) for v in values]
+        desc, shape, [desc.from_rational(v) for v in values]
     )
 
 
@@ -104,7 +104,7 @@ def test_condition_annihilator_dimension(q3):
         row = [cup(x, y).c for x in basis]
         from phinmod.linalg import right_kernel
 
-        ker = right_kernel((tuple(row),), q3)
+        ker = right_kernel((tuple(row),))
         assert len(ker) == n
 
 
@@ -197,19 +197,14 @@ def test_unipotent_rejects(q3):
 
 def test_classes_refuse_mixed_data(q3, q2):
     shape = GaloisShape(1, 2)
-    k3 = ProductElement.constant(q3, shape, "K", 1)
-    k0 = ProductElement.constant(q3, shape, "K0", 1)
-    with pytest.raises(LevelMismatch, match="K-level"):
-        H1Trivial(q3.from_int(1), k0)
+    k3 = ProductElement.constant(q3, shape, 1)
     with pytest.raises(FieldMismatch, match="different coefficient fields"):
         H1Tate(q2.from_int(1), k3)
     x = H1Trivial(q3.from_int(1), k3)
-    y2 = H1Tate(q2.from_int(1), ProductElement.constant(q2, shape, "K", 1))
+    y2 = H1Tate(q2.from_int(1), ProductElement.constant(q2, shape, 1))
     with pytest.raises(FieldMismatch, match="classes use different"):
         cup(x, y2)
-    with pytest.raises(LevelMismatch, match="K-level"):
-        monodromy_extension_class(k0)
-    other = ProductElement.constant(q3, GaloisShape(2, 1), "K", 1)
+    other = ProductElement.constant(q3, GaloisShape(2, 1), 1)
     with pytest.raises(ShapeMismatch):
         satisfies_colmez_condition(x, other)
     with pytest.raises(ShapeMismatch):

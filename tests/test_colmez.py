@@ -16,7 +16,6 @@ from phinmod.colmez import (
 )
 from phinmod.errors import (
     FieldMismatch,
-    LevelMismatch,
     PrecisionLoss,
     ShapeMismatch,
     SingularDirection,
@@ -28,7 +27,7 @@ from util import sample_unit
 
 def pe(desc, shape, values):
     return ProductElement.from_components(
-        desc, shape, "K", [desc.from_rational(v) for v in values]
+        desc, shape, [desc.from_rational(v) for v in values]
     )
 
 
@@ -141,18 +140,14 @@ def test_germ_validation(q3):
 def test_germ_refuses_mixed_data(q3, q2):
     shape = GaloisShape(1, 2)
     g = germ(q3, shape, (1, 1), (0, 0), [0, 0], [1, 2], [1, 1])
-    k0 = ProductElement.constant(q3, shape, "K0", 1)
     other_shape = pe(q3, GaloisShape(2, 1), [1, 1])
     cases = [
         (ValidationError, "kappa must be", (g.alpha, g.delta, DualNumber(q3.from_int(1), q3.from_int(1)), g.ell)),
-        (LevelMismatch, "K level", (g.alpha, g.delta, g.kappa, k0)),
         (ShapeMismatch, "different shapes", (g.alpha, g.delta, g.kappa, other_shape)),
         (FieldMismatch, "different coefficient fields", (DualNumber(q2.from_int(1), q2.from_int(1)), g.delta, g.kappa, g.ell)),
     ]
     for error, message, parts in cases:
         with pytest.raises(error, match=message):
             FamilyGerm(*parts)
-    with pytest.raises(LevelMismatch, match="K-level"):
-        solve_ell_scalar(g, k0)
     with pytest.raises(ShapeMismatch, match="different shape"):
         solve_ell_scalar(g, other_shape)

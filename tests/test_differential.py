@@ -76,7 +76,7 @@ def records(draw, passing=False, prec=60, primes=PRIMES) -> MonodromyData:
             ells[draw(st.integers(0, n - 1))] = Fraction(1)
         pivot = next(c for c in ells if c)
         ells = [c / pivot for c in ells]
-    ell = ProductElement.from_components(desc, shape, "K", [desc.from_rational(c) for c in ells])
+    ell = ProductElement.from_components(desc, shape, [desc.from_rational(c) for c in ells])
     alpha = desc.from_rational(Fraction(unit) * Fraction(p) ** v)
     return MonodromyData(alpha, tuple(m), tuple(k), ell, degenerate)
 

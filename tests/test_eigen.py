@@ -119,7 +119,7 @@ def test_two_slot_propagation(q3):
 def test_eigenline_refuses_a_plane(q3):
     one = q3.from_int(1, INF)
     with pytest.raises(UnsupportedEnumeration, match="not a line"):
-        eigenline(imat(q3, [[1, 0], [0, 1]]), one, q3, UnsupportedEnumeration)
+        eigenline(imat(q3, [[1, 0], [0, 1]]), one, UnsupportedEnumeration)
 
 
 def test_propagate_space_carries_a_stable_line_and_not_others(q3):

@@ -122,7 +122,7 @@ def test_right_kernel_annihilates(q3, q3_mixed):
     for desc in (q3, q3_mixed):
         rows = [[1, 2, 0, 1], [0, 1, 1, 0]]
         a = imat(desc, rows)
-        basis = right_kernel(a, desc)
+        basis = right_kernel(a)
         assert len(basis) == 4 - sympy.Matrix(rows).rank()
         for v in basis:
             assert all(zero_elt(x) for x in mat_vec(a, v))
@@ -131,10 +131,10 @@ def test_right_kernel_annihilates(q3, q3_mixed):
 def test_solve_columns_roundtrip(q2):
     cols = [ivec(q2, [1, 0, 1]), ivec(q2, [2, 1, 0])]
     v = ivec(q2, [5, 3, -1])  # 5 = a + 2b, 3 = b, -1 = a
-    x = solve_columns(cols, v, q2)
+    x = solve_columns(cols, v)
     assert x is not None
     assert x[0] == q2.from_int(-1) and x[1] == q2.from_int(3)
-    assert solve_columns(cols, ivec(q2, [0, 0, 1]), q2) is None
+    assert solve_columns(cols, ivec(q2, [0, 0, 1])) is None
 
 
 def test_charpoly_matches_rational_oracle(q3, q5_unr):
@@ -192,7 +192,7 @@ def test_trace_of_transpose(q3):
 def _meet(u: Subspace, w: Subspace) -> Subspace:
     """u ∩ w through filtration.restrict_steps, in coordinates on the
     stored generators of w."""
-    (sig,) = restrict_steps([((0, u),)], [w], u.desc)
+    (sig,) = restrict_steps([((0, u),)], [w])
     return sig[0][1] if sig else Subspace.from_vectors(u.desc, w.dim, [])
 
 
@@ -267,7 +267,7 @@ def test_subspace_coords_rebuild_members_and_agree_with_solve_columns(q3, q5_unr
             assert coeffs is not None and len(coeffs) == u.dim
             rebuilt = mat_vec(transpose(u.gens), coeffs)
             assert all(zero_elt(x - y) for x, y in zip(rebuilt, member))
-            solved = solve_columns(u.gens, member, desc)
+            solved = solve_columns(u.gens, member)
             assert all(x == y for x, y in zip(coeffs, solved))
             if u.dim < 4:
                 # a standard basis vector at a non-pivot position is its
@@ -275,7 +275,7 @@ def test_subspace_coords_rebuild_members_and_agree_with_solve_columns(q3, q5_unr
                 free = next(i for i in range(4) if i not in u.pivots)
                 outside = identity(desc, 4)[free]
                 assert u.coords(outside) is None
-                assert solve_columns(u.gens, outside, desc) is None
+                assert solve_columns(u.gens, outside) is None
 
 
 def test_quotient_coords_vanish_on_members(q3):

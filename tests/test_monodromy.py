@@ -9,7 +9,6 @@ from phinmod import monodromy, serial
 from phinmod.errors import (
     ConstraintViolation,
     FieldMismatch,
-    LevelMismatch,
     NotMonodromyType,
     ShapeMismatch,
     ValidationError,
@@ -38,20 +37,17 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def kdata(desc, shape, alpha, m, k, ells, degenerate=False):
     ell = ProductElement.from_components(
-        desc, shape, "K", [desc.from_rational(c) for c in ells]
+        desc, shape, [desc.from_rational(c) for c in ells]
     )
     return MonodromyData(alpha, tuple(m), tuple(k), ell, degenerate)
 
 
 def test_record_validation(q3):
     s2 = GaloisShape(1, 2)
-    good = ProductElement.constant(q3, s2, "K", q3.from_int(1))
+    good = ProductElement.constant(q3, s2, q3.from_int(1))
     MonodromyData(q3.from_int(3), (0, 0), (1, 3), good)
     with pytest.raises(ValidationError):
         MonodromyData(q3.from_int(3), (0,), (1, 3), good)
-    k0 = ProductElement.constant(q3, s2, "K0", q3.from_int(1))
-    with pytest.raises(LevelMismatch):
-        MonodromyData(q3.from_int(3), (0, 0), (1, 3), k0)
 
 
 def test_constraint_checks(q3):
@@ -125,7 +121,7 @@ def test_degenerate_bound_matches_admissibility(q3):
 
 def test_build_w_shape(q3):
     s1 = GaloisShape(1, 1)
-    ell = ProductElement.constant(q3, s1, "K", q3.from_int(2))
+    ell = ProductElement.constant(q3, s1, q3.from_int(2))
     mod, fil = build_w(ell, (1,))
     validate_module(mod)
     assert newton_number(mod) == 0 == hodge_number(fil)
@@ -142,7 +138,7 @@ def test_build_w_shape(q3):
 def test_w_kernel_flag_pieces_balance(q3):
     # both kernel-flag pieces have slope and jump degree -n when every k is 1
     s2 = GaloisShape(1, 2)
-    ell = ProductElement.constant(q3, s2, "K", q3.from_int(1))
+    ell = ProductElement.constant(q3, s2, q3.from_int(1))
     mod, fil = build_w(ell, (1, 1))
     verdict = is_admissible(mod, fil)
     assert verdict.admissible
@@ -250,10 +246,8 @@ def test_records_and_builders_refuse_mixed_data(q3, q2):
         kdata(q3, s1, q2.from_int(3), [0], [3], [2])
     with pytest.raises(ValidationError, match="not marked degenerate"):
         build_degenerate(kdata(q3, s1, q3.from_int(3), [0], [3], [2]))
-    with pytest.raises(LevelMismatch, match="K-level"):
-        build_w(ProductElement.constant(q3, s2, "K0", 1), (1, 1))
     with pytest.raises(ValidationError, match="need 2 jump entries"):
-        build_w(ProductElement.constant(q3, s2, "K", 1), (1,))
+        build_w(ProductElement.constant(q3, s2, 1), (1,))
     base = kdata(q3, s2, q3.from_int(9), [0, 0], [3, 3], [1, 2], degenerate=True)
     with pytest.raises(FieldMismatch, match="different coefficient fields"):
         iso_degenerate(base, kdata(q2, s2, q2.from_int(4), [0, 0], [3, 3], [1, 2], degenerate=True))

@@ -183,7 +183,7 @@ def test_descriptor_identity_is_one_rule():
     c = parse_field({"p": 3, "eL": 2, "eis_poly": [[-3], [0], [1]]})
     assert a is b and b is c
     # an element of one construction mixes freely with another construction
-    x = ProductElement.from_components(c, GaloisShape(1, 1), "K", [a.from_int(2)])
+    x = ProductElement.from_components(c, GaloisShape(1, 1), [a.from_int(2)])
     assert (x + b.from_int(1)).comps[0] == c.from_int(3)
     assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
     assert LocalFieldDesc(3, 1, 2, (0, 1), ((-3,), (0,), (1,)), 80) is not a
@@ -467,6 +467,15 @@ def test_unit_inverse_is_checked(q3_ram, monkeypatch):
     assert x.inverse() == good
 
 
+def test_unit_inverse_refuses_a_non_unit(q3, q3_ram, q5_unr):
+    # callers pass units only; called directly on 3, on pi (whose first
+    # column has a unit entry but whose second has none) and on 5, the
+    # solve finds a column without a unit pivot and refuses
+    for desc, c in ((q3, [3]), (q3_ram, [0, 1]), (q5_unr, [5, 0])):
+        with pytest.raises(PrecisionLoss, match="no unit pivot"):
+            padic._unit_inverse(desc, c, 4)
+
+
 def test_api_precision_types(q3_ram):
     e = q3_ram.e_l
     x = q3_ram.one() * q3_ram.uniformizer(INF).inverse()
@@ -735,6 +744,25 @@ def test_hensel_root_stalls_on_a_wrong_residue_inverse(q3, monkeypatch):
     monkeypatch.setattr(padic, "_residue_inverse", lambda desc, u: [2 * c for c in residue_inverse(desc, u)])
     with pytest.raises(PrecisionLoss, match="stalled"):
         hensel_root(coeffs, q3.from_int(1))
+
+
+def test_hensel_root_checks_the_last_step(q3, monkeypatch):
+    # a last Newton step that lands one digit short of the root leaves
+    # f(x) at valuation k - 1; the check on field elements refuses it
+    coeffs = [q3.from_int(-7), q3.zero(), q3.one()]
+    x0 = q3.from_int(1)
+    step = padic._newton_step
+
+    def one_digit_off(desc, x, w, r, d, t, s, e):
+        x, w = step(desc, x, w, r, d, t, s, e)
+        if t + s == x0._k:
+            x = [x[0] + desc._moduli(t + s)[0] // desc.p] + x[1:]
+        return x, w
+
+    assert hensel_root(coeffs, x0) ** 2 == 7
+    monkeypatch.setattr(padic, "_newton_step", one_digit_off)
+    with pytest.raises(PrecisionLoss, match="failed its check"):
+        hensel_root(coeffs, x0)
 
 
 def test_roots_in_field_checks_each_segments_root_count(monkeypatch):

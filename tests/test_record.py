@@ -106,7 +106,7 @@ def test_eq_by_fields_on_real_values(q3):
     assert IsoVerdict(False, "no") == IsoVerdict(False, "no") != IsoVerdict(False, "other")
     assert Options(precision=80) == Options(80) and hash(Options(80)) == hash(Options(precision=80))
     alpha = q3.from_int(1, INF)
-    ell = ProductElement.from_components(q3, GaloisShape(1, 1), "K", [q3.from_int(2, INF)])
+    ell = ProductElement.from_components(q3, GaloisShape(1, 1), [q3.from_int(2, INF)])
     a = MonodromyData(alpha, (0,), (1,), ell)
     assert a == MonodromyData(alpha, [0], [1], ell)
     assert a != MonodromyData(alpha, (0,), (1,), ell, degenerate=True)

@@ -20,7 +20,7 @@ from util import bench_gen
 
 SEEDS = (5, 9)
 ELEMENTS = 858
-DIGEST = "3f0767f753333fec2b067a56773e85a30c85377fa85eb69c369b4b6728e7e5b2"
+DIGEST = "f23d1f5cc66571820399512ac0e417b21a719e31142f38b6bee39538d1dc0020"
 
 
 class _Bits:

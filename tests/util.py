@@ -128,19 +128,19 @@ def end0_via_hom(mod: PhiNModule, fil: Filtration):
     h = hom_module(mod, mod)
 
     def restrict(op: Matrix) -> Matrix:
-        return transpose([solve_columns(basis, mat_vec(op, g), desc) for g in basis])
+        return transpose([solve_columns(basis, mat_vec(op, g)) for g in basis])
 
     e0 = PhiNModule(desc, mod.shape, len(basis), tuple(map(restrict, h.phi)), tuple(map(restrict, h.nmat)))
     hfil = tensor_filtration(dual_filtration(fil), fil)
     span = Subspace.from_vectors(desc, d * d, basis)
     # restrict_steps writes pieces on the span's echelon generators; column
     # j of the change of basis holds generator j on end0_basis
-    change = transpose([solve_columns(basis, g, desc) for g in span.gens])
+    change = transpose([solve_columns(basis, g) for g in span.gens])
     steps = tuple(
         tuple(
             (jump, Subspace.from_vectors(desc, len(basis), [mat_vec(change, g) for g in piece.gens]))
             for jump, piece in sig
         )
-        for sig in restrict_steps(hfil.steps, [span] * len(hfil.steps), desc)
+        for sig in restrict_steps(hfil.steps, [span] * len(hfil.steps))
     )
     return e0, Filtration(desc, mod.shape, len(basis), steps)

@@ -28,6 +28,7 @@ Usage, from the repository root::
 
 It prints, per file and function, the lines that never run (with
 ``--tests``: that neither the system nor the tests run), then the totals.
+With ``--tests`` it exits 1 when some line is run by neither.
 """
 from __future__ import annotations
 
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
     print(summary)
     for test_id in failed:
         print(f"failed under the tracer: {test_id}")
-    return 0
+    return 1 if args.tests and neither else 0
 
 
 if __name__ == "__main__":
