@@ -113,15 +113,9 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
             continue
         i = best[1]
         rows[r], rows[i] = rows[i], rows[r]
-        x = rows[r][c]
-        # the inverse of the exact 1 is desc.one() (value 1, shift 0, floor
-        # at the default digits), the element inverse() returns after a
-        # full unit solve
-        desc = x.desc
-        one = desc.one()
-        inv = one if x._k is INF and x.shift == 0 and x.mant == one.mant else x.inverse()
+        inv = rows[r][c].inverse()
         # an exact-zero entry stays as it is: x * inv and x - f * 0 are x
-        rows[r] = [x if x.is_exact_zero() else make_element(desc, *_product(x, inv)) for x in rows[r]]
+        rows[r] = [x if x.is_exact_zero() else make_element(inv.desc, *_product(x, inv)) for x in rows[r]]
         for k in range(len(rows)):
             if k != r and not rows[k][c].is_zero_at_prec():
                 f = rows[k][c]
@@ -242,7 +236,10 @@ class Subspace:
 
     @classmethod
     def full(cls, desc: LocalFieldDesc, ambient: int) -> "Subspace":
-        return cls.from_vectors(desc, ambient, [tuple(r) for r in identity(desc, ambient)])
+        """L^d, on the identity's echelon form: desc.one() on the diagonal."""
+        one, zero = desc.one(), desc.zero()
+        gens = tuple(tuple(one if i == j else zero for j in range(ambient)) for i in range(ambient))
+        return cls(desc, ambient, gens, tuple(range(ambient)))
 
     @property
     def dim(self) -> int:

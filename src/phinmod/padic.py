@@ -363,20 +363,7 @@ class LocalFieldDesc:
         return make_element(self, self._monomial_mant(0, n), 0, self._digits(prec))
 
     def from_rational(self, r, prec=None) -> "FieldElement":
-        return self._from_rational(Fraction(r), self._digits(prec))
-
-    def _from_rational(self, r: Fraction, k) -> "FieldElement":
-        if r == 0:
-            return self.zero()
-        num, den = r.numerator, r.denominator
-        s = _vp(den, self.p) if den % self.p == 0 else 0
-        den //= self.p ** s
-        if den != 1:
-            # invert the prime-to-p part of the denominator modulo p^cap
-            if k is INF:
-                raise ValidationError("cannot invert a denominator at infinite precision")
-            num = num * pow(den, -1, self.p ** max(1, _ceil_div(k, self.e_l) + s + 1))
-        return make_element(self, self._monomial_mant(0, num), s, k)
+        return self.element([[r] + [0] * (self.f_l - 1)] + [[0] * self.f_l] * (self.e_l - 1), prec)
 
     def uniformizer(self, prec=None) -> "FieldElement":
         if self.e_l == 1:
@@ -387,21 +374,33 @@ class LocalFieldDesc:
         return make_element(self, mant, 0, self._digits(prec))
 
     def element(self, coords, prec=None) -> "FieldElement":
-        """Build an element from a 2-D array of rationals indexed [pi-power][theta-power]."""
+        """Build an element from a 2-D array of rationals indexed [pi-power][theta-power].
+
+        Each nonzero coordinate num / (d p^s), d prime to p, is written over
+        the largest p^s, d inverted modulo p^max(1, ceil(k/e_l) + s + 1), k
+        the digits of prec; one make_element reduces the mantissa at the
+        floor k plus the lowest pi-row used, the floor of the sum of the
+        coordinates times their exact monomials.  All zeros: the exact zero."""
         rows = [list(r) if isinstance(r, (tuple, list)) else [r] for r in coords]
         if len(rows) != self.e_l or any(len(r) != self.f_l for r in rows):
             raise ValidationError("coordinate array must be e_l rows of f_l entries")
-        out = self.zero()
-        k = self._digits(prec)
-        for a, row in enumerate(rows):
-            for b, c in enumerate(row):
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                # pi^a theta^b with a < e_l, b < f_l is the basis monomial itself
-                mono = make_element(self, self._monomial_mant(a * self.f_l + b, 1), 0, INF)
-                out = out + self._from_rational(c, k) * mono
-        return out
+        p, k = self.p, self._digits(prec)
+        mant, pows = [0] * self.degree, [0] * self.degree
+        for i, c in enumerate(Fraction(x) for row in rows for x in row):
+            if c:
+                num, den = c.numerator, c.denominator
+                s = _vp(den, p) if den % p == 0 else 0
+                den //= p**s
+                if den != 1:
+                    if k is INF:
+                        raise ValidationError("cannot invert a denominator at infinite precision")
+                    num *= pow(den, -1, p ** max(1, _ceil_div(k, self.e_l) + s + 1))
+                mant[i], pows[i] = num, s
+        if not any(mant):
+            return self.zero()
+        shift, low = max(pows), next(i for i, m in enumerate(mant) if m) // self.f_l
+        mant = [m * p ** (shift - s) for m, s in zip(mant, pows)]
+        return make_element(self, mant, shift, k if k is INF else k + low)
 
 
 def make_element(desc: LocalFieldDesc, mant, shift: int, k) -> "FieldElement":
@@ -582,11 +581,15 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse: the unit part x / (monomial of valuation
         v) is inverted by one multiplication-matrix solve (_unit_inverse),
-        then divided by the monomial.  Relative precision is preserved."""
+        then divided by the monomial.  Relative precision is preserved.  The
+        unit 1 needs no solve: the exact 1 gives desc.one(), a 1 at a floor itself."""
         if self.is_exact_zero():
             raise ZeroInput("inverting exact zero")
-        v = self._certified_val()
         desc = self.desc
+        one = desc.one()
+        if self.mant == one.mant and not self.shift:
+            return one if self._k is INF else self
+        v = self._certified_val()
         unit = _times_monomial(self, -v)
         # the relative precision in digits; a certified valuation lies at
         # least one digit below the floor, so rel >= 1
@@ -604,10 +607,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self._k, o._k)
-        a = make_element(self.desc, self.mant, self.shift, k)
-        b = make_element(self.desc, o.mant, o.shift, k)
-        return a.mant == b.mant and a.shift == b.shift
+        # equal at the lower floor exactly when the difference reduces to zero
+        return not any((self - o).mant)
 
     __hash__ = None
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .coeff import DualNumber, GaloisShape, ProductElement
@@ -110,6 +111,8 @@ def _prec_out(prec):
 # int-to-str conversions beyond 4300 digits.  A mantissa at precision prec
 # has about prec * log10(p) digits, so that product is capped well below the
 # limit, leaving room for the powers of p a computation puts in denominators.
+# Exact values have no precision to cap them: a product of exact inputs can
+# pass the limit, and dump_element refuses it.
 MAX_PREC_DIGITS = 3000
 
 # Building a tower costs about 4 e_L^2 f_L^3 exact products for its
@@ -276,10 +279,13 @@ def _element_from_grid(desc, grid, prec, path: str) -> FieldElement:
 
 
 def dump_element(x: FieldElement) -> dict:
-    return {
-        "c": [[str(c) for c in row] for row in x.coefficients()],
-        "prec": _prec_out(x.prec),
-    }
+    try:
+        coeffs = [[str(c) for c in row] for row in x.coefficients()]
+    except ValueError:
+        # the int-to-str limit, the one ValueError str() of a Fraction raises
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"result coefficient exceeds the bound of {limit} digits a report prints") from None
+    return {"c": coeffs, "prec": _prec_out(x.prec)}
 
 
 def parse_product(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -> ProductElement:

@@ -303,6 +303,17 @@ def test_payload_bounds_admit_their_limits():
     inst["shape"] = {"e": 1, "f": 1}
     parse_instance(json.dumps(inst))
     assert parse_instance(json.dumps(dict(_load("module_plain.json"), shape={"e": 1, "f": 1})))
+    # exact classes inside the bounds whose cup product has about 6000
+    # digits, past the 4300 Python prints: refused when dumped, exit 2
+    big, one = {"c": [["7" * 2990]], "prec": "inf"}, [{"c": [["1"]], "prec": "inf"}]
+    classes = {"x": {"a1": big, "a2": one}, "y": {"b1": big, "b2": one}}
+    inst = {"field": {"p": 3}, "shape": {"e": 1, "f": 1}, "payload": {"classes": classes}}
+    report, code = execute("cup", json.dumps(inst), Options())
+    line = render(report, "json")
+    assert code == 2 and "\n" not in line
+    assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+    assert report["error"]["type"] == "ValidationError"
+    assert f"{sys.get_int_max_str_digits()} digits" in report["error"]["message"] and len(report["error"]["message"]) < 200
 
 
 def _largest_admitted_field() -> dict:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from phinmod import padic
 from phinmod.errors import PrecisionLoss
 from phinmod.filtration import restrict_steps
 from phinmod.linalg import (
@@ -31,7 +32,7 @@ from phinmod.linalg import (
     trace,
     transpose,
 )
-from phinmod.padic import INF, FieldElement, _mul_add, _sub_mul, poly_eval
+from phinmod.padic import INF, _mul_add, _sub_mul, poly_eval
 from util import sample_element, sample_invertible
 
 
@@ -380,15 +381,15 @@ def test_exact_zero_skips_match_plain_loops(all_fields):
 
 
 def test_rref_exact_one_pivots_skip_inverse(all_fields, monkeypatch):
-    # an exact-1 pivot, in place and after a swap, is scaled by desc.one()
-    # without FieldElement.inverse; the rows match the always-inverting
-    # reference bit for bit
+    # a pivot equal to 1, exact or known to a floor, in place and after a
+    # swap, is inverted without a unit solve; the rows match the
+    # always-scaling reference bit for bit
     calls = []
-    original = FieldElement.inverse
+    original = padic._unit_inverse
 
-    def counted(x):
-        calls.append(x)
-        return original(x)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     for desc in all_fields:
         one, zero = desc.from_int(1, INF), desc.zero()
@@ -396,11 +397,13 @@ def test_rref_exact_one_pivots_skip_inverse(all_fields, monkeypatch):
         cases = [
             [[one, zero, desc.from_int(2, INF), s[0]], [zero, one, desc.from_int(-5, INF), s[1]]],
             [[zero, one, s[2]], [one, desc.from_int(3, INF), s[3]]],
+            [[desc.one(), s[0], zero], [zero, desc.from_int(1, prec=5), s[1]]],
+            [[zero, desc.from_int(1, prec=Fraction(7, 2)), s[2]], [desc.one(), zero, s[3]]],
         ]
         for a in cases:
-            monkeypatch.setattr(FieldElement, "inverse", counted)
+            monkeypatch.setattr(padic, "_unit_inverse", counted)
             rows, pivots = rref(a)
-            monkeypatch.setattr(FieldElement, "inverse", original)
+            monkeypatch.setattr(padic, "_unit_inverse", original)
             assert calls == []
             rows_want, pivots_want = plain_rref(a)
             assert pivots == pivots_want == [0, 1]

@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -28,7 +29,7 @@ from phinmod.padic import (
     roots_in_field,
 )
 from phinmod.serial import dump_element, parse_field
-from util import sample_element, sample_unit, unram_gen
+from util import element_by_terms, equal_by_reduction, sample_element, sample_unit, unram_gen
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +904,86 @@ def test_moduli_cache_is_dropped_when_full(q3):
     assert len(q3._moduli_cache) == size
     assert q3._moduli(size + 1) == (3 ** (size + 1),)
     assert list(q3._moduli_cache) == [size + 1]
+
+
+def _coordinate(rng, p):
+    """A seeded coordinate: zero (also spelled as a string), an integer, or a
+    fraction with a p-power and a prime-to-p part in its denominator, its
+    numerator now and then deep enough in p to vanish at a floor."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0, "0", Fraction(0, 7)])
+    num = rng.randrange(-(p**6), p**6) * p ** rng.choice([0, 0, 1, 3, 70, 250])
+    den = p ** rng.randrange(5) * rng.choice([1, 1, 2 * p + 1, 7 * p - 1, p**3 + 1])
+    if kind == 1:
+        return num
+    return str(Fraction(num, den)) if kind == 2 else Fraction(num, den)
+
+
+def _outcome(build, *args):
+    """Bits of the built element, or the text of the ValidationError."""
+    try:
+        x = build(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return x.mant, x.shift, x.prec
+
+
+def test_element_and_equality_keep_the_bits_of_the_long_routes(q3, q2, q3_ram, q5_unr, q3_mixed):
+    # one make_element per element and one reduction per comparison give
+    # the bits, the floors and the refusals of the per-coefficient sum and
+    # of the comparison that reduces both operands again
+    rng = random.Random(19)
+    for desc in (q3, q2, q3_ram, q5_unr, q3_mixed):
+        e, f = desc.e_l, desc.f_l
+        # shared grids come back at every precision, so the pool holds the
+        # same values at several floors
+        shared = [[[0] * f for _ in range(e)], [["0"] * f for _ in range(e)]]
+        shared += [[[_coordinate(rng, desc.p) for _ in range(f)] for _ in range(e)] for _ in range(14)]
+        pool = []
+        for prec in (None, 1, Fraction(7, 2), 60, 200, INF):
+            fresh = [[[_coordinate(rng, desc.p) for _ in range(f)] for _ in range(e)] for _ in range(16)]
+            for i, grid in enumerate(shared + fresh):
+                want = _outcome(element_by_terms, desc, grid, prec)
+                assert _outcome(desc.element, grid, prec) == want
+                if i < len(shared) and not isinstance(want, str):
+                    pool.append(desc.element(grid, prec))
+            for _ in range(10):
+                r = _coordinate(rng, desc.p)
+                grid = [[r] + [0] * (f - 1)] + [[0] * f for _ in range(e - 1)]
+                assert _outcome(desc.from_rational, r, prec) == _outcome(element_by_terms, desc, grid, prec)
+        refused = [[0] * f for _ in range(e - 1)] + [[Fraction(1, desc.p + 1)] * f]
+        assert _outcome(desc.element, refused, INF) == _outcome(element_by_terms, desc, refused, INF)
+        assert _outcome(desc.element, refused, INF) == "cannot invert a denominator at infinite precision"
+        # near neighbours: a change deep enough in p to vanish at some
+        # floors only, and the integers 0 and 1 at two floors
+        pool += [x + desc.from_int(desc.p**j, INF) for x in pool[::5] for j in (2, 61, 300)]
+        pool += [desc.from_int(n, prec) for n in (0, 1, -1) for prec in (1, INF)]
+        for x in pool:
+            for y in pool:
+                assert (x == y) == equal_by_reduction(x, y)
+
+
+def test_inverse_of_one_keeps_the_bits_of_the_solve(all_fields, monkeypatch):
+    # the unit 1 is inverted without _unit_inverse, to the bits the solve
+    # gave: desc.one() for the exact 1, itself at any floor
+    calls = []
+    original = padic._unit_inverse
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(padic, "_unit_inverse", counted)
+    for desc in all_fields:
+        for prec in (None, Fraction(1, desc.e_l), 1, Fraction(7, 2), 200, INF):
+            one = desc.from_int(1, prec)
+            got = one.inverse()
+            k = desc._digits(None) if prec == INF else one._k
+            want = padic.make_element(desc, original(desc, one.mant, k), 0, k)
+            assert (got.mant, got.shift, got.prec) == (want.mant, want.shift, want.prec)
+        assert desc.from_int(1, INF).inverse() is desc.one()
+    assert calls == []
 
 
 def test_construction_refusals(q3, q2):

@@ -1,7 +1,7 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
 random basis transport of a (module, filtration) pair, the benchmark's input
-generator, a reference route to End0, and small views of package data that
-only the tests need."""
+generator, reference routes to End0, to element construction and to
+equality, and small views of package data that only the tests need."""
 from __future__ import annotations
 
 import importlib.util
@@ -23,7 +23,8 @@ from phinmod.linalg import (
     transpose,
 )
 from phinmod.modules import PhiNModule, end0_basis, hom_module
-from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, make_element
+from phinmod.errors import ValidationError
+from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, _vp, make_element
 
 
 def sample_element(desc: LocalFieldDesc, valuation, seed: int, prec=None) -> FieldElement:
@@ -144,3 +145,39 @@ def end0_via_hom(mod: PhiNModule, fil: Filtration):
         for sig in restrict_steps(hfil.steps, [span] * len(hfil.steps))
     )
     return e0, Filtration(desc, mod.shape, len(basis), steps)
+
+
+def element_by_terms(desc: LocalFieldDesc, coords, prec=None) -> FieldElement:
+    """LocalFieldDesc.element the long way round, for comparison: each
+    nonzero coordinate as its own element at the requested floor, times its
+    exact basis monomial, the terms summed with +."""
+    rows = [list(r) if isinstance(r, (tuple, list)) else [r] for r in coords]
+    if len(rows) != desc.e_l or any(len(r) != desc.f_l for r in rows):
+        raise ValidationError("coordinate array must be e_l rows of f_l entries")
+    p, k = desc.p, desc._digits(prec)
+    out = desc.zero()
+    for a, row in enumerate(rows):
+        for b, c in enumerate(row):
+            c = Fraction(c)
+            if c == 0:
+                continue
+            num, den = c.numerator, c.denominator
+            s = _vp(den, p) if den % p == 0 else 0
+            den //= p**s
+            if den != 1:
+                if k is INF:
+                    raise ValidationError("cannot invert a denominator at infinite precision")
+                num = num * pow(den, -1, p ** max(1, _ceil_div(k, desc.e_l) + s + 1))
+            term = make_element(desc, desc._monomial_mant(0, num), s, k)
+            mono = make_element(desc, desc._monomial_mant(a * desc.f_l + b, 1), 0, INF)
+            out = out + term * mono
+    return out
+
+
+def equal_by_reduction(x: FieldElement, y: FieldElement) -> bool:
+    """FieldElement equality the long way round, for comparison: both
+    operands reduced again at the lower floor, then their bits compared."""
+    k = min(x._k, y._k)
+    a = make_element(x.desc, x.mant, x.shift, k)
+    b = make_element(x.desc, y.mant, y.shift, k)
+    return a.mant == b.mant and a.shift == b.shift
