@@ -29,7 +29,7 @@ from .linalg import (
     trace,
 )
 from .modules import PhiNModule, frobenius_composite
-from .padic import FieldElement, roots_in_field
+from .padic import INF, FieldElement, roots_in_field
 from .record import frozen
 
 
@@ -48,10 +48,25 @@ class StableSubmodule:
     module: PhiNModule
 
 
+def _is_diagonal(a: Matrix) -> bool:
+    """True when every off-diagonal entry of a is the exact zero."""
+    return all(x.is_exact_zero() for i, r in enumerate(a) for j, x in enumerate(r) if i != j)
+
+
 def cycle_roots(cycle: Matrix) -> list[FieldElement]:
     """Eigenvalues of the full Frobenius cycle (frobenius_composite) that lie
     in the coefficient field, assuming they are simple; RootLiftingError
-    propagates otherwise."""
+    propagates otherwise.
+
+    A diagonal cycle whose entries have pairwise distinct certified finite
+    valuations is its own spectrum: its entries, largest valuation first
+    (the Newton-segment order of roots_in_field), with every digit they
+    carry.  Any other cycle goes through roots_in_field(charpoly(cycle))."""
+    if _is_diagonal(cycle):
+        diag = [r[i] for i, r in enumerate(cycle)]
+        vals = {x._val() for x in diag}
+        if len(vals) == len(diag) and None not in vals and INF not in vals:
+            return sorted(diag, key=lambda x: x._val(), reverse=True)
     return roots_in_field(charpoly(cycle))
 
 
@@ -61,8 +76,14 @@ def _minus_scalar(a: Matrix, lam: FieldElement) -> Matrix:
 
 
 def eigenline(a: Matrix, lam: FieldElement, error: type[PhinError]) -> Vector:
-    """Generator of the kernel of a - lam; raises error unless it is a line."""
-    kern = right_kernel(_minus_scalar(a, lam))
+    """Generator of the kernel of a - lam; raises error unless it is a line.
+    On a diagonal a the kernel is read off: the unit vector at each entry
+    equal to lam at precision, as right_kernel would give it."""
+    if _is_diagonal(a):
+        one, zero = lam.desc.from_int(1, INF), lam.desc.zero()
+        kern = [tuple(one if j == i else zero for j in range(len(a))) for i, r in enumerate(a) if r[i] == lam]
+    else:
+        kern = right_kernel(_minus_scalar(a, lam))
     if len(kern) != 1:
         raise error("cycle eigenspace is not a line")
     return kern[0]
@@ -139,11 +160,10 @@ def enumerate_submodules(
         return [], None
     a = frobenius_composite(m)
     desc = m.desc
-    cp = charpoly(a)
     line_vecs: list[Vector] = []
     planes: list[Subspace] = []
     try:
-        roots = roots_in_field(cp)
+        roots = cycle_roots(a)
     except RootLiftingError:
         if d != 2:
             raise UnsupportedEnumeration(
@@ -169,7 +189,7 @@ def enumerate_submodules(
     else:
         line_vecs = [eigenline(a, lam, UnsupportedEnumeration) for lam in roots]
         if d == 3 and len(roots) == 1:
-            quad = _deflate(cp, roots[0])
+            quad = _deflate(charpoly(a), roots[0])
             kern = right_kernel(_poly_of_matrix(quad, a))
             if len(kern) != 2:
                 raise UnsupportedEnumeration("complementary stable plane is not certified")

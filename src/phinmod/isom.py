@@ -13,12 +13,12 @@ multiplicative consistency problem on entrywise ratios.
 """
 from __future__ import annotations
 
-from .eigen import eigenline
+from .eigen import cycle_roots, eigenline
 from .errors import RootLiftingError, UnsupportedEnumeration, ValidationError
 from .filtration import Filtration
 from .linalg import Matrix, Subspace, charpoly, inv, mat_mul, transpose
 from .modules import PhiNModule, frobenius_composite
-from .padic import FieldElement, roots_in_field
+from .padic import FieldElement
 from .record import frozen
 
 
@@ -109,7 +109,7 @@ def is_isomorphic(
     if cp != charpoly(a2):
         return IsoVerdict(False, "cycle spectra differ")
     try:
-        roots = roots_in_field(cp)
+        roots = cycle_roots(a1)
     except RootLiftingError as exc:
         raise UnsupportedEnumeration("cycle spectrum does not split simply") from exc
     if len(roots) != d:

@@ -28,6 +28,12 @@ def q5_unr() -> LocalFieldDesc:
 
 
 @pytest.fixture(scope="session")
+def q9() -> LocalFieldDesc:
+    # unramified quadratic step: theta^2 + 1 = 0 mod 3 irreducible
+    return LocalFieldDesc(3, 2, 1, (1, 0, 1), ((-3, 0), (1, 0)))
+
+
+@pytest.fixture(scope="session")
 def q3_mixed() -> LocalFieldDesc:
     # f_l = 2 and e_l = 2 together: theta^2 + 1 = 0, pi^2 = 3
     return LocalFieldDesc(3, 2, 2, (1, 0, 1), ((-3, 0), (0, 0), (1, 0)))

@@ -1,11 +1,28 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from phinmod import eigen, isom, monodromy, padic, serial
+from phinmod.cli import Options, run
 from phinmod.coeff import GaloisShape
-from phinmod.eigen import LineBundleFamily, eigenline, enumerate_submodules, propagate_space
-from phinmod.errors import UnsupportedEnumeration
-from phinmod.linalg import Subspace, mat
-from phinmod.modules import PhiNModule, tensor_module
-from phinmod.padic import INF
+from phinmod.eigen import (
+    LineBundleFamily,
+    _minus_scalar,
+    cycle_roots,
+    eigenline,
+    enumerate_submodules,
+    propagate_space,
+)
+from phinmod.errors import NotMonodromyType, PhinError, UnsupportedEnumeration
+from phinmod.filtration import Filtration, is_admissible
+from phinmod.isom import is_isomorphic
+from phinmod.linalg import Subspace, charpoly, mat, right_kernel
+from phinmod.modules import PhiNModule, newton_number, tensor_module
+from phinmod.monodromy import build_degenerate, build_monodromy, end0_check
+from phinmod.padic import INF, _times_monomial, make_element, roots_in_field
+from phinmod.serial import Instance
+from util import bench_gen, roots_by_charpoly, sample_element, transport
 
 
 def imat(desc, rows):
@@ -116,10 +133,21 @@ def test_two_slot_propagation(q3):
         assert s.slot_spaces[1].contains_vector(swapped)
 
 
-def test_eigenline_refuses_a_plane(q3):
+def test_eigenline_refuses_a_plane(q3, q9):
     one = q3.from_int(1, INF)
     with pytest.raises(UnsupportedEnumeration, match="not a line"):
         eigenline(imat(q3, [[1, 0], [0, 1]]), one, UnsupportedEnumeration)
+    # an off-diagonal entry zero only at precision, so not read as diagonal
+    loose = mat([[one, q3.zero()], [make_element(q3, [0], 0, 5), one]])
+    with pytest.raises(NotMonodromyType, match="not a line"):
+        eigenline(loose, one, NotMonodromyType)
+    # a diagonal entry repeated at precision only, and a value no entry has
+    x = sample_element(q9, 1, 7, 20)
+    zero = q9.zero()
+    a = mat([[x, zero, zero], [zero, q9.from_int(1, INF), zero], [zero, zero, make_element(q9, x.mant, x.shift, 9)]])
+    for lam in (x, q9.from_int(2, INF)):
+        with pytest.raises(NotMonodromyType, match="not a line"):
+            eigenline(a, lam, NotMonodromyType)
 
 
 def test_propagate_space_carries_a_stable_line_and_not_others(q3):
@@ -140,3 +168,246 @@ def test_enumeration_refuses_an_invertible_slot_operator(q3):
     m = onestot(q3, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
     with pytest.raises(UnsupportedEnumeration, match="slot operator kernel is not a line"):
         enumerate_submodules(m)
+
+
+# ---------------------------------------------------------------------------
+# the diagonal rule: a diagonal cycle with pairwise distinct certified
+# valuations is its own spectrum, and its eigenlines are unit vectors
+
+
+def bits(x):
+    return (x.mant, x.shift, x._k)
+
+
+def diag(desc, xs):
+    zero = desc.zero()
+    return mat([[x if i == j else zero for j in range(len(xs))] for i, x in enumerate(xs)])
+
+
+def exact_monomial(desc, rng, n):
+    """An exact residue digit vector times the monomial of valuation n digits."""
+    digits = [rng.randrange(desc.p) for _ in range(desc.f_l)]
+    digits[0] = digits[0] or 1
+    return _times_monomial(make_element(desc, digits + [0] * (desc.degree - desc.f_l), 0, INF), n)
+
+
+def exact_non_monomial(desc, rng, n):
+    """An exact integer whose p-adic expansion has more than one digit,
+    times the monomial of valuation n digits."""
+    c = rng.randrange(1, desc.p) + desc.p * rng.randrange(1, 50)
+    return _times_monomial(desc.from_int(c, INF), n)
+
+
+@pytest.fixture
+def diagonal_fields(q3, q2, q3_ram, q9, q5_unr):
+    return [q3, q2, q3_ram, q9, q5_unr]
+
+
+def _scan(fields, cases=12):
+    """Seeded (desc, rng, distinct valuations in digits) triples, 2x2 and 3x3."""
+    for desc in fields:
+        for seed in range(cases):
+            rng = random.Random(seed)
+            yield desc, rng, rng.sample(range(-4 * desc.e_l, 4 * desc.e_l + 1), 2 + seed % 2)
+
+
+def test_diagonal_roots_match_the_charpoly_route_in_bits(diagonal_fields):
+    # one relative precision for every entry, or exact monomial entries (as
+    # W's p, 1, 1/p are): the rule and the charpoly route agree bit for bit,
+    # in the Newton-segment order (largest valuation first)
+    for desc, rng, vals in _scan(diagonal_fields):
+        prec = rng.randrange(1, 30)
+        shared = [sample_element(desc, Fraction(v, desc.e_l), rng.randrange(10**6), prec) for v in vals]
+        for xs in (shared, [exact_monomial(desc, rng, v) for v in vals]):
+            a = diag(desc, xs)
+            roots = cycle_roots(a)
+            assert [bits(x) for x in roots] == [bits(x) for x in roots_in_field(charpoly(a))]
+            assert [x._val() for x in roots] == sorted((x._val() for x in xs), reverse=True)
+
+
+def test_diagonal_roots_keep_every_digit_the_entries_carry(diagonal_fields):
+    # unequal relative precisions and exact entries that are not monomials:
+    # each root is the entry itself, equal to the charpoly root at the lower
+    # floor, and never known to fewer digits
+    for desc, rng, vals in _scan(diagonal_fields):
+        xs = [
+            exact_non_monomial(desc, rng, v)
+            if rng.random() < 0.3
+            else sample_element(desc, Fraction(v, desc.e_l), rng.randrange(10**6), rng.randrange(1, 30))
+            for v in vals
+        ]
+        roots = cycle_roots(diag(desc, xs))
+        ref = roots_in_field(charpoly(diag(desc, xs)))
+        assert [id(x) for x in roots] == [id(x) for x in sorted(xs, key=lambda x: x._val(), reverse=True)]
+        assert all(x == y and x._k >= y._k for x, y in zip(roots, ref))
+
+
+def test_diagonal_rule_gains_digits_over_the_charpoly_route(q3):
+    # Q3 diag(21 known to 60 digits, 5/2 known to 10)
+    a = diag(q3, [q3.from_int(21, 60), q3.from_rational(Fraction(5, 2), 10)])
+    assert [x.prec for x in roots_in_field(charpoly(a))] == [11, 10]
+    assert [x.prec for x in cycle_roots(a)] == [60, 10]
+    # both exact: 21 is not a residue digit times a power of 3, so the
+    # charpoly route lifts it to the default digits
+    a = diag(q3, [q3.from_int(21, INF), q3.from_int(1, INF)])
+    assert roots_in_field(charpoly(a))[0].prec == 62
+    assert cycle_roots(a)[0].prec == INF
+
+
+def _outcome(f, *args):
+    try:
+        return [bits(x) for x in f(*args)]
+    except PhinError as exc:
+        return (type(exc), str(exc))
+
+
+def test_cycles_outside_the_rule_take_the_charpoly_route(diagonal_fields):
+    for desc in diagonal_fields:
+        rng = random.Random(desc.p * desc.degree)
+        x = sample_element(desc, 1, rng.randrange(10**6), 20)
+        y = sample_element(desc, 1, rng.randrange(10**6), 20)
+        z = sample_element(desc, 0, rng.randrange(10**6), 20)
+        zero_at_prec = make_element(desc, [0] * desc.degree, 0, 5)
+        cycles = [
+            diag(desc, [x, y]),  # tied valuations
+            diag(desc, [x, z, y]),
+            diag(desc, [x, zero_at_prec]),  # an entry indistinguishable from zero
+            diag(desc, [desc.zero(), z]),  # the exact zero
+            mat([[x, zero_at_prec], [desc.zero(), z]]),  # off-diagonal zero at precision only
+        ]
+        for a in cycles:
+            assert _outcome(cycle_roots, a) == _outcome(roots_by_charpoly, a)
+        assert isinstance(_outcome(cycle_roots, cycles[3]), tuple)
+
+
+def test_diagonal_eigenline_is_the_kernel_generator_in_bits(diagonal_fields):
+    for desc, rng, vals in _scan(diagonal_fields):
+        xs = [sample_element(desc, Fraction(v, desc.e_l), rng.randrange(10**6), rng.randrange(1, 30)) for v in vals]
+        xs[0] = exact_non_monomial(desc, rng, vals[0])
+        a = diag(desc, xs)
+        for lam in cycle_roots(a):
+            assert [bits(c) for c in eigenline(a, lam, NotMonodromyType)] == [
+                bits(c) for c in right_kernel(_minus_scalar(a, lam))[0]
+            ]
+
+
+# ---------------------------------------------------------------------------
+# structural pin: a built module, End0 of one and W never lift a root
+
+
+def _bench_items(seed):
+    gen = bench_gen()
+    doc = gen.inputs("verdicts-p60", seed)
+    for spec in doc["records"]:
+        desc = serial.parse_field(doc["fields"][spec["tower"]])
+        shape = serial.parse_shape(spec["shape"])
+        record = serial.parse_monodromy(desc, shape, spec["monodromy"], "/monodromy")
+        moved = spec["moved"]
+        yield spec, record, (
+            serial.parse_module(desc, shape, moved["module"], "/module"),
+            serial.parse_filtration(desc, shape, 2, moved["filtration"], "/filtration"),
+        )
+
+
+def test_built_modules_end0_and_w_never_lift_a_root(monkeypatch):
+    lifts = []
+    lift = padic.hensel_root
+    monkeypatch.setattr(padic, "hensel_root", lambda *args: lifts.append(args) or lift(*args))
+    seen = set()
+    for spec, record, (moved, moved_fil) in _bench_items(5):
+        mod, fil = (build_degenerate if record.degenerate else build_monodromy)(record, check=False)
+        assert is_admissible(mod, fil).admissible == spec["admissible"]
+        assert is_isomorphic(mod, fil, moved, moved_fil).isomorphic
+        if spec["end0"]:
+            assert end0_check(record).ok
+        seen.add((spec["tower"], str(spec["shape"])))
+    assert lifts == []
+    assert len(seen) == 9
+    # the counter sees the lifts of a dense cycle
+    spec, record, (moved, moved_fil) = next(_bench_items(5))
+    monodromy.extract_invariants(moved, moved_fil)
+    assert lifts
+
+
+# ---------------------------------------------------------------------------
+# verdicts on diagonal modules with mixed floors: the rule changes none,
+# except that iso may answer where the charpoly route's short root refused
+
+
+def _mixed_floor_module(desc, f, rng):
+    """A random rank-2 diagonal module with a two-step flag per embedding.
+    Twisted: slot i is diag(p u_i, u_i') with u_i' the unit u_i cut to a
+    lower floor and N e2 = e1, so the twist relation holds at that floor.
+    Otherwise the entries are drawn apart, possibly of one valuation, and N
+    vanishes."""
+    shape = GaloisShape(1, f)
+    p = desc.from_int(desc.p, INF)
+    zero, one = desc.zero(), desc.from_int(1, INF)
+    twisted = rng.random() < 0.6
+    phi = []
+    for _ in range(f):
+        u = sample_element(desc, rng.randrange(-2, 3), rng.randrange(10**6), rng.randrange(2, 30))
+        if twisted:
+            light = make_element(desc, u.mant, u.shift, u._k - rng.randrange(0, u._k - u._val()))
+            heavy = p * u
+        else:
+            light = u
+            heavy = sample_element(desc, rng.randrange(-2, 3), rng.randrange(10**6), rng.randrange(2, 30))
+        phi.append(mat([[heavy, zero], [zero, light]]))
+    mod = PhiNModule(desc, shape, 2, tuple(phi), (mat([[zero, zero], [one if twisted else zero, zero]]),) * f)
+    jumps = [(lo, lo + rng.randrange(1, 4)) for lo in (rng.randrange(-2, 2) for _ in range(shape.n))]
+    # mostly balanced, so that the submodule certificates decide
+    lo, hi = jumps[-1]
+    deficit = newton_number(mod) - sum(map(sum, jumps))
+    if rng.random() < 0.7 and deficit.denominator == 1 and hi + deficit > lo:
+        jumps[-1] = (lo, hi + int(deficit))
+    full = Subspace.full(desc, 2)
+    steps = []
+    for lo, hi in jumps:
+        ell = sample_element(desc, rng.randrange(-1, 3), rng.randrange(10**6), rng.randrange(2, 30))
+        steps.append(((lo, full), (hi, Subspace.from_vectors(desc, 2, [(one, ell)]))))
+    return mod, Filtration(desc, shape, 2, tuple(steps))
+
+
+def _verdicts(desc, mod, fil, moved, moved_fil):
+    instances = {
+        "admissible": Instance(desc, mod.shape, "module", {"module": mod, "filtration": fil}),
+        "iso": Instance(desc, mod.shape, "pair", {"first": (mod, fil), "second": (moved, moved_fil)}),
+        "extract": Instance(desc, mod.shape, "module", {"module": mod, "filtration": fil}),
+    }
+    out = {}
+    for command, instance in instances.items():
+        report, code = run(command, instance, Options())
+        out[command] = (code, report["verdict"], report["error"])
+    return out
+
+
+# what the charpoly route reports when its root, cut to the floor of the
+# characteristic polynomial, cannot separate the twin's eigenline
+_LOOSE_ROOT = (2, None, {"type": "UnsupportedEnumeration", "message": "cycle eigenspace is not a line"})
+
+
+def test_mixed_floor_verdicts_match_the_charpoly_route(q3, q9, monkeypatch):
+    # admissible and extract on the diagonal module, and iso against its
+    # transported twin, under the rule and under the charpoly route: the
+    # same exit code, verdict and error everywhere, except where the
+    # charpoly route's root was too short for the twin's eigenline and the
+    # rule's longer root lets iso reach a verdict at the working precision
+    reference = []
+    cases = []
+    for desc in (q3, q9):
+        rng = random.Random(desc.degree)
+        for t in range(24):
+            mod, fil = _mixed_floor_module(desc, 1 + t % 2, rng)
+            cases.append((desc, mod, fil) + transport(mod, fil, 31 * t))
+    got = [_verdicts(*case) for case in cases]
+    with monkeypatch.context() as patch:
+        for module in (eigen, isom, monodromy):
+            patch.setattr(module, "cycle_roots", lambda a: reference.append(a) or roots_by_charpoly(a))
+        want = [_verdicts(*case) for case in cases]
+    assert reference
+    for g, w in zip(got, want):
+        assert g["admissible"] == w["admissible"] and g["extract"] == w["extract"]
+        assert g["iso"] == w["iso"] or w["iso"] == _LOOSE_ROOT
+    codes = {code for verdicts in got for code, _, _ in verdicts.values()}
+    assert codes == {0, 1, 2, 3}

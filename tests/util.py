@@ -1,7 +1,8 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
 random basis transport of a (module, filtration) pair, the benchmark's input
-generator, reference routes to End0, to element construction and to
-equality, and small views of package data that only the tests need."""
+generator, reference routes to End0, to element construction, to
+equality and to cycle roots, and small views of package data that only
+the tests need."""
 from __future__ import annotations
 
 import importlib.util
@@ -14,6 +15,7 @@ from phinmod.linalg import (
     Matrix,
     Subspace,
     Vector,
+    charpoly,
     identity,
     inv,
     mat,
@@ -24,7 +26,7 @@ from phinmod.linalg import (
 )
 from phinmod.modules import PhiNModule, end0_basis, hom_module
 from phinmod.errors import ValidationError
-from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, _vp, make_element
+from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, _vp, make_element, roots_in_field
 
 
 def sample_element(desc: LocalFieldDesc, valuation, seed: int, prec=None) -> FieldElement:
@@ -181,3 +183,9 @@ def equal_by_reduction(x: FieldElement, y: FieldElement) -> bool:
     a = make_element(x.desc, x.mant, x.shift, k)
     b = make_element(x.desc, y.mant, y.shift, k)
     return a.mant == b.mant and a.shift == b.shift
+
+
+def roots_by_charpoly(cycle: Matrix) -> list[FieldElement]:
+    """eigen.cycle_roots the long way round, for comparison: the roots of
+    the characteristic polynomial for every cycle, a diagonal one too."""
+    return roots_in_field(charpoly(cycle))
