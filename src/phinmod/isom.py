@@ -9,14 +9,17 @@ isomorphism is then a single diagonal scaling matrix.  A slot operator is
 matched entry by entry, and a filtration step through the reduced echelon
 form of its eigen coordinates, where the scaling keeps the pivots and
 multiplies the entry (c, pivot) by t_c / t_pivot.  Both reduce to a
-multiplicative consistency problem on entrywise ratios.
+multiplicative consistency problem on entrywise ratios.  The scaling keeps
+zeros, so zero patterns must agree; a difference certifies a failing
+verdict only where one side holds the exact zero, and one that rests on
+zeros known to their floors alone makes the verdict PrecisionLoss.
 """
 from __future__ import annotations
 
 from .eigen import cycle_roots, eigenline
-from .errors import RootLiftingError, UnsupportedEnumeration, ValidationError
+from .errors import PrecisionLoss, RootLiftingError, UnsupportedEnumeration, ValidationError
 from .filtration import Filtration
-from .linalg import Matrix, Subspace, charpoly, inv, mat_mul, transpose
+from .linalg import Matrix, Subspace, _strict_inv, charpoly, mat_mul, transpose
 from .modules import PhiNModule, frobenius_composite
 from .padic import FieldElement
 from .record import frozen
@@ -77,14 +80,27 @@ class _RatioGraph:
         return tuple(out)
 
 
-def _align(graph, e1: Subspace, e2: Subspace) -> bool:
+def _zeros_differ(x1: FieldElement, x2: FieldElement) -> bool | None:
+    """Whether exactly one of x1, x2 vanishes, which a diagonal scaling rules
+    out: True when the vanishing one is the exact zero, None when it is zero
+    only at precision, so that the working precision cannot tell."""
+    z1 = x1.is_zero_at_prec()
+    if z1 == x2.is_zero_at_prec():
+        return False
+    return True if (x1 if z1 else x2).is_exact_zero() else None
+
+
+def _align(graph, e1: Subspace, e2: Subspace) -> bool | None:
     """Impose that the diagonal scaling carries e1 onto e2, both in reduced
     echelon form.  The scaling keeps every row's zero pattern, and so its
     pivot, and multiplies the entry (c, pivot) by t_c / t_pivot: the
-    patterns must agree and every other nonzero entry fixes one ratio."""
-    zeros1 = [[x.is_zero_at_prec() for x in g] for g in e1.gens]
-    if zeros1 != [[x.is_zero_at_prec() for x in g] for g in e2.gens]:
+    patterns must agree and every other nonzero entry fixes one ratio.
+    None when the patterns differ only where a zero is one at precision."""
+    differ = [_zeros_differ(x1, x2) for g1, g2 in zip(e1.gens, e2.gens) for x1, x2 in zip(g1, g2)]
+    if any(differ):
         return False
+    if None in differ:
+        return None
     return all(
         graph.relate(c, pc, x2 / x1)
         for g1, g2, pc in zip(e1.gens, e2.gens, e1.pivots)
@@ -118,18 +134,27 @@ def is_isomorphic(
     frames1 = _eigen_frames(m1, a1, roots)
     frames2 = _eigen_frames(m2, a2, roots)
 
-    inv1 = [inv(w) for w in frames1]
-    inv2 = [inv(w) for w in frames2]
+    # inv would let an entry of a frame that is zero only at precision
+    # pass as the exact zero, and the ratios below would then be certified
+    # to digits the frame does not carry
+    inv1 = [_strict_inv(w) for w in frames1]
+    inv2 = [_strict_inv(w) for w in frames2]
     graph = _RatioGraph(d, m1.desc.from_int(1))
+    # a zero pattern that differs only at precision decides nothing; it
+    # turns the verdict into PrecisionLoss unless a certified one follows
+    loose = False
 
     for i in range(m1.shape.f):
         n1 = mat_mul(inv1[i], mat_mul(m1.nmat[i], frames1[i]))
         n2 = mat_mul(inv2[i], mat_mul(m2.nmat[i], frames2[i]))
         for a in range(d):
             for b in range(d):
-                if n1[a][b].is_zero_at_prec() != n2[a][b].is_zero_at_prec():
+                differ = _zeros_differ(n1[a][b], n2[a][b])
+                if differ:
                     return IsoVerdict(False, "slot operator supports differ")
-                if not n1[a][b].is_zero_at_prec():
+                if differ is None:
+                    loose = True
+                elif not n1[a][b].is_zero_at_prec():
                     if not graph.relate(a, b, n2[a][b] / n1[a][b]):
                         return IsoVerdict(False, "slot operator ratios are inconsistent")
 
@@ -141,7 +166,14 @@ def is_isomorphic(
         if [v.dim for _, v in s1] != [v.dim for _, v in s2]:
             return IsoVerdict(False, "filtration step dimensions differ")
         for (_, v1), (_, v2) in zip(s1, s2):
-            if v1.dim < d and not _align(graph, v1.image(inv1[i]), v2.image(inv2[i])):
+            if v1.dim == d:
+                continue
+            aligned = _align(graph, v1.image(inv1[i]), v2.image(inv2[i]))
+            if aligned is None:
+                loose = True
+            elif not aligned:
                 kind = "lines" if v1.dim == 1 else "hyperplanes" if v1.dim == d - 1 else "steps"
                 return IsoVerdict(False, f"filtration {kind} cannot be aligned")
+    if loose:
+        raise PrecisionLoss("eigen coordinates vanish at precision only where the other module's do not")
     return IsoVerdict(True, None, graph.solution(d))

@@ -98,6 +98,11 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
     Entries with no certified digits are treated as zero; the profile is then
     canonical at the working precision.
     """
+    return _eliminate(rows_in, FieldElement.is_zero_at_prec)
+
+
+def _eliminate(rows_in, skip) -> tuple[list[list[FieldElement]], list[int]]:
+    """rref, clearing every entry of a pivot column for which skip is false."""
     rows = [list(r) for r in rows_in]
     ncols = len(rows[0])
     pivots = []
@@ -117,7 +122,7 @@ def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
         # an exact-zero entry stays as it is: x * inv and x - f * 0 are x
         rows[r] = [x if x.is_exact_zero() else make_element(inv.desc, *_product(x, inv)) for x in rows[r]]
         for k in range(len(rows)):
-            if k != r and not rows[k][c].is_zero_at_prec():
+            if k != r and not skip(rows[k][c]):
                 f = rows[k][c]
                 rows[k] = [_sub_mul(x, f, y) for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
@@ -178,10 +183,24 @@ def det(a: Matrix) -> FieldElement:
 def inv(a: Matrix) -> Matrix:
     """Matrix inverse; raises PrecisionLoss when invertibility cannot be
     certified at the working precision."""
+    return _inverse(a, strict=False)
+
+
+def _strict_inv(a: Matrix) -> Matrix:
+    """inv that also clears the entries zero only at precision, so that
+    their floors bound every entry they touch.  inv leaves them in place
+    and can return an exact zero, or a longer floor, than the input
+    certifies.  Over Q3, [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]]
+    gets exact off-diagonal zeros and 1 + O(3^7) from inv, and O(3^3),
+    O(3^4) and 1 + O(3^6) from _strict_inv."""
+    return _inverse(a, strict=True)
+
+
+def _inverse(a: Matrix, strict: bool) -> Matrix:
     n = len(a)
     desc = a[0][0].desc
     aug = [list(r) + list(ir) for r, ir in zip(a, identity(desc, n))]
-    rows, pivots = rref(aug)
+    rows, pivots = _eliminate(aug, FieldElement.is_exact_zero) if strict else rref(aug)
     if len(rows) < n or pivots[:n] != list(range(n)):
         raise PrecisionLoss("matrix not certified invertible")
     return tuple(tuple(rows[i][n:]) for i in range(n))

@@ -1,12 +1,12 @@
 import pytest
 
 from phinmod.coeff import GaloisShape
-from phinmod.errors import UnsupportedEnumeration, ValidationError
+from phinmod.errors import PrecisionLoss, UnsupportedEnumeration, ValidationError
 from phinmod.filtration import Filtration
 from phinmod.isom import is_isomorphic
 from phinmod.linalg import Subspace, inv, mat, mat_mul, mat_vec
 from phinmod.modules import PhiNModule
-from phinmod.padic import INF
+from phinmod.padic import INF, make_element
 
 
 def imat(desc, rows):
@@ -84,6 +84,35 @@ def test_line_position_is_an_invariant_when_operator_acts(q3):
     g = imat(q3, [[2, 1], [1, 1]])
     verdict = is_isomorphic(m, fa, conjugate(m, g), push_fil(fb, g))
     assert verdict.reason == "filtration lines cannot be aligned"
+
+
+def test_zero_patterns_told_apart_only_at_precision_decide_nothing(q3):
+    # an exact zero against a nonzero entry is a certified difference; a
+    # zero known to five digits is not, and iso refuses at precision
+    loose = make_element(q3, [0], 0, 5)
+    one, zero = q3.from_int(1, INF), q3.zero()
+    m = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [0, 0]])
+
+    def line_fil(x):
+        return fil1(q3, 2, [(0, Subspace.full(q3, 2)), (1, Subspace.from_vectors(q3, 2, [(one, x)]))])
+
+    assert is_isomorphic(m, line_fil(zero), m, line_fil(one)).reason == "filtration lines cannot be aligned"
+    for first, second in ((line_fil(loose), line_fil(one)), (line_fil(one), line_fil(loose))):
+        with pytest.raises(PrecisionLoss, match="vanish at precision only"):
+            is_isomorphic(m, first, m, second)
+    f = line_fil(one)
+    acting = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [1, 0]])
+
+    def with_n(x):
+        return PhiNModule(q3, m.shape, 2, m.phi, (mat([[zero, zero], [x, zero]]),))
+
+    assert is_isomorphic(acting, f, with_n(zero), f).reason == "slot operator supports differ"
+    with pytest.raises(PrecisionLoss, match="vanish at precision only"):
+        is_isomorphic(acting, f, with_n(loose), f)
+    # a certified difference later on still decides
+    assert is_isomorphic(acting, line_fil(zero), with_n(loose), line_fil(one)).reason == (
+        "filtration lines cannot be aligned"
+    )
 
 
 def test_line_position_floats_without_operator(q3):
