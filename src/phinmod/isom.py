@@ -19,7 +19,7 @@ from __future__ import annotations
 from .eigen import cycle_roots, eigenline
 from .errors import PrecisionLoss, RootLiftingError, UnsupportedEnumeration, ValidationError
 from .filtration import Filtration
-from .linalg import Matrix, Subspace, _strict_inv, charpoly, mat_mul, transpose
+from .linalg import Matrix, Subspace, charpoly, inv, mat_mul, transpose
 from .modules import PhiNModule, frobenius_composite
 from .padic import FieldElement
 from .record import frozen
@@ -134,11 +134,8 @@ def is_isomorphic(
     frames1 = _eigen_frames(m1, a1, roots)
     frames2 = _eigen_frames(m2, a2, roots)
 
-    # inv would let an entry of a frame that is zero only at precision
-    # pass as the exact zero, and the ratios below would then be certified
-    # to digits the frame does not carry
-    inv1 = [_strict_inv(w) for w in frames1]
-    inv2 = [_strict_inv(w) for w in frames2]
+    inv1 = [inv(w) for w in frames1]
+    inv2 = [inv(w) for w in frames2]
     graph = _RatioGraph(d, m1.desc.from_int(1))
     # a zero pattern that differs only at precision decides nothing; it
     # turns the verdict into PrecisionLoss unless a certified one follows

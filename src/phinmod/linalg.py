@@ -182,25 +182,17 @@ def det(a: Matrix) -> FieldElement:
 
 def inv(a: Matrix) -> Matrix:
     """Matrix inverse; raises PrecisionLoss when invertibility cannot be
-    certified at the working precision."""
-    return _inverse(a, strict=False)
+    certified at the working precision.
 
-
-def _strict_inv(a: Matrix) -> Matrix:
-    """inv that also clears the entries zero only at precision, so that
-    their floors bound every entry they touch.  inv leaves them in place
-    and can return an exact zero, or a longer floor, than the input
-    certifies.  Over Q3, [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]]
-    gets exact off-diagonal zeros and 1 + O(3^7) from inv, and O(3^3),
-    O(3^4) and 1 + O(3^6) from _strict_inv."""
-    return _inverse(a, strict=True)
-
-
-def _inverse(a: Matrix, strict: bool) -> Matrix:
+    Unlike rref, the elimination clears every pivot-column entry that is
+    not the exact zero, so an entry known only to its floor bounds every
+    entry it touches and no result claims digits the input does not
+    certify.  Over Q3, [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]] has
+    the inverse [[3 + O(3^4), O(3^3)], [O(3^4), 1 + O(3^6)]]."""
     n = len(a)
     desc = a[0][0].desc
     aug = [list(r) + list(ir) for r, ir in zip(a, identity(desc, n))]
-    rows, pivots = _eliminate(aug, FieldElement.is_exact_zero) if strict else rref(aug)
+    rows, pivots = _eliminate(aug, FieldElement.is_exact_zero)
     if len(rows) < n or pivots[:n] != list(range(n)):
         raise PrecisionLoss("matrix not certified invertible")
     return tuple(tuple(rows[i][n:]) for i in range(n))

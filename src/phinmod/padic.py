@@ -800,8 +800,8 @@ def _unit_inverse(desc: LocalFieldDesc, c, k: int) -> list[int]:
     dividing, then back-substitution, with every pivot inverted through one
     scalar inverse of their product.  det M_u is the norm of u, a p-adic
     unit, so every column offers a unit pivot.  On Q_p this is the 1x1
-    case, one scalar inverse.  The result is checked, u*y == 1 at k
-    digits, before it is used."""
+    case, one scalar inverse.  The result is checked, M_u y == e_0 at k
+    digits (M_u y is u*y, the same integers), before it is used."""
     p, n = desc.p, desc.degree
     moduli = desc._moduli(k)
     mod = moduli[0]  # p^top, which lies in the lattice pi^k O
@@ -809,12 +809,14 @@ def _unit_inverse(desc: LocalFieldDesc, c, k: int) -> list[int]:
         # Q_p: M_u is the 1x1 matrix (c_0), one scalar inverse
         if not c[0] % p:
             raise PrecisionLoss("multiplication matrix of a unit has no unit pivot")
-        return _checked_inverse(desc, c, [_inverse_mod(c[0] % mod, mod) % mod], moduli)
-    # rows of M_u augmented with e_0, the coordinates of 1
-    m = [[0] * (n + 1) for _ in range(n)]
-    m[0][n] = 1
+        return _checked_inverse([[c[0]]], [_inverse_mod(c[0] % mod, mod) % mod], moduli)
+    # rows of M_u, kept for the check; the elimination rewrites a copy
+    # augmented with e_0, the coordinates of 1
+    mu = [[0] * n for _ in range(n)]
     for i, j, r, t in desc._mul_table:
-        m[r][j] += c[i] * t
+        mu[r][j] += c[i] * t
+    m = [row + [0] for row in mu]
+    m[0][n] = 1
     # prefix[i] = d_0 ... d_{i-1}, the product of the first i pivots
     prefix = [1]
     for col in range(n):
@@ -846,12 +848,13 @@ def _unit_inverse(desc: LocalFieldDesc, c, k: int) -> list[int]:
         y[i] = s * inv * prefix[i] % mod
         if i:
             inv = inv * row[i] % mod
-    return _checked_inverse(desc, c, y, moduli)
+    return _checked_inverse(mu, y, moduli)
 
 
-def _checked_inverse(desc: LocalFieldDesc, c, y, moduli) -> list[int]:
-    """y, once u*y == 1 holds modulo the lattice whose moduli are given."""
-    check = _raw_mul(desc, c, y)
+def _checked_inverse(mu, y, moduli) -> list[int]:
+    """y, once M_u y == e_0, that is u*y == 1, holds modulo the lattice
+    whose moduli are given; mu holds the rows of M_u."""
+    check = [sum(map(operator.mul, row, y)) for row in mu]
     check[0] -= 1
     if any(map(operator.mod, check, moduli)):
         raise PrecisionLoss("unit inverse failed its check u*y == 1")

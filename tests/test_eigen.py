@@ -13,6 +13,7 @@ from phinmod.eigen import (
     eigenline,
     enumerate_submodules,
     propagate_space,
+    pull_to_slot_zero,
 )
 from phinmod.errors import NotMonodromyType, PhinError, UnsupportedEnumeration
 from phinmod.filtration import Filtration, is_admissible
@@ -22,7 +23,7 @@ from phinmod.modules import PhiNModule, newton_number, tensor_module
 from phinmod.monodromy import build_degenerate, build_monodromy, end0_check
 from phinmod.padic import INF, _times_monomial, make_element, roots_in_field
 from phinmod.serial import Instance
-from util import bench_gen, roots_by_charpoly, sample_element, transport
+from util import agrees_with_lift, bench_gen, exact_lift, loose_q3_matrix, roots_by_charpoly, sample_element, transport
 
 
 def imat(desc, rows):
@@ -441,3 +442,19 @@ def test_mixed_floor_verdicts_match_the_charpoly_route(q3, q9, monkeypatch):
     assert answered > 100 and changed
     codes = {code for reports in got for code, _ in reports.values()}
     assert codes == {0, 1, 2, 3}
+
+
+def test_pull_to_slot_zero_keeps_the_floors_of_a_loose_zero(q3):
+    # transitions with entries zero only at their floors: the pulled vector
+    # equals, at its floors, the one pulled through exact lifts, and holds
+    # no exact zero where that one does not vanish
+    a = loose_q3_matrix(q3)
+    zero = imat(q3, [[0, 0], [0, 0]])
+    shape = GaloisShape(1, 3)
+    v = (q3.from_int(1, INF),) * 2
+    got = pull_to_slot_zero(PhiNModule(q3, shape, 2, (a, a, a), (zero,) * 3), v, 2)
+    rng = random.Random(9)
+    for _ in range(10):
+        lifts = tuple(exact_lift(a, rng) for _ in range(3))
+        lifted = pull_to_slot_zero(PhiNModule(q3, shape, 2, lifts, (zero,) * 3), v, 2)
+        assert agrees_with_lift((got,), (lifted,))

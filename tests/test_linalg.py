@@ -16,7 +16,6 @@ from phinmod.filtration import restrict_steps
 from phinmod.linalg import (
     Subspace,
     _dot,
-    _strict_inv,
     charpoly,
     det,
     identity,
@@ -33,8 +32,8 @@ from phinmod.linalg import (
     trace,
     transpose,
 )
-from phinmod.padic import INF, _mul_add, _sub_mul, _times_monomial, make_element, poly_eval
-from util import sample_element, sample_invertible
+from phinmod.padic import INF, _mul_add, _sub_mul, poly_eval
+from util import exact_lift, inv_by_rref, loose_q3_matrix, sample_element, sample_invertible
 
 
 def imat(desc, rows):
@@ -111,34 +110,29 @@ def test_inv_uncertified_raises(q3):
         inv(mat([[z, z], [z, z]]))
 
 
-def test_strict_inverse_keeps_the_floors_of_loose_zeros(q3, all_fields):
-    # [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]]: inv leaves the zeros
-    # known only at precision in place and returns exact off-diagonal zeros,
-    # which the inverses of exact lifts of the input do not have
-    loose = [make_element(q3, [0], 0, k) for k in (2, 3)]
-    a = mat([[q3.from_rational(Fraction(1, 3), 2), loose[0]], [loose[1], q3.from_int(1, 7)]])
-    strict = _strict_inv(a)
-    assert [[x.prec for x in r] for r in strict] == [[4, 3], [4, 6]]
-    assert inv(a)[0][1].is_exact_zero() and inv(a)[1][0].is_exact_zero()
+def test_inverse_keeps_the_floors_of_loose_zeros(q3, q9, all_fields):
+    # [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]]: the zeros known only
+    # at precision bound the entries they touch, so the inverse equals the
+    # inverse of every exact lift of the input; the loose rule of rref
+    # returns exact off-diagonal zeros, which those inverses do not have
+    a = loose_q3_matrix(q3)
+    got = inv(a)
+    assert [[x.prec for x in r] for r in got] == [[4, 3], [4, 6]]
+    assert inv_by_rref(a)[0][1].is_exact_zero() and inv_by_rref(a)[1][0].is_exact_zero()
     rng = random.Random(3)
     for _ in range(20):
-        lift = mat(
-            [
-                [make_element(q3, list(x.mant), x.shift, INF) + _times_monomial(q3.from_int(rng.randrange(1, 99), INF), x._k) for x in r]
-                for r in a
-            ]
-        )
-        assert mat_eq(strict, inv(lift))
-    assert not mat_eq(inv(a), inv(lift))
-    # elsewhere the two agree at precision, and _strict_inv never claims
-    # more digits
-    for k, desc in enumerate(all_fields):
+        lift = exact_lift(a, rng)
+        assert mat_eq(got, inv(lift))
+    assert not mat_eq(inv_by_rref(a), inv(lift))
+    # elsewhere the two rules agree at precision, and inv never claims more
+    # digits than the loose rule
+    for k, desc in enumerate([*all_fields, q9]):
         rng = random.Random(k)
         dense = mat([[sample_element(desc, 0, rng.randrange(10**6), 20) for _ in range(3)] for _ in range(3)])
         for b in (sample_invertible(desc, 3, 700 + k), dense):
-            strict, plain = _strict_inv(b), inv(b)
-            assert mat_eq(strict, plain)
-            assert all(x._k <= y._k for rs, rp in zip(strict, plain) for x, y in zip(rs, rp))
+            got, plain = inv(b), inv_by_rref(b)
+            assert mat_eq(got, plain)
+            assert all(x._k <= y._k for rs, rp in zip(got, plain) for x, y in zip(rs, rp))
 
 
 def test_rref_canonical_under_row_operations(q3):

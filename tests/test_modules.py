@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from phinmod.errors import FieldMismatch, NonInvertiblePhi, RelationViolation, S
 from phinmod.linalg import mat, mat_eq, mat_mul, mat_vec, identity, kron
 from phinmod.modules import (
     PhiNModule,
+    _end0_coords,
     dual_module,
     end0_module,
     frobenius_composite,
@@ -17,7 +19,7 @@ from phinmod.modules import (
     validate_module,
 )
 from phinmod.padic import INF
-from util import sample_element, vec_to_map
+from util import agrees_with_lift, exact_lift, loose_q3_matrix, sample_element, vec_to_map
 
 
 def imat(desc, rows):
@@ -177,15 +179,43 @@ def test_end0_of_a_line_is_zero(q3):
     assert e0.rank == 0 and basis == [] and e0.phi == ((),)
 
 
-def test_end0_refuses_an_operator_it_cannot_restrict(q3):
+def test_end0_of_an_operator_known_to_few_digits(q3):
     # an unvalidated rank-3 module whose entries are known to one to five
-    # digits: conjugating a trace-zero map by phi no longer solves on the
-    # trace-zero basis at the working precision
+    # digits: conjugating a trace-zero map by phi keeps the trace zero at
+    # precision, and every entry of E0 equals, at its floor, the entry
+    # end0_module gives on exact lifts of the input
     def el(c, prec=INF):
         return q3.from_rational(Fraction(c), prec)
 
     phi = mat([[el(1), el(-1), el(243, 1)], [el(2), el(-99), el(9, 3)], [el(243), el(-1, 5), el(Fraction(1, 3), 3)]])
     nmat = mat([[el(-2), q3.zero(), q3.zero()], [q3.zero(), el(4), q3.zero()], [q3.zero()] * 3])
     m = PhiNModule(q3, GaloisShape(1, 1), 3, (phi,), (nmat,))
+    e0, _ = end0_module(m)
+    assert e0.rank == 8
+    precs = [x.prec for r in e0.phi[0] for x in r]
+    assert (min(precs), max(precs)) == (1, 8)
+    rng = random.Random(5)
+    for _ in range(5):
+        lifted, _ = end0_module(PhiNModule(q3, m.shape, 3, (exact_lift(phi, rng),), (exact_lift(nmat, rng),)))
+        assert agrees_with_lift(e0.phi[0], lifted.phi[0])
+        assert agrees_with_lift(e0.nmat[0], lifted.nmat[0])
+
+
+def test_end0_coords_refuse_a_certified_trace(q3):
+    # conjugation and the commutator keep the trace at zero, so only a
+    # caller's slip reaches this guard: a map whose trace is certified 5
     with pytest.raises(RelationViolation, match="not stable under the operator"):
-        end0_module(m)
+        _end0_coords(imat(q3, [[1, 2], [3, 4]]))
+
+
+def test_dual_keeps_the_floors_of_a_loose_zero(q3):
+    # a transition with entries zero only at their floors: the dual's
+    # transition equals, at its floors, the dual of every exact lift, and
+    # holds no exact zero where a lift's does not vanish
+    a = loose_q3_matrix(q3)
+    zero = imat(q3, [[0, 0], [0, 0]])
+    got = dual_module(PhiNModule(q3, GaloisShape(1, 1), 2, (a,), (zero,))).phi[0]
+    rng = random.Random(7)
+    for _ in range(10):
+        lifted = dual_module(PhiNModule(q3, GaloisShape(1, 1), 2, (exact_lift(a, rng),), (zero,))).phi[0]
+        assert agrees_with_lift(got, lifted)

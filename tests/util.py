@@ -1,8 +1,9 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
 random basis transport of a (module, filtration) pair, the benchmark's input
 generator, reference routes to End0, to element construction, to
-equality and to cycle roots, and small views of package data that only
-the tests need."""
+equality, to cycle roots and to matrix inverses, a matrix with entries
+zero only at their floors and its exact lifts, and small views of package
+data that only the tests need."""
 from __future__ import annotations
 
 import importlib.util
@@ -21,11 +22,12 @@ from phinmod.linalg import (
     mat,
     mat_mul,
     mat_vec,
+    rref,
     solve_columns,
     transpose,
 )
 from phinmod.modules import PhiNModule, end0_basis, hom_module
-from phinmod.errors import ValidationError
+from phinmod.errors import PrecisionLoss, ValidationError
 from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, _vp, make_element, roots_in_field
 
 
@@ -189,3 +191,45 @@ def roots_by_charpoly(cycle: Matrix) -> list[FieldElement]:
     """eigen.cycle_roots the long way round, for comparison: the roots of
     the characteristic polynomial for every cycle, a diagonal one too."""
     return roots_in_field(charpoly(cycle))
+
+
+def inv_by_rref(a: Matrix) -> Matrix:
+    """linalg.inv on the loose rule of rref, for comparison: an entry zero
+    only at precision is left in place, so the inverse can hold an exact
+    zero, or a longer floor, where its input certifies neither."""
+    n = len(a)
+    aug = [list(r) + list(ir) for r, ir in zip(a, identity(a[0][0].desc, n))]
+    rows, pivots = rref(aug)
+    if len(rows) < n or pivots[:n] != list(range(n)):
+        raise PrecisionLoss("matrix not certified invertible")
+    return tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def loose_q3_matrix(q3: LocalFieldDesc) -> Matrix:
+    """[[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]] over Q3: invertible,
+    with two entries that are zero only at their floors."""
+    loose = [make_element(q3, [0], 0, k) for k in (2, 3)]
+    return mat([[q3.from_rational(Fraction(1, 3), 2), loose[0]], [loose[1], q3.from_int(1, 7)]])
+
+
+def exact_lift(a: Matrix, rng: random.Random) -> Matrix:
+    """An exact matrix equal to a at every entry's floor: an entry known to
+    the floor k gets a random multiple of pi^k added, an exact one stays."""
+
+    def lift(x: FieldElement) -> FieldElement:
+        if x._k is INF:
+            return x
+        exact = make_element(x.desc, list(x.mant), x.shift, INF)
+        return exact + _times_monomial(x.desc.from_int(rng.randrange(1, 99), INF), x._k)
+
+    return mat([[lift(x) for x in r] for r in a])
+
+
+def agrees_with_lift(got: Matrix, lifted: Matrix) -> bool:
+    """got equals lifted entrywise at got's floors, and holds no exact zero
+    where lifted is certified nonzero."""
+    return all(
+        x == y and not (x.is_exact_zero() and not y.is_zero_at_prec())
+        for rg, rl in zip(got, lifted)
+        for x, y in zip(rg, rl)
+    )
