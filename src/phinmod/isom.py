@@ -39,8 +39,9 @@ def _root_key(x: FieldElement):
 
 def _eigen_frames(m: PhiNModule, a: Matrix, roots: list[FieldElement]) -> list[Matrix]:
     """The eigenframe of the cycle a at the given roots, propagated through
-    the transitions to one frame per slot."""
-    frames = [transpose([eigenline(a, lam, UnsupportedEnumeration) for lam in roots])]
+    the transitions to one frame per slot.  The roots are certified
+    distinct, so an eigenspace that is not a line is lost precision."""
+    frames = [transpose([eigenline(a, lam, PrecisionLoss) for lam in roots])]
     for i in range(m.shape.f - 1):
         frames.append(mat_mul(m.phi[i], frames[-1]))
     return frames

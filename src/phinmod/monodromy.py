@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     ZeroEll,
 )
-from .eigen import cycle_roots, eigenline
+from .eigen import _is_diagonal, cycle_roots, eigenline
 from .filtration import Filtration, _dedupe
 from .isom import IsoVerdict, is_isomorphic
 from .linalg import (
@@ -45,7 +45,7 @@ from .modules import (
     frobenius_composite,
     validate_module,
 )
-from .padic import INF, FieldElement
+from .padic import INF, FieldElement, make_element
 from .record import frozen
 
 
@@ -212,10 +212,42 @@ def build_w(ell: ProductElement, k) -> tuple[PhiNModule, Filtration]:
     return module, Filtration(desc, shape, 3, tuple(steps))
 
 
-def _cycle_slopes(m: PhiNModule, cycle):
-    """Two eigenvalues of the Frobenius cycle of m in ratio p^f, ordered
-    (light, heavy)."""
-    desc, f = m.desc, m.shape.f
+def _twist_pair(cycle, q: FieldElement):
+    """(light, heavy) of a dense rank-two cycle by Vieta's formulas, or None.
+
+    A cycle of exceptional-zero type has the eigenvalues alpha and q*alpha,
+    so light = tr/(1 + q) and heavy = det/light.  light carries the trace's
+    floor, capped at floor(det) - v(light), the digits Hensel's bound
+    certifies for the root of T^2 - tr T + det near it (Caruso, Roe and
+    Vaccon, arXiv:1402.0619); heavy == q*light then certifies the pair, and
+    both equal the roots roots_in_field lifts, bit for bit.  None for a
+    cycle the rule leaves to cycle_roots: a diagonal one, whose entries
+    keep more digits there, one with an exact trace or determinant, whose
+    quotients would not keep the Newton lift's floors, and one the rule
+    refuses."""
+    if _is_diagonal(cycle):
+        return None
+    (a, b), (c, d) = cycle
+    tr, det = a + d, a * d - b * c
+    if INF in (tr._k, det._k) or tr.is_zero_at_prec() or det.is_zero_at_prec():
+        return None
+    light = tr / (1 + q)
+    v = light._val()
+    cap = min(light._k, det._k - v)
+    if cap <= v:  # floor(det) <= 2 v(tr), as when the trace cancels: no digit
+        return None
+    light = make_element(light.desc, light.mant, light.shift, cap)
+    heavy = det / light
+    return (light, heavy) if heavy == q * light else None
+
+
+def _cycle_slopes(cycle, q: FieldElement):
+    """Two eigenvalues of a rank-two Frobenius cycle in ratio q = p^f,
+    ordered (light, heavy): read off a dense cycle by _twist_pair, else
+    found by cycle_roots, which also names every refusal."""
+    pair = _twist_pair(cycle, q)
+    if pair is not None:
+        return pair
     try:
         roots = cycle_roots(cycle)
     except RootLiftingError as exc:
@@ -224,7 +256,7 @@ def _cycle_slopes(m: PhiNModule, cycle):
         raise NotMonodromyType("cycle spectrum must consist of two simple slopes")
     roots.sort(key=lambda r: r.valuation())
     light, heavy = roots
-    if heavy != desc.from_int(desc.p**f, INF) * light:
+    if heavy != q * light:
         raise NotMonodromyType("cycle slopes are not one twist apart")
     return light, heavy
 
@@ -249,11 +281,13 @@ def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
     f = shape.f
     degenerate = all(is_zero_matrix(nm) for nm in m.nmat)
     cycle = frobenius_composite(m)
-    light, heavy = _cycle_slopes(m, cycle)
+    light, heavy = _cycle_slopes(cycle, desc.from_int(desc.p**f, INF))
     alpha = light
-    e2 = eigenline(cycle, heavy, NotMonodromyType)
+    # heavy and light differ in valuation, so an eigenspace that is not a
+    # line is lost precision
+    e2 = eigenline(cycle, heavy, PrecisionLoss)
     if degenerate:
-        e1 = eigenline(cycle, light, NotMonodromyType)
+        e1 = eigenline(cycle, light, PrecisionLoss)
     else:
         ker = right_kernel(m.nmat[0])
         if len(ker) != 1:

@@ -915,3 +915,23 @@ def test_admissible_refusals_at_low_precision(module, fil, error_type, message):
 def test_extract_refusals_at_low_precision(module, line, code, error_type, message):
     doc = _doc({"module": module, "filtration": _flag((0, FULL2), (1, [line]))})
     _failure("extract", doc, code, error_type, message)
+
+
+# Cycle roots certified distinct whose eigenspace comes out a plane at the
+# working precision: the precision is lost, the input is not unsupported.
+# Both instances were found by a seeded search over entries known to one to
+# four digits.
+
+
+def test_iso_refuses_a_non_line_eigenspace_at_precision():
+    # the cycle has trace -1 + O(3^2) and a determinant of valuation 1, so
+    # roots of valuations 0 and 1
+    half = {"module": _module([[-3, 2], [27, _low(2, 2)]]), "filtration": LINE_FLAG}
+    _failure("iso", _pair(half, half), 3, "PrecisionLoss", "cycle eigenspace is not a line")
+
+
+def test_extract_refuses_a_non_line_eigenspace_at_precision():
+    # the twist pair is 1 + O(3^2) and 3 + O(3^2), and the cycle minus the
+    # heavy root has a plane for its kernel at precision
+    doc = _doc({"module": _module([[_low(3, 2), 6], [-99, 1]]), "filtration": LINE_FLAG})
+    _failure("extract", doc, 3, "PrecisionLoss", "cycle eigenspace is not a line")

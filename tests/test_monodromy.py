@@ -1,22 +1,27 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from phinmod.coeff import GaloisShape, ProductElement
 from phinmod import monodromy, serial
+from phinmod.eigen import _is_diagonal
 from phinmod.errors import (
     ConstraintViolation,
     FieldMismatch,
     NotMonodromyType,
+    PhinError,
+    PrecisionLoss,
     ShapeMismatch,
     ValidationError,
     ZeroEll,
 )
 from phinmod.filtration import Filtration, hodge_number, is_admissible
-from phinmod.linalg import Subspace, identity, mat_eq
-from phinmod.modules import n_kernel_flag, newton_number, validate_module
+from phinmod.linalg import Subspace, det, identity, mat, mat_eq, mat_mul, trace
+from phinmod.modules import PhiNModule, n_kernel_flag, newton_number, validate_module
 from phinmod.monodromy import (
     MonodromyData,
     build_degenerate,
@@ -29,8 +34,8 @@ from phinmod.monodromy import (
     iso_degenerate,
     twist_to_zero,
 )
-from phinmod.padic import INF
-from util import bench_gen, end0_via_hom, transport
+from phinmod.padic import INF, _times_monomial, make_element
+from util import bench_gen, end0_via_hom, roots_by_charpoly, sample_element, sample_invertible, transport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -310,3 +315,93 @@ def test_end0_matches_the_route_through_the_hom_module():
         ref, ref_fil = end0_via_hom(mod, fil)
         assert e0.rank == ref.rank and e0.phi == ref.phi and e0.nmat == ref.nmat
         assert efil.steps == ref_fil.steps
+
+
+# ---------------------------------------------------------------------------
+# the twist-pair rule: a dense cycle's spectrum read off its trace and
+# determinant, against the charpoly route
+
+
+def _cut(x, rng):
+    """x known to 1-30 digits past its valuation, or x itself."""
+    if x.is_zero_at_prec() or rng.random() < 0.3:
+        return x
+    return make_element(x.desc, x.mant, x.shift, min(x._k, x._val() + rng.randrange(1, 31)))
+
+
+def _dense_twist_cycles(desc, f, rng, count):
+    """Seeded dense cycles g diag(q alpha, alpha) adj(g), q = p^f, so of
+    spectrum det(g) (q alpha, alpha): alpha exact or known to 1-30 digits,
+    entries then cut to 1-30 digits, all exact on about one cycle in eight,
+    and about one in ten moved off the twist by a factor 1 + c pi^j."""
+    q = desc.from_int(desc.p**f, INF)
+    zero = desc.zero()
+    while count:
+        v = Fraction(rng.randrange(-2 * desc.e_l, 2 * desc.e_l + 1), desc.e_l)
+        alpha = sample_element(desc, v, rng.randrange(10**6), rng.randrange(1, 31))
+        exact = rng.random() < 0.3
+        if exact:
+            alpha = make_element(desc, alpha.mant, alpha.shift, INF)
+        heavy = q * alpha
+        if rng.random() < 0.1:
+            heavy = heavy * (1 + _times_monomial(desc.from_int(rng.randrange(1, 9), INF), rng.randrange(8)))
+        (a, b), (c, d) = g = sample_invertible(desc, 2, rng.randrange(10**6))
+        cycle = mat_mul(g, mat_mul(mat([[heavy, zero], [zero, alpha]]), mat([[d, -b], [-c, a]])))
+        if not (exact and rng.random() < 0.4):
+            cycle = mat([[_cut(x, rng) for x in r] for r in cycle])
+        if not _is_diagonal(cycle):
+            count -= 1
+            yield q, cycle
+
+
+def _slopes(cycle, q):
+    try:
+        return [(x.mant, x.shift, x._k) for x in monodromy._cycle_slopes(cycle, q)]
+    except PhinError as exc:
+        return (type(exc), str(exc))
+
+
+def test_twist_pair_matches_the_charpoly_route(q3, q9, q3_ram, monkeypatch):
+    # the spectrum read by Vieta equals the roots of the characteristic
+    # polynomial, found by the Newton polygon and Hensel lifts, in bits and
+    # floors; where one route refuses, the other refuses the same way
+    cases = [
+        case
+        for desc in (q3, q9, q3_ram)
+        for f in (1, 2)
+        for case in _dense_twist_cycles(desc, f, random.Random(10 * desc.degree + f), 400)
+    ]
+    # a trace that cancels, so that v(det) < 2 v(tr) and the light root
+    # would keep no digit: T^2 - 9T + 10 over Q3, known modulo 3^3
+    cases.append((q3.from_int(3, INF), mat([[q3.from_int(1, 3), q3.from_int(1, INF)], [q3.from_int(-2, INF), q3.from_int(8, INF)]])))
+    got = [_slopes(cycle, q) for q, cycle in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(monodromy, "_twist_pair", lambda cycle, q: None)
+        patch.setattr(monodromy, "cycle_roots", roots_by_charpoly)
+        want = [_slopes(cycle, q) for q, cycle in cases]
+    assert got == want
+    answered = [
+        INF in (trace(cycle)._k, det(cycle)._k)
+        for (_, cycle), outcome in zip(cases, got)
+        if isinstance(outcome, list)
+    ]
+    refusals = {outcome for outcome in got if isinstance(outcome, tuple)}
+    # most cases answer, some with an exact trace or determinant, and the
+    # refusals name the twist and the precision
+    assert len(answered) > 2000 and sum(answered) > 100
+    assert (NotMonodromyType, "cycle slopes are not one twist apart") in refusals
+    assert PrecisionLoss in {t for t, _ in refusals}
+
+
+def test_extract_reads_a_diagonal_cycle_with_its_entries_digits(q3):
+    # diag(3 alpha known to 5 digits, alpha known to 40): alpha is read off
+    # the diagonal with all 40 digits, where the trace would give it 5
+    alpha = sample_element(q3, 0, 11, 40)
+    heavy = q3.from_int(3, INF) * alpha
+    heavy = make_element(q3, heavy.mant, heavy.shift, 5)
+    zero, one = q3.zero(), q3.from_int(1, INF)
+    mod = PhiNModule(q3, GaloisShape(1, 1), 2, (mat([[heavy, zero], [zero, alpha]]),), (mat([[zero, zero], [one, zero]]),))
+    line = Subspace.from_vectors(q3, 2, [(one, q3.from_int(2, INF))])
+    fil = Filtration(q3, GaloisShape(1, 1), 2, (((0, Subspace.full(q3, 2)), (3, line)),))
+    out = extract_invariants(mod, fil)
+    assert out.alpha == alpha and out.alpha.prec == 40
