@@ -20,7 +20,7 @@ from .eigen import (
     pull_to_slot_zero,
 )
 from .errors import PrecisionLoss, ValidationError
-from .linalg import Subspace, right_kernel, transpose
+from .linalg import Subspace, right_kernel, rref, transpose
 from .modules import PhiNModule, newton_number
 from .padic import LocalFieldDesc
 from .record import frozen
@@ -66,13 +66,14 @@ class Filtration:
         return self.steps[self.shape.index(i, j)]
 
 
+def _jump_sum(sig: SigmaSteps, dims: list[int]) -> int:
+    """Sum of jump * (dimension drop) over one step list, given the
+    dimension of each step; zero lies above the last one."""
+    return sum(j * (d - below) for (j, _), d, below in zip(sig, dims, dims[1:] + [0]))
+
+
 def hodge_number(fil: Filtration) -> Fraction:
-    total = 0
-    for sig in fil.steps:
-        dims = [v.dim for _, v in sig] + [0]
-        for k, (j, _) in enumerate(sig):
-            total += j * (dims[k] - dims[k + 1])
-    return Fraction(total)
+    return Fraction(sum(_jump_sum(sig, [v.dim for _, v in sig]) for sig in fil.steps))
 
 
 def jump_at(sig: SigmaSteps, space: Subspace) -> int:
@@ -142,6 +143,33 @@ def induce_on_submodule(fil: Filtration, sub: StableSubmodule) -> Filtration:
     """Intersect every step with the submodule fibers, in fiber coordinates."""
     spans = [sub.slot_spaces[i] for (i, _) in fil.shape.sigmas()]
     return Filtration(fil.desc, fil.shape, sub.rank, restrict_steps(fil.steps, spans))
+
+
+def _intersection_dims(sig: SigmaSteps, span: Subspace) -> list[int]:
+    """dim(span ∩ V) for each step (j, V) of one embedding: dim span less
+    the rank of span's generators modulo V.  A residual zero at the working
+    precision adds no rank and a single other one adds 1; the full space
+    needs no reduction."""
+    dims = []
+    for _, v in sig:
+        if v.dim == v.ambient:
+            dims.append(span.dim)
+            continue
+        residuals = [q for q in map(v.quotient_coords, span.gens) if not all(x.is_zero_at_prec() for x in q)]
+        dims.append(span.dim - (len(rref(residuals)[0]) if len(residuals) > 1 else len(residuals)))
+    return dims
+
+
+def _submodule_hodge(fil: Filtration, sub: StableSubmodule) -> Fraction:
+    """hodge_number(induce_on_submodule(fil, sub)) from the intersection
+    dimensions alone: consecutive equal pieces add nothing to the sum, so
+    they need not be merged, and no induced filtration is built."""
+    return Fraction(
+        sum(
+            _jump_sum(sig, _intersection_dims(sig, sub.slot_spaces[i]))
+            for (i, _), sig in zip(fil.shape.sigmas(), fil.steps)
+        )
+    )
 
 
 def dual_filtration(fil: Filtration) -> Filtration:
@@ -282,15 +310,18 @@ def _family_certificate(
 
 
 def is_admissible(m: PhiNModule, fil: Filtration) -> AdmissibilityVerdict:
-    """Global balance plus the submodule inequality over every stable
-    proper submodule (symbolically over a scalar line family)."""
+    """Global balance t_N = t_H plus t_H(D') <= t_N(D') on every stable
+    proper submodule D' that enumerate_submodules finds (symbolically over
+    a scalar line family).  A certificate's t_H(D') is read off
+    dim(D'_t ∩ Fil^j) for each embedding t and step j, without building
+    the induced filtration."""
     t_n = newton_number(m)
     t_h = hodge_number(fil)
     subs, family = enumerate_submodules(m)
     certs = []
     for sub in subs:
         sub_tn = newton_number(sub.module)
-        sub_th = hodge_number(induce_on_submodule(fil, sub))
+        sub_th = _submodule_hodge(fil, sub)
         certs.append(
             SubmoduleCertificate(sub.rank, sub.slot_spaces[0], sub_tn, sub_th, sub_tn >= sub_th)
         )

@@ -280,7 +280,8 @@ class Subspace:
         return self.coords(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(g) for g in other.gens)
+        # every vector reduces to zero against the full space's echelon form
+        return self.dim == self.ambient or all(self.contains_vector(g) for g in other.gens)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from phinmod import filtration, serial
 from phinmod.coeff import GaloisShape
 from phinmod.eigen import StableSubmodule, enumerate_submodules
-from phinmod.errors import ValidationError
+from phinmod.errors import PhinError, ValidationError
 from phinmod.filtration import (
+    AdmissibilityVerdict,
     Filtration,
+    _intersection_dims,
+    _submodule_hodge,
     dual_filtration,
     hodge_number,
     induce_on_submodule,
@@ -17,7 +21,9 @@ from phinmod.filtration import (
 )
 from phinmod.linalg import Subspace, mat
 from phinmod.modules import PhiNModule
+from phinmod.monodromy import build_degenerate, build_monodromy, build_w, end0_with_filtration
 from phinmod.padic import INF
+from util import bench_gen, transport
 
 
 def imat(desc, rows):
@@ -191,3 +197,93 @@ def test_validation_names_each_malformed_step_list(q3, q2):
             Filtration(q3, shape, rank, (sig,))
     with pytest.raises(ValidationError, match="different bases"):
         tensor_filtration(fil1(q3, 1, [(0, full(q3, 1))]), fil1(q2, 1, [(0, full(q2, 1))]))
+
+
+# ---------------------------------------------------------------------------
+# a certificate's t_H is read off intersection dimensions; the induced
+# filtration is the reference
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PhinError as exc:
+        return type(exc), str(exc)
+
+
+def _induced_hodge(fil, sub):
+    return hodge_number(induce_on_submodule(fil, sub))
+
+
+def _verdict_pairs(seed, prec):
+    """(module, filtration) pairs on the benchmark's verdict records at the
+    given precision: each record's transported module, its built module
+    and, for an end0 record, End0 and W with their transport twins.  What
+    does not parse or build at that precision is left out."""
+    doc = bench_gen().verdict_inputs(seed, prec, True)
+    for spec in doc["records"]:
+        desc = serial.parse_field(doc["fields"][spec["tower"]])
+        shape = serial.parse_shape(spec["shape"])
+        moved = spec["moved"]
+        try:
+            yield (
+                serial.parse_module(desc, shape, moved["module"], "/module"),
+                serial.parse_filtration(desc, shape, 2, moved["filtration"], "/filtration"),
+            )
+            record = serial.parse_monodromy(desc, shape, spec["monodromy"], "/monodromy")
+            built = (build_degenerate if record.degenerate else build_monodromy)(record, check=False)
+            yield built
+            if spec["end0"]:
+                for pair in (end0_with_filtration(*built), build_w(record.ell, record.k)):
+                    yield pair
+                    yield transport(*pair, seed)
+        except PhinError:
+            continue
+
+
+def test_certificates_match_the_induced_hodge_number():
+    compared = refused = 0
+    for prec in (60, 10, 4, 2, 1):
+        for mod, fil in _verdict_pairs(5, prec):
+            try:
+                subs, _ = enumerate_submodules(mod)
+            except PhinError:
+                refused += 1
+                continue
+            want = [_outcome(_induced_hodge, fil, sub) for sub in subs]
+            assert [_outcome(_submodule_hodge, fil, sub) for sub in subs] == want
+            verdict = _outcome(is_admissible, mod, fil)
+            if isinstance(verdict, AdmissibilityVerdict):
+                assert [c.t_hodge for c in verdict.certificates] == want
+            compared += len(subs)
+    assert compared > 450 and refused
+
+
+def test_plane_meeting_two_steps_in_one_line(q3):
+    # e1 and e2 both leave <e1+e2, e3>, but their residuals are
+    # proportional: the plane <e1, e2> meets the steps in dimensions 2, 1, 1
+    m = onestot(q3, [[9, 0, 0], [0, 3, 0], [0, 0, 1]], [[0] * 3] * 3)
+    f = fil1(q3, 3, [(0, full(q3, 3)), (1, span(q3, 3, [1, 1, 0], [0, 0, 1])), (2, span(q3, 3, [1, 1, 0]))])
+    plane = span(q3, 3, [1, 0, 0], [0, 1, 0])
+    assert _intersection_dims(f.steps[0], plane) == [2, 1, 1]
+    subs, _ = enumerate_submodules(m)
+    (sub,) = [s for s in subs if s.slot_spaces[0] == plane]
+    assert _submodule_hodge(f, sub) == _induced_hodge(f, sub) == 2
+    verdict = is_admissible(m, f)
+    assert [c.t_hodge for c in verdict.certificates if c.slot0 == plane] == [2]
+
+
+def test_is_admissible_builds_no_induced_filtration(monkeypatch):
+    calls = []
+    for name in ("induce_on_submodule", "restrict_steps"):
+        real = getattr(filtration, name)
+        monkeypatch.setattr(filtration, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    doc = bench_gen().inputs("verdicts-p60", 5)
+    certificates = 0
+    for spec in doc["records"]:
+        desc = serial.parse_field(doc["fields"][spec["tower"]])
+        record = serial.parse_monodromy(desc, serial.parse_shape(spec["shape"]), spec["monodromy"], "/monodromy")
+        verdict = is_admissible(*(build_degenerate if record.degenerate else build_monodromy)(record, check=False))
+        assert verdict.admissible == spec["admissible"]
+        certificates += len(verdict.certificates)
+    assert len(doc["records"]) == 36 and certificates and calls == []
