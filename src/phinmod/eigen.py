@@ -27,6 +27,7 @@ from .linalg import (
     restrict_operator,
     right_kernel,
     trace,
+    transpose,
 )
 from .modules import PhiNModule, frobenius_composite
 from .padic import INF, FieldElement, roots_in_field
@@ -89,24 +90,6 @@ def eigenline(a: Matrix, lam: FieldElement, error: type[PhinError]) -> Vector:
     return kern[0]
 
 
-def _deflate(coeffs, lam):
-    """Divide an ascending-coefficient monic polynomial by (T - lam)."""
-    desc_coeffs = list(reversed(coeffs))
-    out = [desc_coeffs[0]]
-    for c in desc_coeffs[1:-1]:
-        out.append(c + lam * out[-1])
-    return list(reversed(out))
-
-
-def _poly_of_matrix(coeffs, a: Matrix) -> Matrix:
-    desc = a[0][0].desc
-    zero = desc.zero()
-    acc = tuple(tuple(coeffs[-1] if i == j else zero for j in range(len(a))) for i in range(len(a)))
-    for c in reversed(coeffs[:-1]):
-        acc = tuple(tuple(x + c if i == j else x for j, x in enumerate(r)) for i, r in enumerate(mat_mul(acc, a)))
-    return acc
-
-
 def propagate_space(m: PhiNModule, space0: Subspace) -> tuple[Subspace, ...] | None:
     """The slot spaces of the bundle through space0 at slot 0: its images
     under phi[0], phi[0..1], ..., one per slot.  None unless the full cycle
@@ -122,14 +105,14 @@ def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
     """The submodule through space0, a sum of cycle eigenspaces, or None
     when a slot operator does not keep its slot space.  The full cycle maps
     each of its eigenspaces onto itself, so a bundle that does not close up
-    or a transition that does not restrict means lost precision."""
+    means lost precision.  A transition that does not restrict counts as
+    one, though each image reduces against the echelon form rref built
+    from it by the same rule, to a residual zero at precision."""
     spaces = propagate_space(m, space0)
-    if spaces is None:
-        raise PrecisionLoss("cycle eigenspace does not close up under the transitions")
     f = m.shape.f
-    phi_r = [restrict_operator(m.phi[i], spaces[i], spaces[(i + 1) % f]) for i in range(f)]
-    if None in phi_r:
-        raise PrecisionLoss("transition does not restrict to the propagated eigenspaces")
+    phi_r = None if spaces is None else [restrict_operator(m.phi[i], spaces[i], spaces[(i + 1) % f]) for i in range(f)]
+    if phi_r is None or None in phi_r:
+        raise PrecisionLoss("cycle eigenspace does not close up under the transitions")
     n_r = [restrict_operator(m.nmat[i], spaces[i], spaces[i]) for i in range(f)]
     if None in n_r:
         return None
@@ -179,21 +162,18 @@ def enumerate_submodules(
             if len(kern) != 1:
                 raise UnsupportedEnumeration("slot operator kernel is not a line")
             line_vecs = [pull_to_slot_zero(m, kern[0], slot)]
-        elif is_zero_matrix(mat_mul(b, b)):
-            kern = right_kernel(b)
-            if len(kern) != 1:
-                raise UnsupportedEnumeration("cannot separate the cycle kernel at this precision")
-            line_vecs = [kern[0]]
+        elif is_zero_matrix(mat_mul(b, b)) and len(kern := right_kernel(b)) == 1:
+            # b is nilpotent at precision, and its kernel the one stable line
+            line_vecs = kern
         else:
             raise UnsupportedEnumeration("cycle spectrum does not split at this precision") from None
     else:
         line_vecs = [eigenline(a, lam, UnsupportedEnumeration) for lam in roots]
         if d == 3 and len(roots) == 1:
-            quad = _deflate(charpoly(a), roots[0])
-            kern = right_kernel(_poly_of_matrix(quad, a))
-            if len(kern) != 2:
-                raise UnsupportedEnumeration("complementary stable plane is not certified")
-            planes.append(Subspace.from_vectors(desc, 3, kern))
+            # the stable plane beside a simple root's line is the kernel of
+            # the covector that the cycle scales by that root
+            covector = eigenline(transpose(a), roots[0], UnsupportedEnumeration)
+            planes.append(Subspace.from_vectors(desc, 3, right_kernel((covector,))))
     subs: list[StableSubmodule] = []
     for v in line_vecs:
         cand = _try_bundle(m, Subspace.from_vectors(desc, d, [v]))

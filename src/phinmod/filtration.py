@@ -145,31 +145,44 @@ def induce_on_submodule(fil: Filtration, sub: StableSubmodule) -> Filtration:
     return Filtration(fil.desc, fil.shape, sub.rank, restrict_steps(fil.steps, spans))
 
 
-def _intersection_dims(sig: SigmaSteps, span: Subspace) -> list[int]:
+def _intersection_dims(sig: SigmaSteps, span: Subspace, loose: bool) -> list[int]:
     """dim(span ∩ V) for each step (j, V) of one embedding: dim span less
-    the rank of span's generators modulo V.  A residual zero at the working
-    precision adds no rank and a single other one adds 1; the full space
-    needs no reduction."""
+    the rank of span's generators modulo V, counted in the residuals with a
+    certified digit; a residual zero at the working precision adds none.
+    On a loose input (_loose_input) such a residual may add rank on one
+    exact lift and none on another, so it decides nothing unless the count
+    meets its bound (the residuals that are not the exact zero, at most the
+    codimension of V): PrecisionLoss.  The full space needs no reduction."""
     dims = []
     for _, v in sig:
         if v.dim == v.ambient:
             dims.append(span.dim)
             continue
-        residuals = [q for q in map(v.quotient_coords, span.gens) if not all(x.is_zero_at_prec() for x in q)]
-        dims.append(span.dim - (len(rref(residuals)[0]) if len(residuals) > 1 else len(residuals)))
+        residuals = [v.quotient_coords(g) for g in span.gens]
+        certified = [q for q in residuals if not all(x.is_zero_at_prec() for x in q)]
+        rank = len(rref(certified)[0]) if len(certified) > 1 else len(certified)
+        if loose and rank < min(v.ambient - v.dim, sum(not all(x.is_exact_zero() for x in q) for q in residuals)):
+            raise PrecisionLoss("intersection with a filtration step is not certified")
+        dims.append(span.dim - rank)
     return dims
 
 
-def _submodule_hodge(fil: Filtration, sub: StableSubmodule) -> Fraction:
+def _loose_input(m: PhiNModule, fil: Filtration) -> bool:
+    """Whether some entry of a transition, slot operator or step generator
+    is known to fewer relative digits than the working precision (and not
+    to its floor): such an input stands for a family of exact inputs."""
+    n = m.desc._digits(None)
+    entries = [x for a in m.phi + m.nmat for r in a for x in r]
+    entries += [x for sig in fil.steps for _, v in sig for g in v.gens for x in g]
+    return any(x._k < n and x._k - x._floor() < n for x in entries)
+
+
+def _submodule_hodge(fil: Filtration, sub: StableSubmodule, loose: bool) -> Fraction:
     """hodge_number(induce_on_submodule(fil, sub)) from the intersection
     dimensions alone: consecutive equal pieces add nothing to the sum, so
     they need not be merged, and no induced filtration is built."""
-    return Fraction(
-        sum(
-            _jump_sum(sig, _intersection_dims(sig, sub.slot_spaces[i]))
-            for (i, _), sig in zip(fil.shape.sigmas(), fil.steps)
-        )
-    )
+    dims = (_intersection_dims(sig, sub.slot_spaces[i], loose) for (i, _), sig in zip(fil.shape.sigmas(), fil.steps))
+    return Fraction(sum(_jump_sum(sig, d) for sig, d in zip(fil.steps, dims)))
 
 
 def dual_filtration(fil: Filtration) -> Filtration:
@@ -314,14 +327,21 @@ def is_admissible(m: PhiNModule, fil: Filtration) -> AdmissibilityVerdict:
     proper submodule D' that enumerate_submodules finds (symbolically over
     a scalar line family).  A certificate's t_H(D') is read off
     dim(D'_t ∩ Fil^j) for each embedding t and step j, without building
-    the induced filtration."""
+    the induced filtration.  An unbalanced module fails whatever D' gives,
+    so there a certificate the input does not decide is left out."""
     t_n = newton_number(m)
     t_h = hodge_number(fil)
     subs, family = enumerate_submodules(m)
+    loose = _loose_input(m, fil)
     certs = []
     for sub in subs:
         sub_tn = newton_number(sub.module)
-        sub_th = _submodule_hodge(fil, sub)
+        try:
+            sub_th = _submodule_hodge(fil, sub, loose)
+        except PrecisionLoss:
+            if t_n == t_h:
+                raise
+            continue
         certs.append(
             SubmoduleCertificate(sub.rank, sub.slot_spaces[0], sub_tn, sub_th, sub_tn >= sub_th)
         )

@@ -93,16 +93,14 @@ def is_zero_matrix(a: Matrix) -> bool:
 def rref(rows_in) -> tuple[list[list[FieldElement]], list[int]]:
     """Reduced row echelon form with pivots normalized to one.
 
-    Pivot selection inside a column prefers the smallest certified valuation
-    (the p-adically largest entry), which keeps division well conditioned.
-    Entries with no certified digits are treated as zero; the profile is then
-    canonical at the working precision.
+    A pivot is an entry with a certified digit; inside a column the smallest
+    certified valuation (the p-adically largest entry) wins, which keeps
+    division well conditioned.  Every other entry of a pivot column that is
+    not the exact zero is cleared, so an entry known only to its floor
+    bounds every entry it touches and no result claims digits its input
+    does not certify.  Over Q3, [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]]
+    reduces to [[1 + O(3^3), O(3^3)], [O(3^3), 1 + O(3^6)]].
     """
-    return _eliminate(rows_in, FieldElement.is_zero_at_prec)
-
-
-def _eliminate(rows_in, skip) -> tuple[list[list[FieldElement]], list[int]]:
-    """rref, clearing every entry of a pivot column for which skip is false."""
     rows = [list(r) for r in rows_in]
     ncols = len(rows[0])
     pivots = []
@@ -122,7 +120,7 @@ def _eliminate(rows_in, skip) -> tuple[list[list[FieldElement]], list[int]]:
         # an exact-zero entry stays as it is: x * inv and x - f * 0 are x
         rows[r] = [x if x.is_exact_zero() else make_element(inv.desc, *_product(x, inv)) for x in rows[r]]
         for k in range(len(rows)):
-            if k != r and not skip(rows[k][c]):
+            if k != r and not rows[k][c].is_exact_zero():
                 f = rows[k][c]
                 rows[k] = [_sub_mul(x, f, y) for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
@@ -181,18 +179,17 @@ def det(a: Matrix) -> FieldElement:
 
 
 def inv(a: Matrix) -> Matrix:
-    """Matrix inverse; raises PrecisionLoss when invertibility cannot be
-    certified at the working precision.
+    """Matrix inverse, read off rref of [a | I]; raises PrecisionLoss when
+    invertibility cannot be certified at the working precision.
 
-    Unlike rref, the elimination clears every pivot-column entry that is
-    not the exact zero, so an entry known only to its floor bounds every
-    entry it touches and no result claims digits the input does not
-    certify.  Over Q3, [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]] has
-    the inverse [[3 + O(3^4), O(3^3)], [O(3^4), 1 + O(3^6)]]."""
+    rref's rule keeps the floors of loose zeros: over Q3,
+    [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]] has the inverse
+    [[3 + O(3^4), O(3^3)], [O(3^4), 1 + O(3^6)]], which equals the inverse
+    of every exact lift of the input at those floors."""
     n = len(a)
     desc = a[0][0].desc
     aug = [list(r) + list(ir) for r, ir in zip(a, identity(desc, n))]
-    rows, pivots = _eliminate(aug, FieldElement.is_exact_zero)
+    rows, pivots = rref(aug)
     if len(rows) < n or pivots[:n] != list(range(n)):
         raise PrecisionLoss("matrix not certified invertible")
     return tuple(tuple(rows[i][n:]) for i in range(n))
@@ -260,13 +257,15 @@ class Subspace:
         """One pass of v against the echelon generators: the entries met at
         the pivots, which are the coefficients of v's part in this subspace
         (the generators have unit pivots and zeros at each other's pivots),
-        and the residual left over."""
+        and the residual left over.  As in rref, every coefficient that is
+        not the exact zero is reduced by, so a coefficient known only to its
+        floor bounds the residual entries it touches."""
         w = list(v)
         coeffs = []
         for g, pc in zip(self.gens, self.pivots):
             c = w[pc]
             coeffs.append(c)
-            if not c.is_zero_at_prec():
+            if not c.is_exact_zero():
                 w = [_sub_mul(x, c, y) for x, y in zip(w, g)]
         return coeffs, w
 

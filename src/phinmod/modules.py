@@ -24,7 +24,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _eliminate,
     identity,
     inv,
     is_zero_matrix,
@@ -37,9 +36,10 @@ from .linalg import (
     mat_sub,
     det,
     right_kernel,
+    rref,
     transpose,
 )
-from .padic import INF, FieldElement, LocalFieldDesc
+from .padic import INF, LocalFieldDesc
 from .record import frozen
 
 
@@ -73,7 +73,7 @@ def validate_module(m: PhiNModule) -> None:
     for i in range(f):
         # the pivots inv would find, without the identity block it carries
         try:
-            if len(_eliminate(m.phi[i], FieldElement.is_exact_zero)[1]) < m.rank:
+            if len(rref(m.phi[i])[1]) < m.rank:
                 raise PrecisionLoss("matrix not certified invertible")
         except PrecisionLoss as exc:
             raise NonInvertiblePhi(f"transition matrix at slot {i} is not certified invertible") from exc

@@ -1,6 +1,7 @@
 """Command line and serialization behaviour against the shipped fixtures."""
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 from phinmod import cli
 from phinmod.cli import Options, execute, main, render, run_batch
 from phinmod.errors import ParseError
+from phinmod.linalg import det, trace
 from phinmod.padic import MAX_P
 from phinmod.serial import (
     MAX_COEFF_DIGITS,
@@ -19,12 +21,14 @@ from phinmod.serial import (
     MAX_RANK,
     MAX_SHAPE_DEGREE,
     MAX_TOWER_DEGREE,
+    Instance,
     dump_instance,
+    parse_element,
     parse_field,
     parse_instance,
     parse_monodromy,
 )
-from util import sample_element
+from util import exact_lift_module, sample_element
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -789,9 +793,6 @@ def test_admissible_family_pulls_later_slots_back():
         ([[0, 3], [1, 0]], None, "does not split at this precision"),
         # two roots of one valuation, but the residue field is too large to search
         (_diag(1, 2), {"p": 10007}, "does not split at this precision"),
-        # a = 1 + b, b = [[O(3), -99], [-81, O(3)]]: b^2 vanishes modulo its
-        # floors while b keeps rank 2
-        ([[_low(1), -99], [-81, _low(1)]], None, "cannot separate the cycle kernel"),
     ],
 )
 def test_admissible_unsupported_cycles(phi, field, message):
@@ -875,11 +876,12 @@ def test_batch_manifest_needs_an_entries_array():
 @pytest.mark.parametrize(
     "module, fil, error_type, message",
     [
-        (_module([[_low(6, 2), -1, _low(-99)], [9, _low(1, 3), 0], [9, _low(2, 2), 3]]),
-         _flag((0, FULL3), (1, [[_low(27), -1, 6], [-99, _low(-81), _low(3, 3)]])),
+        (_module([[2, _low(27, 4), 4], [81, _low(1), _low(3, 3)], [_low(27, 4), -81, 9]]), _flag((0, FULL3)),
          "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
+        # a simple root beside a quadratic without roots: its line does not
+        # come back under the cycle at the working precision
         (_module([[27, _low(4, 2), _low(-1, 3)], [2, 3, -81], [-3, 27, 0]]), _flag((0, FULL3)),
-         "UnsupportedEnumeration", "complementary stable plane is not certified"),
+         "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
         # a scalar cycle at precision whose family line does not come back
         (_module([[81, 0], [_low(-99), 81]]), _flag((0, FULL2), (1, [[_low(-81, 3), 27]])),
          "PrecisionLoss", "line bundle does not close up under the transitions"),
@@ -889,10 +891,11 @@ def test_batch_manifest_needs_an_entries_array():
          "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
         (_module([[0, 2, _low(3, 2)], [-1, 2, _low(3, 3)], [-99, _low(81, 2), 3]]), _flag((0, FULL3)),
          "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
-        # an eigenline that closes up, but whose image is not certified
-        # inside the propagated line
+        # the image of an eigenline reduces against the propagated line by
+        # the rule that built it, so a line that closes up restricts every
+        # transition; this one does not close up
         (_module([[_low(6, 2), 0, 1], [-3, -3, -1], [27, -1, 81]]), _flag((0, FULL3)),
-         "PrecisionLoss", "transition does not restrict to the propagated eigenspaces"),
+         "PrecisionLoss", "cycle eigenspace does not close up under the transitions"),
     ],
 )
 def test_admissible_refusals_at_low_precision(module, fil, error_type, message):
@@ -904,8 +907,10 @@ def test_admissible_refusals_at_low_precision(module, fil, error_type, message):
 @pytest.mark.parametrize(
     "module, line, code, error_type, message",
     [
+        # N^2 vanishes, so N maps the heavy line into its kernel line; the
+        # marked line meets that line at the working precision
         (_module([[2, _low(27, 3)], [_low(3), 6]], n=[[[_low(6), -1], [_low(-81, 3), 27]]]), [_low(6, 2), 0],
-         2, "NotMonodromyType", "heavy line does not map into the operator kernel"),
+         2, "NotMonodromyType", "marked line meets the kernel line"),
         (_module([[81, _low(4, 3)], [6, _low(2)]], n=[[[_low(27, 3), 27], [_low(3), _low(6)]]]), [3, _low(-3, 2)],
          3, "PrecisionLoss", "cannot certify the operator on the heavy line"),
         (_module([[27, _low(1)], [-3, 1]], n=[[[-81, _low(-81)], [-81, _low(81, 4)]]]), [_low(6, 4), 1],
@@ -919,19 +924,125 @@ def test_extract_refusals_at_low_precision(module, line, code, error_type, messa
 
 # Cycle roots certified distinct whose eigenspace comes out a plane at the
 # working precision: the precision is lost, the input is not unsupported.
-# Both instances were found by a seeded search over entries known to one to
+# The instance was found by a seeded search over entries known to one to
 # four digits.
 
 
 def test_iso_refuses_a_non_line_eigenspace_at_precision():
-    # the cycle has trace -1 + O(3^2) and a determinant of valuation 1, so
-    # roots of valuations 0 and 1
-    half = {"module": _module([[-3, 2], [27, _low(2, 2)]]), "filtration": LINE_FLAG}
+    # the roots 27 + O(3^6), 3 + O(3^4) and 1 + O(3^3) have distinct
+    # valuations, and the cycle minus the first has a plane for its kernel
+    half = {
+        "module": _module([[27, -81, 243], [27, 3, 4], [_low(27, 3), 0, _low(1, 3)]]),
+        "filtration": _flag((0, FULL3), (1, [[1, 0, 0]])),
+    }
     _failure("iso", _pair(half, half), 3, "PrecisionLoss", "cycle eigenspace is not a line")
 
 
-def test_extract_refuses_a_non_line_eigenspace_at_precision():
+# Refusals of the loose elimination rule, which left an entry zero only at
+# its floor in a pivot column, that the strict rule answers.  Each verdict
+# is checked on exact lifts of the input.
+
+
+def _lift_answers(command, doc, count=20):
+    """(exit code, verdict) of command on count exact lifts of the instance;
+    a pair's halves are lifted by equal generators, so equal halves stay
+    equal."""
+    instance = parse_instance(doc)
+    out = []
+    for seed in range(count):
+        if instance.kind == "pair":
+            objects = {key: exact_lift_module(*instance.objects[key], random.Random(seed)) for key in ("first", "second")}
+        else:
+            lifted = exact_lift_module(instance.objects["module"], instance.objects["filtration"], random.Random(seed))
+            objects = dict(zip(("module", "filtration"), lifted))
+        report, code = cli.run(command, Instance(instance.desc, instance.shape, instance.kind, objects), Options())
+        out.append((code, report["verdict"]))
+    return out
+
+
+def test_admissible_answers_a_cycle_nilpotent_at_its_floors():
+    # a = 1 + b, b = [[O(3), -99], [-81, O(3)]]: b^2 vanishes modulo its
+    # floors and b has a line for its kernel
+    doc = _doc({"module": _module([[_low(1), -99], [-81, _low(1)]]), "filtration": _flag((0, FULL2))})
+    report, code = execute("admissible", doc, Options())
+    assert (code, report["verdict"]) == (0, True)
+    # the lifts' roots share a residue, which roots_in_field refuses, so the
+    # verdict is checked on each lift's Newton polygon: a unit determinant
+    # and a unit trace make both slopes 0, the Hodge number of every
+    # submodule under the trivial flag, so every lift is admissible
+    instance = parse_instance(doc)
+    module, fil = instance.objects["module"], instance.objects["filtration"]
+    for seed in range(20):
+        (a,) = exact_lift_module(module, fil, random.Random(seed))[0].phi
+        assert det(a).valuation() == 0 and trace(a).valuation() == 0
+
+
+def test_iso_answers_a_cycle_known_to_two_digits():
+    # the cycle has trace -1 + O(3^2) and a determinant of valuation 1
+    doc = _pair(*2 * [{"module": _module([[-3, 2], [27, _low(2, 2)]]), "filtration": LINE_FLAG}])
+    report, code = execute("iso", doc, Options())
+    assert (code, report["verdict"]) == (0, True)
+    assert _lift_answers("iso", doc) == [(0, True)] * 20
+
+
+# Inputs on which a stable line's residual modulo Fil^1 is zero only at the
+# floors of loose entries, found by a seeded search over cycles with entries
+# known to one to four digits.  Exact lifts leave the line outside Fil^1 and
+# answer True, so the verdict False that counting such a residual as
+# containment would give is refused instead.
+
+
+@pytest.mark.parametrize(
+    "phi, line",
+    [
+        ([[[-3, _low(-9)], [27, -1]]], [6, 2]),
+        ([[[3, _low(6)], [-99, _low(4)]]], [-81, 27]),
+        ([[[9, _low(-99)], [_low(0, 4), 4]], [[81, 4], [1, 2]]], [27, _low(3, 4)]),
+        ([[[-3, -81, 0], [_low(-2, 4), -1, -1], [_low(27, 4), -1, -9]]], [_low(243, 4), -27, -3]),
+        ([[[-3, -1, _low(-99, 4)], [4, -3, -3], [6, -2, _low(3, 3)]]], [-81, -2, -1]),
+    ],
+)
+def test_admissible_refuses_a_residual_zero_only_at_loose_floors(phi, line):
+    d, f = len(line), len(phi)
+    doc = _doc({"module": _module(*phi), "filtration": _flag((0, _diag(*[1] * d)), (1, [line]), embeddings=f)}, (1, f))
+    _failure("admissible", doc, 3, "PrecisionLoss", "intersection with a filtration step is not certified")
+    assert (0, True) in _lift_answers("admissible", doc)
+
+
+def test_admissible_leaves_undecided_certificates_out_of_an_unbalanced_verdict():
+    # t_N = 2 against t_H = 1 decides False on every lift; three of the six
+    # submodules meet a step in a residual zero only at loose floors, so
+    # their certificates are left out of the witness
+    doc = _doc({
+        "module": _module([[_low(6, 2), -1, _low(-99)], [9, _low(1, 3), 0], [9, _low(2, 2), 3]]),
+        "filtration": _flag((0, FULL3), (1, [[_low(27), -1, 6], [-99, _low(-81), _low(3, 3)]])),
+    })
+    report, code = execute("admissible", doc, Options())
+    assert (code, report["verdict"], report["witness"]["balanced"]) == (1, False, False)
+    assert len(report["witness"]["certificates"]) == 3
+    assert _lift_answers("admissible", doc) == [(1, False)] * 20
+
+
+def test_extract_answers_on_a_twist_pair_known_to_two_digits():
     # the twist pair is 1 + O(3^2) and 3 + O(3^2), and the cycle minus the
-    # heavy root has a plane for its kernel at precision
+    # heavy root has a line for its kernel.  extract presumes its input of
+    # exceptional-zero type, a closed condition that random exact lifts
+    # miss (exit 2), so its record is checked on the lifts of that type:
+    # here the one lift whose corner x solves 3 tr^2 = 16 det, that is
+    # 3x^2 - 10x - 9501 = 0, with x = 3 mod 9
     doc = _doc({"module": _module([[_low(3, 2), 6], [-99, 1]]), "filtration": LINE_FLAG})
-    _failure("extract", doc, 3, "PrecisionLoss", "cycle eigenspace is not a line")
+    report, code = execute("extract", doc, Options())
+    assert code == 0, report
+    assert {c for c, _ in _lift_answers("extract", doc)} == {2}
+    x, top = 3, 3**64
+    for _ in range(8):
+        x = (x - (3 * x * x - 10 * x - 9501) * pow(6 * x - 10, -1, top)) % top
+    lift_doc = _doc({"module": _module([[{"c": [[str(x)]], "prec": 60}, 6], [-99, 1]]), "filtration": LINE_FLAG})
+    want, code = execute("extract", lift_doc, Options())
+    assert code == 0 and x % 9 == 3
+    desc = parse_instance(doc).desc
+    got, lifted = report["value"], want["value"]
+    for x, y in ((got["alpha"], lifted["alpha"]), (got["ell"][0], lifted["ell"][0])):
+        x = parse_element(desc, x, "/")
+        assert x == parse_element(desc, y, "/") and x.prec == 2
+    assert [got[k] for k in ("m", "k", "degenerate")] == [lifted[k] for k in ("m", "k", "degenerate")]

@@ -212,12 +212,20 @@ def test_classes_refuse_mixed_data(q3, q2):
 
 
 def test_unipotent_defect_outside_a_low_precision_fixed_line(q3):
-    # sub = (-81 mod 3, 9) passes as fixed at its floor, but the cycle's
-    # defect on quot leaves its line
+    # a = [[1, O(3)], [27, 1]] fixes sub = (6, 2 mod 9) at its floors, but
+    # its defect (0, -54) on quot = (-2, 0) leaves sub's line
     shape = GaloisShape(1, 1)
-    a = mat([[q3.from_int(1, INF), q3.from_int(2, INF)], [q3.zero(), q3.from_int(1, INF)]])
-    m = PhiNModule(q3, shape, 2, (a,), (mat([[q3.zero()] * 2] * 2),))
+    one, zero = q3.from_int(1, INF), q3.zero()
+    a = mat([[one, q3.from_int(3, prec=1)], [q3.from_int(27, INF), one]])
+    m = PhiNModule(q3, shape, 2, (a,), (mat([[zero] * 2] * 2),))
+    sub = [q3.from_int(6, INF), q3.from_int(2, prec=2)]
+    quot = [q3.from_int(-2, INF), zero]
+    with pytest.raises(NotUnipotent, match="defect leaves the fixed line"):
+        unipotent_extension_class(m, sub, quot)
+    # sub = (-81 mod 3, 9) and quot = (4, 6) do not span: sub may be (6, 9)
+    a = mat([[one, q3.from_int(2, INF)], [zero, one]])
+    m = PhiNModule(q3, shape, 2, (a,), (mat([[zero] * 2] * 2),))
     sub = [q3.from_int(-81, prec=1), q3.from_int(9, INF)]
     quot = [q3.from_int(4, prec=3), q3.from_int(6, prec=3)]
-    with pytest.raises(NotUnipotent, match="defect leaves the fixed line"):
+    with pytest.raises(ValidationError, match="trivializations do not span the fiber"):
         unipotent_extension_class(m, sub, quot)

@@ -10,6 +10,7 @@ from phinmod.filtration import (
     AdmissibilityVerdict,
     Filtration,
     _intersection_dims,
+    _loose_input,
     _submodule_hodge,
     dual_filtration,
     hodge_number,
@@ -251,7 +252,8 @@ def test_certificates_match_the_induced_hodge_number():
                 refused += 1
                 continue
             want = [_outcome(_induced_hodge, fil, sub) for sub in subs]
-            assert [_outcome(_submodule_hodge, fil, sub) for sub in subs] == want
+            loose = _loose_input(mod, fil)
+            assert [_outcome(_submodule_hodge, fil, sub, loose) for sub in subs] == want
             verdict = _outcome(is_admissible, mod, fil)
             if isinstance(verdict, AdmissibilityVerdict):
                 assert [c.t_hodge for c in verdict.certificates] == want
@@ -265,10 +267,10 @@ def test_plane_meeting_two_steps_in_one_line(q3):
     m = onestot(q3, [[9, 0, 0], [0, 3, 0], [0, 0, 1]], [[0] * 3] * 3)
     f = fil1(q3, 3, [(0, full(q3, 3)), (1, span(q3, 3, [1, 1, 0], [0, 0, 1])), (2, span(q3, 3, [1, 1, 0]))])
     plane = span(q3, 3, [1, 0, 0], [0, 1, 0])
-    assert _intersection_dims(f.steps[0], plane) == [2, 1, 1]
+    assert _intersection_dims(f.steps[0], plane, False) == [2, 1, 1]
     subs, _ = enumerate_submodules(m)
     (sub,) = [s for s in subs if s.slot_spaces[0] == plane]
-    assert _submodule_hodge(f, sub) == _induced_hodge(f, sub) == 2
+    assert _submodule_hodge(f, sub, False) == _induced_hodge(f, sub) == 2
     verdict = is_admissible(m, f)
     assert [c.t_hodge for c in verdict.certificates if c.slot0 == plane] == [2]
 

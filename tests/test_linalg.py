@@ -33,7 +33,7 @@ from phinmod.linalg import (
     transpose,
 )
 from phinmod.padic import INF, _mul_add, _sub_mul, poly_eval
-from util import exact_lift, inv_by_rref, loose_q3_matrix, sample_element, sample_invertible
+from util import agrees_with_lift, exact_lift, loose_q3_matrix, sample_element, sample_invertible
 
 
 def imat(desc, rows):
@@ -110,29 +110,17 @@ def test_inv_uncertified_raises(q3):
         inv(mat([[z, z], [z, z]]))
 
 
-def test_inverse_keeps_the_floors_of_loose_zeros(q3, q9, all_fields):
+def test_inverse_keeps_the_floors_of_loose_zeros(q3):
     # [[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]]: the zeros known only
     # at precision bound the entries they touch, so the inverse equals the
-    # inverse of every exact lift of the input; the loose rule of rref
-    # returns exact off-diagonal zeros, which those inverses do not have
+    # inverse of every exact lift of the input
     a = loose_q3_matrix(q3)
     got = inv(a)
     assert [[x.prec for x in r] for r in got] == [[4, 3], [4, 6]]
-    assert inv_by_rref(a)[0][1].is_exact_zero() and inv_by_rref(a)[1][0].is_exact_zero()
     rng = random.Random(3)
     for _ in range(20):
         lift = exact_lift(a, rng)
         assert mat_eq(got, inv(lift))
-    assert not mat_eq(inv_by_rref(a), inv(lift))
-    # elsewhere the two rules agree at precision, and inv never claims more
-    # digits than the loose rule
-    for k, desc in enumerate([*all_fields, q9]):
-        rng = random.Random(k)
-        dense = mat([[sample_element(desc, 0, rng.randrange(10**6), 20) for _ in range(3)] for _ in range(3)])
-        for b in (sample_invertible(desc, 3, 700 + k), dense):
-            got, plain = inv(b), inv_by_rref(b)
-            assert mat_eq(got, plain)
-            assert all(x._k <= y._k for rs, rp in zip(got, plain) for x, y in zip(rs, rp))
 
 
 def test_rref_canonical_under_row_operations(q3):
@@ -334,7 +322,8 @@ def plain_dot(u, v):
 
 def plain_rref(rows_in):
     """rref without the exact-zero shortcuts: every entry is scaled and
-    every row update is formed."""
+    every row update is formed, for each pivot-column entry that is not the
+    exact zero."""
     rows = [list(r) for r in rows_in]
     pivots, r = [], 0
     for c in range(len(rows[0])):
@@ -351,7 +340,7 @@ def plain_rref(rows_in):
         inv_c = rows[r][c].inverse()
         rows[r] = [x * inv_c for x in rows[r]]
         for k in range(len(rows)):
-            if k != r and not rows[k][c].is_zero_at_prec():
+            if k != r and not rows[k][c].is_exact_zero():
                 f = rows[k][c]
                 rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
@@ -403,6 +392,67 @@ def test_exact_zero_skips_match_plain_loops(all_fields):
             rows_want, pivots_want = plain_rref(a)
             assert pivots == pivots_want
             assert [[bits(x) for x in r] for r in rows] == [[bits(x) for x in r] for r in rows_want]
+
+
+def loose_matrix(desc, n, cols, seed):
+    """An n x cols matrix of zeros known only to floors 1 to 3, exact zeros,
+    exact small integers and sampled entries known to 4 to 11 digits."""
+    rng = random.Random(seed)
+
+    def entry():
+        u = rng.random()
+        if u < 0.25:
+            k = rng.randrange(1, 4)
+            return desc.from_int(desc.p**k, prec=k)
+        if u < 0.4:
+            return desc.zero()
+        if u < 0.55:
+            return desc.from_int(rng.choice([1, 2, -1, 3, 9]), INF)
+        return sample_element(desc, rng.randrange(0, 3), rng.randrange(10**6), rng.randrange(4, 12))
+
+    return mat([[entry() for _ in range(cols)] for _ in range(n)])
+
+
+def test_elimination_agrees_with_exact_lifts(q3, q3_ram, q9):
+    # rref, right_kernel, solve_columns, Subspace.from_vectors and inv on
+    # matrices with entries known only to their floors: wherever an exact
+    # lift of the input has the same pivot profile, each result equals the
+    # same call on the lift at its floors and holds no exact zero where the
+    # lift's result is certified nonzero
+    cases = [loose_q3_matrix(q3)]
+    cases += [
+        loose_matrix(desc, n, n + extra, 1000 * n + 10 * extra + seed)
+        for desc in (q3, q3_ram, q9)
+        for n in (2, 3)
+        for extra in (0, 1)
+        for seed in range(6)
+    ]
+    rng = random.Random(27)
+    compared = inverted = 0
+    for a in cases:
+        desc, n, cols = a[0][0].desc, len(a), len(a[0])
+        rows, pivots = rref(a)
+        for _ in range(3):
+            lift = exact_lift(a, rng)
+            lift_rows, lift_pivots = rref(lift)
+            if pivots != lift_pivots:
+                continue
+            compared += 1
+            assert agrees_with_lift(rows, lift_rows)
+            assert agrees_with_lift(right_kernel(a), right_kernel(lift))
+            # the augmented matrix of these columns is the matrix itself
+            x, lift_x = (solve_columns(transpose(b)[:-1], transpose(b)[-1]) for b in (a, lift))
+            assert (x is None) == (lift_x is None)
+            assert x is None or agrees_with_lift((x,), (lift_x,))
+            assert agrees_with_lift(Subspace.from_vectors(desc, cols, a).gens, Subspace.from_vectors(desc, cols, lift).gens)
+            if cols == n and pivots == list(range(n)):
+                try:
+                    got = inv(a)
+                except PrecisionLoss:
+                    continue
+                inverted += 1
+                assert agrees_with_lift(got, inv(lift))
+    assert compared > 120 and inverted > 60
 
 
 def test_rref_exact_one_pivots_skip_inverse(all_fields, monkeypatch):

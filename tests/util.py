@@ -1,8 +1,8 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
 random basis transport of a (module, filtration) pair, the benchmark's input
 generator, reference routes to End0, to element construction, to
-equality, to cycle roots and to matrix inverses, a matrix with entries
-zero only at their floors and its exact lifts, and small views of package
+equality and to cycle roots, a matrix with entries zero only at their
+floors, exact lifts of matrices and modules, and small views of package
 data that only the tests need."""
 from __future__ import annotations
 
@@ -22,12 +22,11 @@ from phinmod.linalg import (
     mat,
     mat_mul,
     mat_vec,
-    rref,
     solve_columns,
     transpose,
 )
 from phinmod.modules import PhiNModule, end0_basis, hom_module
-from phinmod.errors import PrecisionLoss, ValidationError
+from phinmod.errors import ValidationError
 from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, _vp, make_element, roots_in_field
 
 
@@ -193,18 +192,6 @@ def roots_by_charpoly(cycle: Matrix) -> list[FieldElement]:
     return roots_in_field(charpoly(cycle))
 
 
-def inv_by_rref(a: Matrix) -> Matrix:
-    """linalg.inv on the loose rule of rref, for comparison: an entry zero
-    only at precision is left in place, so the inverse can hold an exact
-    zero, or a longer floor, where its input certifies neither."""
-    n = len(a)
-    aug = [list(r) + list(ir) for r, ir in zip(a, identity(a[0][0].desc, n))]
-    rows, pivots = rref(aug)
-    if len(rows) < n or pivots[:n] != list(range(n)):
-        raise PrecisionLoss("matrix not certified invertible")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
 def loose_q3_matrix(q3: LocalFieldDesc) -> Matrix:
     """[[1/3 + O(3^2), O(3^2)], [O(3^3), 1 + O(3^7)]] over Q3: invertible,
     with two entries that are zero only at their floors."""
@@ -223,6 +210,18 @@ def exact_lift(a: Matrix, rng: random.Random) -> Matrix:
         return exact + _times_monomial(x.desc.from_int(rng.randrange(1, 99), INF), x._k)
 
     return mat([[lift(x) for x in r] for r in a])
+
+
+def exact_lift_module(mod: PhiNModule, fil: Filtration, rng: random.Random):
+    """An exact lift of a (module, filtration) pair: exact_lift on every
+    transition, slot operator and step's generator rows."""
+    lifted = PhiNModule(
+        mod.desc, mod.shape, mod.rank, tuple(exact_lift(a, rng) for a in mod.phi), tuple(exact_lift(a, rng) for a in mod.nmat)
+    )
+    steps = tuple(
+        tuple((j, Subspace.from_vectors(fil.desc, fil.rank, exact_lift(v.gens, rng))) for j, v in sig) for sig in fil.steps
+    )
+    return lifted, Filtration(fil.desc, fil.shape, fil.rank, steps)
 
 
 def agrees_with_lift(got: Matrix, lifted: Matrix) -> bool:
