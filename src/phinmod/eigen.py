@@ -54,20 +54,22 @@ def _is_diagonal(a: Matrix) -> bool:
     return all(x.is_exact_zero() for i, r in enumerate(a) for j, x in enumerate(r) if i != j)
 
 
+def _spectrum_on_diagonal(cycle: Matrix) -> bool:
+    """Whether the cycle is diagonal with entries of pairwise distinct certified finite valuations."""
+    vals = {r[i]._val() for i, r in enumerate(cycle)} if _is_diagonal(cycle) else {None}
+    return len(vals) == len(cycle) and None not in vals and INF not in vals
+
+
 def cycle_roots(cycle: Matrix) -> list[FieldElement]:
     """Eigenvalues of the full Frobenius cycle (frobenius_composite) that lie
     in the coefficient field, assuming they are simple; RootLiftingError
     propagates otherwise.
 
-    A diagonal cycle whose entries have pairwise distinct certified finite
-    valuations is its own spectrum: its entries, largest valuation first
-    (the Newton-segment order of roots_in_field), with every digit they
-    carry.  Any other cycle goes through roots_in_field(charpoly(cycle))."""
-    if _is_diagonal(cycle):
-        diag = [r[i] for i, r in enumerate(cycle)]
-        vals = {x._val() for x in diag}
-        if len(vals) == len(diag) and None not in vals and INF not in vals:
-            return sorted(diag, key=lambda x: x._val(), reverse=True)
+    A cycle that _spectrum_on_diagonal accepts gives its entries, largest
+    valuation first (the Newton-segment order of roots_in_field), with every
+    digit they carry; any other, roots_in_field(charpoly(cycle))."""
+    if _spectrum_on_diagonal(cycle):
+        return sorted((r[i] for i, r in enumerate(cycle)), key=lambda x: x._val(), reverse=True)
     return roots_in_field(charpoly(cycle))
 
 

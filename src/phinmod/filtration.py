@@ -66,6 +66,11 @@ class Filtration:
         return self.steps[self.shape.index(i, j)]
 
 
+def _check_fits(m: PhiNModule, fil: Filtration) -> None:
+    if fil.desc is not m.desc or fil.shape != m.shape or fil.rank != m.rank:
+        raise ValidationError("filtration rank, field or shape does not match the module")
+
+
 def _jump_sum(sig: SigmaSteps, dims: list[int]) -> int:
     """Sum of jump * (dimension drop) over one step list, given the
     dimension of each step; zero lies above the last one."""
@@ -329,6 +334,7 @@ def is_admissible(m: PhiNModule, fil: Filtration) -> AdmissibilityVerdict:
     dim(D'_t ∩ Fil^j) for each embedding t and step j, without building
     the induced filtration.  An unbalanced module fails whatever D' gives,
     so there a certificate the input does not decide is left out."""
+    _check_fits(m, fil)
     t_n = newton_number(m)
     t_h = hodge_number(fil)
     subs, family = enumerate_submodules(m)

@@ -2,26 +2,29 @@
 
 One rule serves every rank.  The two Frobenius cycles must have the same
 characteristic polynomial, else the spectra differ; its roots must be simple
-and lie in the coefficient field.  Both modules take their eigenframes at
-those roots, propagated through the transitions, which turns every
-transition into the identity except the wrap, the eigenvalue diagonal; any
-isomorphism is then a single diagonal scaling matrix.  A slot operator is
-matched entry by entry, and a filtration step through the reduced echelon
+and lie in the coefficient field.  One root list serves the pair in either
+order: the diagonal of a cycle that is its own spectrum (when both are,
+either gives the same permutation frames), else the roots of the shared
+polynomial, each coefficient at its higher floor.  Both modules take their
+eigenframes at those roots, propagated through the transitions, which turns
+every transition into the identity except the wrap, the eigenvalue diagonal;
+any isomorphism is then a single diagonal scaling matrix.  A slot operator
+is matched entry by entry, and a filtration step through the reduced echelon
 form of its eigen coordinates, where the scaling keeps the pivots and
 multiplies the entry (c, pivot) by t_c / t_pivot.  Both reduce to a
 multiplicative consistency problem on entrywise ratios.  The scaling keeps
-zeros, so zero patterns must agree; a difference certifies a failing
-verdict only where one side holds the exact zero, and one that rests on
-zeros known to their floors alone makes the verdict PrecisionLoss.
+zeros, so zero patterns must agree; a difference certifies a failing verdict
+only where one side holds the exact zero, and one that rests on zeros known
+to their floors alone makes the verdict PrecisionLoss.
 """
 from __future__ import annotations
 
-from .eigen import cycle_roots, eigenline
+from .eigen import _spectrum_on_diagonal, cycle_roots, eigenline
 from .errors import PrecisionLoss, RootLiftingError, UnsupportedEnumeration, ValidationError
-from .filtration import Filtration
+from .filtration import Filtration, _check_fits
 from .linalg import Matrix, Subspace, charpoly, inv, mat_mul, transpose
 from .modules import PhiNModule, frobenius_composite
-from .padic import FieldElement
+from .padic import FieldElement, roots_in_field
 from .record import frozen
 
 
@@ -30,11 +33,6 @@ class IsoVerdict:
     isomorphic: bool
     reason: str | None = None
     scaling: tuple[FieldElement, ...] | None = None
-
-
-def _root_key(x: FieldElement):
-    flat = tuple((c.numerator, c.denominator) for row in x.coefficients() for c in row)
-    return (x._certified_val(), flat)
 
 
 def _eigen_frames(m: PhiNModule, a: Matrix, roots: list[FieldElement]) -> list[Matrix]:
@@ -74,11 +72,7 @@ class _RatioGraph:
         return True
 
     def solution(self, n: int):
-        out = []
-        for a in range(n):
-            _, r = self.find(a)
-            out.append(r)
-        return tuple(out)
+        return tuple(self.find(a)[1] for a in range(n))
 
 
 def _zeros_differ(x1: FieldElement, x2: FieldElement) -> bool | None:
@@ -115,23 +109,25 @@ def is_isomorphic(
 ) -> IsoVerdict:
     if m1.desc is not m2.desc or m1.shape != m2.shape:
         raise ValidationError("modules live over different bases")
-    if f1.rank != m1.rank or f2.rank != m2.rank:
-        raise ValidationError("filtration rank does not match its module")
+    _check_fits(m1, f1)
+    _check_fits(m2, f2)
     if m1.rank != m2.rank:
         return IsoVerdict(False, "ranks differ")
     d = m1.rank
     a1 = frobenius_composite(m1)
     a2 = frobenius_composite(m2)
-    cp = charpoly(a1)
-    if cp != charpoly(a2):
+    cp1, cp2 = charpoly(a1), charpoly(a2)
+    if cp1 != cp2:
         return IsoVerdict(False, "cycle spectra differ")
+    diagonal = [a for a in (a1, a2) if _spectrum_on_diagonal(a)]
+    shared = [x if x._k >= y._k else y for x, y in zip(cp1, cp2)]
     try:
-        roots = cycle_roots(a1)
+        roots = cycle_roots(diagonal[0]) if diagonal else roots_in_field(shared)
     except RootLiftingError as exc:
         raise UnsupportedEnumeration("cycle spectrum does not split simply") from exc
     if len(roots) != d:
         raise UnsupportedEnumeration("cycle spectrum does not split simply")
-    roots.sort(key=_root_key)
+    roots.sort(key=lambda x: (x._certified_val(), x.mant, x.shift))
     frames1 = _eigen_frames(m1, a1, roots)
     frames2 = _eigen_frames(m2, a2, roots)
 

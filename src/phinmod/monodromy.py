@@ -26,7 +26,7 @@ from .errors import (
     ZeroEll,
 )
 from .eigen import _is_diagonal, cycle_roots, eigenline
-from .filtration import Filtration, _dedupe
+from .filtration import Filtration, _check_fits, _dedupe
 from .isom import IsoVerdict, is_isomorphic
 from .linalg import (
     Subspace,
@@ -271,8 +271,7 @@ def extract_invariants(m: PhiNModule, fil: Filtration) -> MonodromyData:
     """
     if m.rank != 2:
         raise NotMonodromyType("rank-two input required")
-    if fil.rank != 2 or fil.desc is not m.desc or fil.shape != m.shape:
-        raise ValidationError("filtration does not match the module")
+    _check_fits(m, fil)
     try:
         validate_module(m)
     except (RelationViolation, NonInvertiblePhi) as exc:

@@ -19,7 +19,7 @@ from phinmod.errors import NotMonodromyType, PhinError, UnsupportedEnumeration
 from phinmod.filtration import Filtration, is_admissible
 from phinmod.isom import is_isomorphic
 from phinmod.linalg import Subspace, charpoly, mat, right_kernel
-from phinmod.modules import PhiNModule, newton_number, tensor_module
+from phinmod.modules import PhiNModule, frobenius_composite, newton_number, tensor_module
 from phinmod.monodromy import build_degenerate, build_monodromy, end0_check
 from phinmod.padic import INF, _times_monomial, make_element, roots_in_field
 from phinmod.serial import Instance
@@ -450,11 +450,42 @@ def test_mixed_floor_verdicts_match_the_charpoly_route(q3, q9, monkeypatch):
             assert (code, report["verdict"], report["error"]) == (ref_code, ref_report["verdict"], ref_report["error"])
             assert _no_less_precise(desc, report["value"], ref_report["value"]), key
             assert _no_less_precise(desc, report["witness"], ref_report["witness"]), key
-        assert {g["iso"][1]["verdict"], g["iso swapped"][1]["verdict"]} != {True, False}
+        assert (g["iso"][0], g["iso"][1]["verdict"]) == (g["iso swapped"][0], g["iso swapped"][1]["verdict"])
     # where the charpoly route refuses iso, the rule exits with its code
     assert answered > 100 and changed == 0
     codes = {code for reports in got for code, _ in reports.values()}
     assert codes == {0, 1, 2, 3}
+
+
+def test_iso_verdicts_do_not_depend_on_the_order_of_the_pair(q3, q9, monkeypatch):
+    # a diagonal module against its transported twin, and two twins of one
+    # module against each other, all with mixed floors: iso gives the same
+    # exit code and verdict in both orders.  A dense pair's roots are lifted
+    # from one polynomial, each coefficient at the higher of the floors
+    # the two cycles' characteristic polynomials give it.
+    lifted = []
+    monkeypatch.setattr(isom, "roots_in_field", lambda cp: lifted.append(cp) or roots_in_field(cp), raising=False)
+    pairs = 0
+    for desc in (q3, q9):
+        for seed in (1000, 2000):
+            rng = random.Random(seed + desc.degree)
+            for t in range(48):
+                mod, fil = _mixed_floor_module(desc, 1 + t % 2, rng)
+                first = (mod, fil) if seed == 1000 else transport(mod, fil, 31 * t + 7)
+                second = transport(mod, fil, 31 * t)
+                lifted.clear()
+                answers = []
+                for pair in ((first, second), (second, first)):
+                    instance = Instance(desc, mod.shape, "pair", dict(zip(("first", "second"), pair)))
+                    report, code = run("iso", instance, Options())
+                    answers.append((code, report["verdict"]))
+                assert answers[0] == answers[1], (desc.degree, seed, t, answers)
+                cp1, cp2 = (charpoly(frobenius_composite(m)) for m, _ in (first, second))
+                for cp in lifted:
+                    assert [x._k for x in cp] == [max(x._k, y._k) for x, y in zip(cp1, cp2)]
+                    assert cp == cp1 and cp == cp2
+                pairs += bool(lifted)
+    assert pairs > 50
 
 
 def test_pull_to_slot_zero_keeps_the_floors_of_a_loose_zero(q3):

@@ -2,10 +2,11 @@ import pytest
 
 from phinmod.coeff import GaloisShape
 from phinmod.errors import PrecisionLoss, UnsupportedEnumeration, ValidationError
-from phinmod.filtration import Filtration
-from phinmod.isom import is_isomorphic
+from phinmod.filtration import Filtration, is_admissible
+from phinmod.isom import IsoVerdict, is_isomorphic
 from phinmod.linalg import Subspace, inv, mat, mat_mul, mat_vec
 from phinmod.modules import PhiNModule
+from phinmod.monodromy import extract_invariants
 from phinmod.padic import INF, make_element
 
 
@@ -129,6 +130,16 @@ def test_spectra_must_agree(q3):
     assert not is_isomorphic(m1, f, m2, f).isomorphic
 
 
+def test_spectra_that_do_not_split_are_told_apart(q3):
+    # T^2 - 2 and T^2 - 5 have no root in Q3: the differing polynomials
+    # decide, in either order, before any root is looked for
+    m1 = onestot(q3, [[0, 2], [1, 0]], [[0, 0], [0, 0]])
+    m2 = onestot(q3, [[0, 5], [1, 0]], [[0, 0], [0, 0]])
+    f = fil1(q3, 2, [(0, Subspace.full(q3, 2)), (1, span(q3, 2, [1, 0]))])
+    for a, b in ((m1, m2), (m2, m1)):
+        assert is_isomorphic(a, f, b, f) == IsoVerdict(False, "cycle spectra differ")
+
+
 def test_jordan_spectrum_unsupported(q2):
     m = onestot(q2, [[1, 1], [0, 1]], [[0, 0], [0, 0]])
     f = fil1(q2, 2, [(0, Subspace.full(q2, 2)), (1, span(q2, 2, [1, 0]))])
@@ -146,3 +157,23 @@ def test_is_isomorphic_refuses_mismatched_inputs(q3, q2):
     line_fil = fil1(q3, 1, [(0, Subspace.full(q3, 1))])
     with pytest.raises(ValidationError, match="filtration rank"):
         is_isomorphic(m, line_fil, m, fil)
+
+
+def test_a_filtration_over_another_field_or_shape_is_refused(q3, q9):
+    # each filtration must have its module's field, shape and rank; a
+    # two-embedding or a Q9 filtration on a one-embedding Q3 module is
+    # refused by iso in either position, by admissible and by extract
+    m = onestot(q3, [[9, 0], [0, 3]], [[0, 0], [1, 0]])
+    steps = (0, Subspace.full(q3, 2)), (1, span(q3, 2, [1, 0]))
+    fil = fil1(q3, 2, steps)
+    two = Filtration(q3, GaloisShape(1, 2), 2, (steps, steps))
+    over_q9 = fil1(q9, 2, [(0, Subspace.full(q9, 2)), (1, span(q9, 2, [1, 0]))])
+    for bad in (two, over_q9):
+        for call in (
+            lambda: is_isomorphic(m, bad, m, fil),
+            lambda: is_isomorphic(m, fil, m, bad),
+            lambda: is_admissible(m, bad),
+            lambda: extract_invariants(m, bad),
+        ):
+            with pytest.raises(ValidationError, match="does not match the module"):
+                call()

@@ -80,8 +80,8 @@ MUTATIONS = [
     (
         "diagonal spectrum on a valuation tie",
         "eigen.py",
-        "        if len(vals) == len(diag) and None not in vals and INF not in vals:",
-        "        if None not in vals and INF not in vals:",
+        "    return len(vals) == len(cycle) and None not in vals and INF not in vals",
+        "    return None not in vals and INF not in vals",
         [
             "tests/test_eigen.py::test_cycles_outside_the_rule_take_the_charpoly_route",
             "tests/test_eigen.py::test_mixed_floor_verdicts_match_the_charpoly_route",
@@ -96,6 +96,20 @@ MUTATIONS = [
             "tests/test_isom.py::test_zero_patterns_told_apart_only_at_precision_decide_nothing",
             "tests/test_eigen.py::test_mixed_floor_verdicts_match_the_charpoly_route",
         ],
+    ),
+    (
+        "iso roots from the first cycle",
+        "isom.py",
+        "        roots = cycle_roots(diagonal[0]) if diagonal else roots_in_field(shared)",
+        "        roots = cycle_roots(a1)",
+        ["tests/test_eigen.py::test_iso_verdicts_do_not_depend_on_the_order_of_the_pair"],
+    ),
+    (
+        "spectrum from the lower floor",
+        "isom.py",
+        "    shared = [x if x._k >= y._k else y for x, y in zip(cp1, cp2)]",
+        "    shared = [x if x._k <= y._k else y for x, y in zip(cp1, cp2)]",
+        ["tests/test_eigen.py::test_iso_verdicts_do_not_depend_on_the_order_of_the_pair"],
     ),
 ]
 
