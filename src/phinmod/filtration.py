@@ -81,15 +81,6 @@ def hodge_number(fil: Filtration) -> Fraction:
     return Fraction(sum(_jump_sum(sig, [v.dim for _, v in sig]) for sig in fil.steps))
 
 
-def jump_at(sig: SigmaSteps, space: Subspace) -> int:
-    """Largest jump whose step still contains the given subspace."""
-    best = sig[0][0]
-    for j, v in sig:
-        if v.contains(space):
-            best = j
-    return best
-
-
 def _dedupe(steps: list[tuple[int, Subspace]]) -> tuple[tuple[int, Subspace], ...]:
     """Keep the largest jump among consecutive equal pieces, drop zeros."""
     out: list[tuple[int, Subspace]] = []
@@ -103,17 +94,6 @@ def _dedupe(steps: list[tuple[int, Subspace]]) -> tuple[tuple[int, Subspace], ..
     return tuple(out)
 
 
-def _bits(vectors):
-    """The stored data of a list of vectors, on which everything computed
-    from them depends, as one flat tuple: a tuple per entry would leave
-    thousands of small tuples to the allocator's free lists."""
-    flat = []
-    for g in vectors:
-        for x in g:
-            flat += (x.mant, x.shift, x._k)
-    return tuple(flat)
-
-
 def restrict_steps(sigs, spans) -> tuple[SigmaSteps, ...]:
     """Cut every step of each embedding's step list down to that
     embedding's span, in coordinates on the span's stored generators.
@@ -121,25 +101,16 @@ def restrict_steps(sigs, spans) -> tuple[SigmaSteps, ...]:
     A piece is one right kernel: the kernel vectors of the matrix with
     columns [span.gens | -v.gens] are the relations sum a_j s_j = sum b_l v_l,
     and their first span.dim entries a are the coordinates of the
-    intersection's vectors on the span's generators.
-
-    Embeddings of one slot share a span, and their steps often share pieces
-    (one full space for every embedding, equal lines), so a piece whose
-    stored data was already restricted onto the same span in this call is
-    not restricted again."""
-    done = {}
+    intersection's vectors on the span's generators.  Only the tests and
+    library callers build induced filtrations; is_admissible reads the same
+    Hodge numbers off _intersection_dims."""
     out = []
     for sig, span in zip(sigs, spans):
-        onto = _bits(span.gens)
         collected = []
         for jump, v in sig:
-            key = (onto, _bits(v.gens))
-            piece = done.get(key)
-            if piece is None:
-                cols = list(span.gens) + [tuple(-x for x in g) for g in v.gens]
-                rels = right_kernel(transpose(cols))
-                piece = done[key] = Subspace.from_vectors(span.desc, span.dim, [k[: span.dim] for k in rels])
-            collected.append((jump, piece))
+            cols = list(span.gens) + [tuple(-x for x in g) for g in v.gens]
+            rels = right_kernel(transpose(cols))
+            collected.append((jump, Subspace.from_vectors(span.desc, span.dim, [k[: span.dim] for k in rels])))
         out.append(_dedupe(collected))
     return tuple(out)
 
@@ -288,29 +259,39 @@ class AdmissibilityVerdict:
         return True
 
 
-def _line_bundle_hodge(m: PhiNModule, fil: Filtration, line0: Subspace) -> Fraction:
-    spaces = propagate_space(m, line0)
-    if spaces is None:
-        raise PrecisionLoss("line bundle does not close up under the transitions")
+def _line_bundle_hodge(fil: Filtration, spaces: tuple[Subspace, ...], origin: tuple[int, int] | None, loose: bool) -> Fraction:
+    """The Hodge number of one line bundle of a family, given its slot
+    spaces, read off dim(L_t ∩ Fil^j) by _intersection_dims, the rule of
+    the submodule certificates.  A special line pulled back from step k of
+    embedding t (origin (t, k)) lies in that step and every larger step of
+    t by construction, so those dimensions are 1 without a reduction; on a
+    loose input the rule could not certify even that containment."""
     total = 0
-    for (i, j) in m.shape.sigmas():
-        total += jump_at(fil.sigma_steps(i, j), spaces[i])
+    for t, ((i, _), sig) in enumerate(zip(fil.shape.sigmas(), fil.steps)):
+        inside = origin[1] + 1 if origin is not None and origin[0] == t else 0
+        total += _jump_sum(sig, [1] * inside + _intersection_dims(sig[inside:], spaces[i], loose))
     return Fraction(total)
 
 
 def _family_certificate(
-    m: PhiNModule, fil: Filtration, family: LineBundleFamily
-) -> FamilyCertificate:
+    m: PhiNModule, fil: Filtration, family: LineBundleFamily, loose: bool, balanced: bool
+) -> FamilyCertificate | None:
+    """t_H(L) <= t_N(L) over the line bundles of a scalar family, checked on
+    its special lines (each proper step pulled back to slot 0, with the step
+    it came from) and one generic line outside them.  Every line is carried
+    round the slots before any intersection is counted: one that does not
+    close up is lost precision.  A Hodge number the input does not decide
+    raises PrecisionLoss on a balanced module; on an unbalanced one the
+    certificate is left out (None), as for submodule certificates."""
     desc = m.desc
     d = m.rank
-    # pull every proper step back to slot 0 through the transition chain
-    specials: list[Subspace] = []
-    for (i, j) in m.shape.sigmas():
-        for jump, v in fil.sigma_steps(i, j):
+    specials: list[tuple[Subspace, tuple[int, int]]] = []
+    for t, ((i, _), sig) in enumerate(zip(m.shape.sigmas(), fil.steps)):
+        for k, (_, v) in enumerate(sig):
             if 0 < v.dim < d:
                 cand = Subspace.from_vectors(desc, d, [pull_to_slot_zero(m, g, i) for g in v.gens])
-                if all(cand != s for s in specials):
-                    specials.append(cand)
+                if all(cand != s for s, _ in specials):
+                    specials.append((cand, (t, k)))
     generic = None
     one = desc.from_int(1)
     probes = [
@@ -318,22 +299,31 @@ def _family_certificate(
     ] + [(desc.zero(), one)]
     for probe in probes:
         cand = Subspace.from_vectors(desc, d, [probe])
-        if all(cand != s for s in specials):
+        if all(cand != s for s, _ in specials):
             generic = cand
             break
-    candidates = specials + ([generic] if generic is not None else [])
-    max_hodge = max(_line_bundle_hodge(m, fil, c) for c in candidates)
+    candidates = specials + ([(generic, None)] if generic is not None else [])
+    lines = [(propagate_space(m, c), origin) for c, origin in candidates]
+    if any(spaces is None for spaces, _ in lines):
+        raise PrecisionLoss("line bundle does not close up under the transitions")
+    try:
+        max_hodge = max(_line_bundle_hodge(fil, spaces, origin, loose) for spaces, origin in lines)
+    except PrecisionLoss:
+        if balanced:
+            raise
+        return None
     line_newton = Fraction(m.shape.e) * family.value.valuation()
     return FamilyCertificate(line_newton, max_hodge, line_newton >= max_hodge)
 
 
 def is_admissible(m: PhiNModule, fil: Filtration) -> AdmissibilityVerdict:
     """Global balance t_N = t_H plus t_H(D') <= t_N(D') on every stable
-    proper submodule D' that enumerate_submodules finds (symbolically over
-    a scalar line family).  A certificate's t_H(D') is read off
-    dim(D'_t ∩ Fil^j) for each embedding t and step j, without building
-    the induced filtration.  An unbalanced module fails whatever D' gives,
-    so there a certificate the input does not decide is left out."""
+    proper submodule D' that enumerate_submodules finds, or on every line
+    bundle of a scalar family.  Every t_H(D'), a family line's too, is read
+    off dim(D'_t ∩ Fil^j) for each embedding t and step j by one rule
+    (_intersection_dims), without building the induced filtration.  An
+    unbalanced module fails whatever D' gives, so there a certificate the
+    input does not decide is left out."""
     _check_fits(m, fil)
     t_n = newton_number(m)
     t_h = hodge_number(fil)
@@ -351,5 +341,5 @@ def is_admissible(m: PhiNModule, fil: Filtration) -> AdmissibilityVerdict:
         certs.append(
             SubmoduleCertificate(sub.rank, sub.slot_spaces[0], sub_tn, sub_th, sub_tn >= sub_th)
         )
-    fam_cert = _family_certificate(m, fil, family) if family is not None else None
+    fam_cert = _family_certificate(m, fil, family, loose, t_n == t_h) if family is not None else None
     return AdmissibilityVerdict(t_n, t_h, t_n == t_h, tuple(certs), fam_cert)

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,9 +7,10 @@ import pytest
 from phinmod import filtration, serial
 from phinmod.coeff import GaloisShape
 from phinmod.eigen import StableSubmodule, enumerate_submodules
-from phinmod.errors import PhinError, ValidationError
+from phinmod.errors import PhinError, PrecisionLoss, ValidationError
 from phinmod.filtration import (
     AdmissibilityVerdict,
+    FamilyCertificate,
     Filtration,
     _intersection_dims,
     _loose_input,
@@ -16,15 +19,14 @@ from phinmod.filtration import (
     hodge_number,
     induce_on_submodule,
     is_admissible,
-    jump_at,
     quotient_filtration,
     tensor_filtration,
 )
 from phinmod.linalg import Subspace, mat
 from phinmod.modules import PhiNModule
 from phinmod.monodromy import build_degenerate, build_monodromy, build_w, end0_with_filtration
-from phinmod.padic import INF
-from util import bench_gen, transport
+from phinmod.padic import INF, LocalFieldDesc, make_element
+from util import bench_gen, exact_lift_module, jump_at, transport
 
 
 def imat(desc, rows):
@@ -289,3 +291,110 @@ def test_is_admissible_builds_no_induced_filtration(monkeypatch):
         assert verdict.admissible == spec["admissible"]
         certificates += len(verdict.certificates)
     assert len(doc["records"]) == 36 and certificates and calls == []
+
+
+# ---------------------------------------------------------------------------
+# a scalar cycle's line family counts containment by the certificates' rule
+
+Q3_20 = LocalFieldDesc(3, 1, 1, (0, 1), ((-3,), (1,)), 20)
+Q3_RAM_20 = LocalFieldDesc(3, 1, 2, (0, 1), ((-3,), (0,), (1,)), 20)
+NOT_CERTIFIED = (PrecisionLoss, "intersection with a filtration step is not certified")
+LOOSE_ZERO = make_element(Q3_20, (0,), 0, 1)
+
+
+def _entry(rng, desc, loose):
+    """±r·3^v with v < 3, a quarter of them zeros; when loose, known to one
+    to three digits, the zeros as O(π^k) for k = 1, 2, 3."""
+    if rng.random() < 0.25:
+        return make_element(desc, (0,) * desc.degree, 0, rng.randint(1, 3) if loose else INF)
+    v = rng.randrange(3)
+    c = rng.choice((1, -1)) * rng.choice((1, 2, 4, 5, 7, 8)) * 3**v
+    return desc.from_int(c, Fraction(desc.e_l * v + rng.randint(1, 3), desc.e_l) if loose else INF)
+
+
+def _scalar_family(desc, shape, lam, steps):
+    """Rank 2 with the cycle λ on the wrap transition, the identity
+    elsewhere and N = 0; steps holds (j0, j1, line) per embedding, the flag
+    full ⊃ line with jumps j0 < j1."""
+    phi = (imat(desc, [[1, 0], [0, 1]]),) * (shape.f - 1) + (imat(desc, [[lam, 0], [0, lam]]),)
+    m = PhiNModule(desc, shape, 2, phi, (imat(desc, [[0, 0], [0, 0]]),) * shape.f)
+    sigs = tuple(((j0, full(desc, 2)), (j1, Subspace.from_vectors(desc, 2, [line]))) for j0, j1, line in steps)
+    return m, Filtration(desc, shape, 2, sigs)
+
+
+def _family_inputs(seed, count, loose):
+    """Seeded scalar families over Q3 and Q3(√3) at precision 20, shapes
+    (e, f) in {1, 2}², λ in {1, 3, 9}, jumps j0 in {-1, 0} and j1 - j0 in
+    {1, 2, 3}, line entries drawn by _entry; a line that vanishes is drawn
+    again."""
+    rng = random.Random(seed)
+    while count:
+        desc = rng.choice((Q3_20, Q3_RAM_20))
+        shape = GaloisShape(rng.randint(1, 2), rng.randint(1, 2))
+        lam = rng.choice((1, 3, 9))
+        steps = []
+        for _ in range(shape.n):
+            j0 = rng.choice((-1, 0))
+            steps.append((j0, j0 + rng.randint(1, 3), (_entry(rng, desc, loose), _entry(rng, desc, loose))))
+        try:
+            yield _scalar_family(desc, shape, lam, steps)
+        except ValidationError:
+            continue
+        count -= 1
+
+
+def _admissible(m, fil):
+    return is_admissible(m, fil).admissible
+
+
+def test_loose_families_answer_as_every_exact_lift():
+    # a verdict that rests on a loose containment would disagree with some
+    # lift; every such containment is refused instead
+    seen = Counter()
+    for m, fil in _family_inputs(30, 200, True):
+        got = _outcome(_admissible, m, fil)
+        seen[got] += 1
+        if got != NOT_CERTIFIED:
+            assert [_admissible(*exact_lift_module(m, fil, random.Random(s))) for s in range(4)] == [got] * 4
+    assert seen[True] and seen[False] and seen[NOT_CERTIFIED]
+
+
+def test_a_balanced_family_refuses_a_loose_containment():
+    # t_N = t_H = 0 and t_N(L) = 0.  The step lines (1, 0) and (1, O(3))
+    # agree at the working precision; counting each in the other's step
+    # gives t_H(L) = 0 + 1 > 0, False, where every exact lift keeps them
+    # apart (largest t_H(L) = 0) and answers True
+    m, fil = _scalar_family(Q3_20, GaloisShape(2, 1), 1, [(-1, 0, ivec(Q3_20, [1, 0])), (0, 1, (Q3_20.one(), LOOSE_ZERO))])
+    assert _outcome(is_admissible, m, fil) == NOT_CERTIFIED
+    assert [_admissible(*exact_lift_module(m, fil, random.Random(s))) for s in range(8)] == [True] * 8
+
+
+def test_a_special_line_lies_in_its_own_step():
+    # the only line above the generic Hodge number is the step's own, loose
+    # line: its containment needs no reduction, so the family answers
+    # t_H(L) = 2 > t_N(L) = 1 as every exact lift does
+    line = (Q3_20.one(), Q3_20.from_int(2, 1))
+    m, fil = _scalar_family(Q3_20, GaloisShape(1, 1), 3, [(0, 2, line)])
+    verdict = is_admissible(m, fil)
+    assert verdict.balanced and (verdict.family.max_line_hodge, verdict.family.line_newton) == (2, 1)
+    assert not verdict.admissible
+    assert [_admissible(*exact_lift_module(m, fil, random.Random(s))) for s in range(8)] == [False] * 8
+
+
+def test_an_unbalanced_module_leaves_an_undecided_family_out():
+    # t_N = 0 against t_H = 2 decides False; whether a line lies in both
+    # steps, (1, 0) and (1, O(3)), is not decided, so the family is left out
+    m, fil = _scalar_family(Q3_20, GaloisShape(2, 1), 1, [(0, 1, ivec(Q3_20, [1, 0])), (0, 1, (Q3_20.one(), LOOSE_ZERO))])
+    verdict = is_admissible(m, fil)
+    assert not verdict.balanced and verdict.family is None and not verdict.admissible
+
+
+def test_exact_family_certificates_match_the_jump_reference():
+    # on exact input the rule counts containment as Subspace.contains does:
+    # every line's Hodge number is at least the generic one, so the largest
+    # is that of some step's line
+    for m, fil in _family_inputs(31, 500, False):
+        lines = [v for sig in fil.steps for _, v in sig[1:]]
+        hodge = max(sum(jump_at(sig, line) for sig in fil.steps) for line in lines)
+        newton = m.shape.e * m.phi[-1][0][0].valuation()
+        assert is_admissible(m, fil).family == FamilyCertificate(newton, hodge, newton >= hodge)

@@ -1,9 +1,9 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
 random basis transport of a (module, filtration) pair, the benchmark's input
 generator, reference routes to End0, to element construction, to
-equality and to cycle roots, a matrix with entries zero only at their
-floors, exact lifts of matrices and modules, and small views of package
-data that only the tests need."""
+equality, to cycle roots and to a line's jump, a matrix with entries zero
+only at their floors, exact lifts of matrices and modules, and small views
+of package data that only the tests need."""
 from __future__ import annotations
 
 import importlib.util
@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from phinmod.filtration import Filtration, dual_filtration, restrict_steps, tensor_filtration
+from phinmod.filtration import Filtration, SigmaSteps, dual_filtration, restrict_steps, tensor_filtration
 from phinmod.linalg import (
     Matrix,
     Subspace,
@@ -148,6 +148,18 @@ def end0_via_hom(mod: PhiNModule, fil: Filtration):
         for sig in restrict_steps(hfil.steps, [span] * len(hfil.steps))
     )
     return e0, Filtration(desc, mod.shape, len(basis), steps)
+
+
+def jump_at(sig: SigmaSteps, space: Subspace) -> int:
+    """The Hodge number of a line in one embedding the long way round, for
+    comparison with the family certificates: the largest jump whose step
+    contains the line by Subspace.contains, every residual zero at the
+    working precision counted as containment.  Exact inputs only."""
+    best = sig[0][0]
+    for j, v in sig:
+        if v.contains(space):
+            best = j
+    return best
 
 
 def element_by_terms(desc: LocalFieldDesc, coords, prec=None) -> FieldElement:

@@ -68,6 +68,23 @@ MUTATIONS = [
         ["tests/test_cli.py::test_admissible_refuses_a_residual_zero_only_at_loose_floors"],
     ),
     (
+        "family containment at precision",
+        "filtration.py",
+        "        total += _jump_sum(sig, [1] * inside + _intersection_dims(sig[inside:], spaces[i], loose))",
+        "        total += _jump_sum(sig, [1] * inside + _intersection_dims(sig[inside:], spaces[i], False))",
+        [
+            "tests/test_filtration.py::test_a_balanced_family_refuses_a_loose_containment",
+            "tests/test_filtration.py::test_loose_families_answer_as_every_exact_lift",
+        ],
+    ),
+    (
+        "special outside its own step",
+        "filtration.py",
+        "        inside = origin[1] + 1 if origin is not None and origin[0] == t else 0",
+        "        inside = 0",
+        ["tests/test_filtration.py::test_a_special_line_lies_in_its_own_step"],
+    ),
+    (
         "jump sum without the final zero",
         "filtration.py",
         "    return sum(j * (d - below) for (j, _), d, below in zip(sig, dims, dims[1:] + [0]))",
