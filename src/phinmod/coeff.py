@@ -125,11 +125,6 @@ class ProductElement:
     def __pow__(self, k: int):
         return self._like(a**k for a in self.comps)
 
-    def frobenius(self) -> "ProductElement":
-        """Shift the unramified slot index by one: slot i receives slot i-1."""
-        shape = self.shape
-        return self._like(self.comps[shape.index(i - 1, j)] for i, j in shape.sigmas())
-
     def trace(self) -> FieldElement:
         acc = self.comps[0]
         for c in self.comps[1:]:

@@ -202,24 +202,6 @@ def tensor_filtration(fa: Filtration, fb: Filtration) -> Filtration:
     return Filtration(fa.desc, fa.shape, rank, tuple(new_steps))
 
 
-def quotient_filtration(fil: Filtration, sub: StableSubmodule) -> Filtration:
-    """Image filtration on the quotient by a stable submodule, written on
-    the complementary coordinate positions of each fiber."""
-    shape = fil.shape
-    new_steps = []
-    for (i, j) in shape.sigmas():
-        w = sub.slot_spaces[i]
-        sig = fil.sigma_steps(i, j)
-        collected = []
-        for jump, v in sig:
-            imgs = [w.quotient_coords(g) for g in v.gens]
-            collected.append(
-                (jump, Subspace.from_vectors(fil.desc, fil.rank - w.dim, imgs))
-            )
-        new_steps.append(_dedupe(collected))
-    return Filtration(fil.desc, shape, fil.rank - sub.rank, tuple(new_steps))
-
-
 # ---------------------------------------------------------------------------
 # admissibility
 

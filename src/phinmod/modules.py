@@ -5,8 +5,8 @@ transition matrices phi[i] (carrying slot i to slot i+1 mod f) and f slot
 operators nmat[i], subject to nmat[i+1] phi[i] = p phi[i] nmat[i].  All
 matrices act on column coordinates.
 
-Constructions: dual, tensor, hom, and the trace-zero endomorphism module
-with its deterministic reference basis.
+Constructions: dual, tensor, and the trace-zero endomorphism module with
+its deterministic reference basis.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     identity,
     inv,
@@ -35,7 +34,6 @@ from .linalg import (
     mat_scale,
     mat_sub,
     det,
-    right_kernel,
     rref,
     transpose,
 )
@@ -124,18 +122,6 @@ def tensor_module(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     return PhiNModule(a.desc, a.shape, a.rank * b.rank, phi, nmat)
 
 
-def hom_module(a: PhiNModule, b: PhiNModule) -> PhiNModule:
-    """Maps from a to b; coordinates follow map_to_vec."""
-    return tensor_module(dual_module(a), b)
-
-
-def map_to_vec(x: Matrix) -> Vector:
-    """Flatten a rank(b) x rank(a) matrix into hom coordinates: the entry in
-    row i, column j lands at index j*rank(b) + i."""
-    d2, d1 = len(x), len(x[0])
-    return tuple(x[i][j] for j in range(d1) for i in range(d2))
-
-
 def end0_basis(desc: LocalFieldDesc, d: int) -> list[Vector]:
     """Reference basis of trace-zero endomorphisms inside hom coordinates:
     single-entry maps e_i <- e_j for i != j in row-major label order, then
@@ -194,17 +180,3 @@ def end0_module(m: PhiNModule) -> tuple[PhiNModule, list[Vector]]:
         for n in m.nmat
     )
     return PhiNModule(m.desc, m.shape, d * d - 1, tuple(phi), nmat), basis
-
-
-def n_kernel_flag(m: PhiNModule) -> tuple[Subspace, ...]:
-    """Proper kernel flag of the slot-zero operator: ker N, ker N^2, ...
-    stopping before the full space.  Empty for a vanishing operator."""
-    flag: list[Subspace] = []
-    power = m.nmat[0]
-    while True:
-        ker = Subspace.from_vectors(m.desc, m.rank, right_kernel(power))
-        if ker.dim >= m.rank or (flag and ker.dim == flag[-1].dim):
-            break
-        flag.append(ker)
-        power = mat_mul(m.nmat[0], power)
-    return tuple(flag)

@@ -3,7 +3,8 @@
 Parsing threads a JSON-pointer path through every helper so a malformed file
 reports exactly where it went wrong.  Emission is canonical: coefficients as
 exact fraction strings on the pi/theta grid, precision as an integer, a
-fraction string, or "inf".  One parse/emit cycle is idempotent.
+fraction string, or "inf".  What a report prints parses back to the object
+it was dumped from.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .filtration import Filtration
 from .linalg import Matrix, Subspace, mat
 from .modules import PhiNModule
 from .monodromy import MonodromyData
-from .padic import INF, MAX_P, FieldElement, LocalFieldDesc
+from .padic import INF, MAX_P, FieldElement, LocalFieldDesc, make_element
 from .record import frozen
 
 
@@ -199,17 +200,6 @@ def parse_field(data, path: str = "/field", override_prec: int | None = None) ->
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def dump_field(desc: LocalFieldDesc) -> dict:
-    return {
-        "p": desc.p,
-        "fL": desc.f_l,
-        "eL": desc.e_l,
-        "unram_poly": [str(c) for c in desc.unram_poly],
-        "eis_poly": [[str(c) for c in row] for row in desc.eis_poly],
-        "prec": desc.default_prec,
-    }
-
-
 def parse_shape(data, path: str = "/shape") -> GaloisShape:
     data = _expect_dict(data, path)
     e = _get(data, "e", path)
@@ -220,10 +210,6 @@ def parse_shape(data, path: str = "/shape") -> GaloisShape:
         if val > MAX_SHAPE_DEGREE:
             _fail(f"{path}/{name}", f"shape degree {val} exceeds the bound {MAX_SHAPE_DEGREE}")
     return GaloisShape(e, f)
-
-
-def dump_shape(shape: GaloisShape) -> dict:
-    return {"e": shape.e, "f": shape.f}
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +259,16 @@ def _element_from_grid(desc, grid, prec, path: str) -> FieldElement:
         if len(rows) != e:
             _fail(path, f"expected {e} coefficient rows")
     try:
-        return desc.element(rows, prec)
+        x = desc.element(rows, prec)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    if prec is None or prec is INF:
+        return x
+    # a stated "prec" is the element's floor, the one dump_element prints:
+    # zero coordinates are known to it too, so an all-zero grid is a zero
+    # known to that floor and a zero lowest pi-row does not raise it
+    k = desc._digits(prec)
+    return x if x._k == k else make_element(desc, x.mant, x.shift, k)
 
 
 def dump_element(x: FieldElement) -> dict:
@@ -427,15 +420,6 @@ def parse_germ(desc: LocalFieldDesc, shape: GaloisShape, data, path: str) -> Fam
     return FamilyGerm(alpha, delta, kappa, ell)
 
 
-def dump_germ(g: FamilyGerm) -> dict:
-    return {
-        "alpha": [dump_element(g.alpha.a0), dump_element(g.alpha.a1)],
-        "delta": [dump_element(g.delta.a0), dump_element(g.delta.a1)],
-        "kappa": [dump_product(g.kappa.a0), dump_product(g.kappa.a1)],
-        "ell": dump_product(g.ell),
-    }
-
-
 def parse_classes(desc, shape, data, path: str) -> tuple[H1Trivial, H1Tate]:
     data = _expect_dict(data, path)
     x = _expect_dict(_get(data, "x", path), path + "/x")
@@ -445,13 +429,6 @@ def parse_classes(desc, shape, data, path: str) -> tuple[H1Trivial, H1Tate]:
     b1 = parse_element(desc, _get(y, "b1", path + "/y"), path + "/y/b1")
     b2 = parse_product(desc, shape, _get(y, "b2", path + "/y"), path + "/y/b2")
     return H1Trivial(a1, a2), H1Tate(b1, b2)
-
-
-def dump_classes(x: H1Trivial, y: H1Tate) -> dict:
-    return {
-        "x": {"a1": dump_element(x.a1), "a2": dump_product(x.a2)},
-        "y": {"b1": dump_element(y.b1), "b2": dump_product(y.b2)},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -524,37 +501,3 @@ def parse_instance(source, override_prec: int | None = None) -> Instance:
     else:
         _fail("/payload", "no recognized payload keys")
     return Instance(desc, shape, kind, objects)
-
-
-def dump_instance(instance: Instance) -> dict:
-    """Inverse of parse_instance up to normalization; dumping a freshly
-    parsed instance and parsing the dump is the identity."""
-    payload: dict = {}
-    objs = instance.objects
-    if instance.kind == "module":
-        payload["module"] = dump_module(objs["module"])
-        if "filtration" in objs:
-            payload["filtration"] = dump_filtration(objs["filtration"])
-    elif instance.kind == "pair":
-        for key in ("first", "second"):
-            module, fil = objs[key]
-            payload[key] = {
-                "module": dump_module(module),
-                "filtration": dump_filtration(fil),
-            }
-    elif instance.kind == "monodromy":
-        payload["monodromy"] = dump_monodromy(objs["monodromy"])
-    elif instance.kind == "germ":
-        payload["germ"] = dump_germ(objs["germ"])
-        if "direction" in objs:
-            payload["direction"] = dump_product(objs["direction"])
-    elif instance.kind == "classes":
-        payload["classes"] = dump_classes(objs["x"], objs["y"])
-    else:
-        payload["ell"] = dump_product(objs["ell"])
-        payload["k"] = list(objs["k"])
-    return {
-        "field": dump_field(instance.desc),
-        "shape": dump_shape(instance.shape),
-        "payload": payload,
-    }

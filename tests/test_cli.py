@@ -12,9 +12,13 @@ import pytest
 
 from phinmod import cli
 from phinmod.cli import Options, execute, main, render, run_batch
-from phinmod.errors import ParseError
-from phinmod.linalg import det, trace
-from phinmod.padic import MAX_P
+from phinmod.coeff import GaloisShape, ProductElement
+from phinmod.errors import ParseError, PrecisionLoss, ValidationError
+from phinmod.filtration import Filtration
+from phinmod.linalg import Subspace, det, trace
+from phinmod.modules import PhiNModule
+from phinmod.monodromy import MonodromyData
+from phinmod.padic import INF, MAX_P, FieldElement, LocalFieldDesc, make_element
 from phinmod.serial import (
     MAX_COEFF_DIGITS,
     MAX_ELEMENT_DIGITS,
@@ -22,11 +26,18 @@ from phinmod.serial import (
     MAX_SHAPE_DEGREE,
     MAX_TOWER_DEGREE,
     Instance,
-    dump_instance,
+    dump_element,
+    dump_filtration,
+    dump_module,
+    dump_monodromy,
+    dump_product,
     parse_element,
     parse_field,
+    parse_filtration,
     parse_instance,
+    parse_module,
     parse_monodromy,
+    parse_product,
 )
 from util import exact_lift_module, sample_element
 
@@ -40,11 +51,117 @@ def _load(name):
     return json.loads((FIXTURES / name).read_text("utf-8"))
 
 
+def _bits(obj):
+    """(mantissa, shift, floor) of every element inside obj, through tuples
+    and records; jumps, pivots, flags and the field and shape as they are."""
+    if isinstance(obj, FieldElement):
+        return obj.mant, obj.shift, obj._k
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(_bits, obj))
+    if isinstance(obj, (int, LocalFieldDesc, GaloisShape)):
+        return obj
+    return tuple(_bits(getattr(obj, name)) for name in type(obj).__annotations__)
+
+
+def _reparsed(desc, shape, obj):
+    """obj dumped as a report prints it and parsed back: modules,
+    filtrations and parameter records whole, any other record (germs, dual
+    numbers, cohomology classes) part by part."""
+    if isinstance(obj, FieldElement):
+        return parse_element(desc, dump_element(obj), "")
+    if isinstance(obj, ProductElement):
+        return parse_product(desc, shape, dump_product(obj), "")
+    if isinstance(obj, PhiNModule):
+        return parse_module(desc, shape, dump_module(obj), "")
+    if isinstance(obj, Filtration):
+        return parse_filtration(desc, shape, obj.rank, dump_filtration(obj), "")
+    if isinstance(obj, MonodromyData):
+        return parse_monodromy(desc, shape, dump_monodromy(obj), "")
+    if isinstance(obj, tuple):
+        return tuple(_reparsed(desc, shape, x) for x in obj)
+    if isinstance(obj, int):
+        return obj
+    return type(obj)(*(_reparsed(desc, shape, getattr(obj, name)) for name in type(obj).__annotations__))
+
+
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_serialize_parse_idempotent(name):
-    first = dump_instance(parse_instance((FIXTURES / name).read_text("utf-8")))
-    second = dump_instance(parse_instance(json.dumps(first)))
-    assert first == second
+    inst = parse_instance((FIXTURES / name).read_text("utf-8"))
+    for obj in inst.objects.values():
+        assert _bits(_reparsed(inst.desc, inst.shape, obj)) == _bits(obj)
+
+
+def _report_element(rng, desc):
+    """A canonical element of every kind a report prints: exact one time in
+    three, else known to a floor of -3 to 19 digits; shifts 0 to 2, so
+    valuations go below zero; each coordinate zero one time in three, so
+    some lowest pi-rows vanish and some grids are zeros known to a floor."""
+    k = INF if rng.random() < 1 / 3 else rng.randint(-3, 19)
+    mant = [0 if rng.random() < 1 / 3 else rng.randrange(-(desc.p**12), desc.p**12) for _ in range(desc.degree)]
+    return make_element(desc, mant, rng.randrange(3), k)
+
+
+def _report_objects(rng, desc):
+    """A rank-2 module, a filtration with a line per embedding (drawn again
+    until it is a line) and a parameter record over one random shape, all
+    with entries from _report_element."""
+    shape = GaloisShape(rng.randint(1, 2), rng.randint(1, 2))
+
+    def row():
+        return tuple(_report_element(rng, desc) for _ in range(2))
+
+    def matrix():
+        return row(), row()
+
+    module = PhiNModule(desc, shape, 2, tuple(matrix() for _ in range(shape.f)), tuple(matrix() for _ in range(shape.f)))
+    while True:
+        try:
+            steps = tuple(
+                ((j, Subspace.full(desc, 2)), (j + rng.randint(1, 3), Subspace.from_vectors(desc, 2, [row()])))
+                for j in (rng.randint(-2, 1) for _ in range(shape.n))
+            )
+            fil = Filtration(desc, shape, 2, steps)
+            break
+        except (PrecisionLoss, ValidationError):
+            continue
+    ints = [rng.randint(-3, 3) for _ in range(2 * shape.n)]
+    ell = ProductElement.from_components(desc, shape, [_report_element(rng, desc) for _ in range(shape.n)])
+    record = MonodromyData(_report_element(rng, desc), ints[: shape.n], ints[shape.n :], ell, rng.random() < 0.5)
+    return shape, (module, fil, record)
+
+
+def test_what_a_report_prints_parses_back(q3, q3_ram, q9, q3_mixed):
+    rng = random.Random(31)
+    for desc in (q3, q3_ram, q9, q3_mixed):
+        elements = [_report_element(rng, desc) for _ in range(300)]
+        assert any(x._k is not INF and not any(x.mant) for x in elements)
+        assert any(x._k is not INF and any(x.mant) and x.valuation() < 0 for x in elements)
+        assert _bits([parse_element(desc, dump_element(x), "") for x in elements]) == _bits(elements)
+        for _ in range(8):
+            shape, objects = _report_objects(rng, desc)
+            for obj in objects:
+                assert _bits(_reparsed(desc, shape, obj)) == _bits(obj)
+
+
+@pytest.mark.parametrize("coeff", ["0", "3"])
+def test_a_family_line_known_to_one_digit_is_refused_however_written(coeff):
+    # the README's family: over Q3 the scalar cycle 1, N = 0 and two
+    # embeddings, Fil^0 = <(1, 0)> in one and Fil^1 = <(1, O(3))> in the
+    # other; O(3) written with "0" or with "3" is the same input
+    doc = {
+        "field": {"p": 3, "prec": 20},
+        "shape": {"e": 2, "f": 1},
+        "payload": {
+            "module": {"rank": 2, "phi": [[["1", "0"], ["0", "1"]]], "N": [[["0", "0"], ["0", "0"]]]},
+            "filtration": [
+                [{"jump": -1, "basis": [["1", "0"], ["0", "1"]]}, {"jump": 0, "basis": [["1", "0"]]}],
+                [{"jump": 0, "basis": [["1", "0"], ["0", "1"]]}, {"jump": 1, "basis": [["1", {"c": [[coeff]], "prec": 1}]]}],
+            ],
+        },
+    }
+    report, code = execute("admissible", doc, Options())
+    assert code == 3
+    assert report["error"] == {"message": "intersection with a filtration step is not certified", "type": "PrecisionLoss"}
 
 
 def test_admissible_example():

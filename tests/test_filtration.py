@@ -19,7 +19,6 @@ from phinmod.filtration import (
     hodge_number,
     induce_on_submodule,
     is_admissible,
-    quotient_filtration,
     tensor_filtration,
 )
 from phinmod.linalg import Subspace, mat
@@ -136,16 +135,6 @@ def test_tensor_hodge_additivity(q2):
     ft = tensor_filtration(fa, fb)
     assert ft.rank == 4
     assert hodge_number(ft) == 2 * hodge_number(fa) + 2 * hodge_number(fb)
-
-
-def test_quotient_plus_induced_matches_total(q3):
-    m = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [1, 0]])
-    subs, _ = enumerate_submodules(m)
-    sub = subs[0]
-    f = fil1(q3, 2, [(-2, full(q3, 2)), (1, span(q3, 2, [1, 1]))])
-    assert hodge_number(induce_on_submodule(f, sub)) + hodge_number(
-        quotient_filtration(f, sub)
-    ) == hodge_number(f)
 
 
 def test_admissibility_standard_balance(q3):

@@ -12,14 +12,12 @@ from phinmod.modules import (
     dual_module,
     end0_module,
     frobenius_composite,
-    hom_module,
-    map_to_vec,
     newton_number,
     tensor_module,
     validate_module,
 )
 from phinmod.padic import INF
-from util import agrees_with_lift, exact_lift, loose_q3_matrix, sample_element, vec_to_map
+from util import agrees_with_lift, exact_lift, loose_q3_matrix, map_to_vec, sample_element, vec_to_map
 
 
 def imat(desc, rows):
@@ -122,7 +120,7 @@ def test_hom_action_convention(q3):
     shape = GaloisShape(1, 2)
     m1 = std2(q3, shape)
     m2 = std2(q3, shape, with_n=False)
-    h = hom_module(m1, m2)
+    h = tensor_module(dual_module(m1), m2)
     x = imat(q3, [[2, 1], [5, 3]])
     for i in range(2):
         want = mat_mul(mat_mul(m2.phi[i], x), inv(m1.phi[i]))

@@ -21,7 +21,7 @@ from phinmod.errors import (
 )
 from phinmod.filtration import Filtration, hodge_number, is_admissible
 from phinmod.linalg import Subspace, det, identity, mat, mat_eq, mat_mul, trace
-from phinmod.modules import PhiNModule, n_kernel_flag, newton_number, validate_module
+from phinmod.modules import PhiNModule, newton_number, validate_module
 from phinmod.monodromy import (
     MonodromyData,
     build_degenerate,
@@ -35,7 +35,7 @@ from phinmod.monodromy import (
     twist_to_zero,
 )
 from phinmod.padic import INF, _times_monomial, make_element
-from util import bench_gen, end0_via_hom, roots_by_charpoly, sample_element, sample_invertible, transport
+from util import bench_gen, end0_via_hom, n_kernel_flag, roots_by_charpoly, sample_element, sample_invertible, transport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

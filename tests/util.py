@@ -1,9 +1,10 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
 random basis transport of a (module, filtration) pair, the benchmark's input
 generator, reference routes to End0, to element construction, to
-equality, to cycle roots and to a line's jump, a matrix with entries zero
-only at their floors, exact lifts of matrices and modules, and small views
-of package data that only the tests need."""
+equality, to cycle roots and to a line's jump, the kernel flag of a slot
+operator, a matrix with entries zero only at their floors, exact lifts of
+matrices and modules, and small views of package data that only the tests
+need."""
 from __future__ import annotations
 
 import importlib.util
@@ -22,10 +23,11 @@ from phinmod.linalg import (
     mat,
     mat_mul,
     mat_vec,
+    right_kernel,
     solve_columns,
     transpose,
 )
-from phinmod.modules import PhiNModule, end0_basis, hom_module
+from phinmod.modules import PhiNModule, dual_module, end0_basis, tensor_module
 from phinmod.errors import ValidationError
 from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, _vp, make_element, roots_in_field
 
@@ -85,8 +87,16 @@ def unram_gen(desc: LocalFieldDesc, prec=None) -> FieldElement:
     return make_element(desc, mant, 0, desc._digits(prec))
 
 
+def map_to_vec(x: Matrix) -> Vector:
+    """Flatten a d2 x d1 matrix into the coordinates of the hom module
+    tensor_module(dual_module(a), b): the entry in row i, column j lands at
+    index j*d2 + i."""
+    d2, d1 = len(x), len(x[0])
+    return tuple(x[i][j] for j in range(d1) for i in range(d2))
+
+
 def vec_to_map(v: Vector, d1: int, d2: int) -> Matrix:
-    """Inverse of modules.map_to_vec: hom coordinates back to a d2 x d1 matrix."""
+    """Inverse of map_to_vec: hom coordinates back to a d2 x d1 matrix."""
     return tuple(tuple(v[j * d2 + i] for j in range(d1)) for i in range(d2))
 
 
@@ -129,7 +139,7 @@ def end0_via_hom(mod: PhiNModule, fil: Filtration):
     end0_basis by solves on that basis."""
     desc, d = mod.desc, mod.rank
     basis = end0_basis(desc, d)
-    h = hom_module(mod, mod)
+    h = tensor_module(dual_module(mod), mod)
 
     def restrict(op: Matrix) -> Matrix:
         return transpose([solve_columns(basis, mat_vec(op, g)) for g in basis])
@@ -160,6 +170,20 @@ def jump_at(sig: SigmaSteps, space: Subspace) -> int:
         if v.contains(space):
             best = j
     return best
+
+
+def n_kernel_flag(m: PhiNModule) -> tuple[Subspace, ...]:
+    """Proper kernel flag of the slot-zero operator: ker N, ker N^2, ...
+    stopping before the full space.  Empty for a vanishing operator."""
+    flag: list[Subspace] = []
+    power = m.nmat[0]
+    while True:
+        ker = Subspace.from_vectors(m.desc, m.rank, right_kernel(power))
+        if ker.dim >= m.rank or (flag and ker.dim == flag[-1].dim):
+            break
+        flag.append(ker)
+        power = mat_mul(m.nmat[0], power)
+    return tuple(flag)
 
 
 def element_by_terms(desc: LocalFieldDesc, coords, prec=None) -> FieldElement:

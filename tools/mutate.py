@@ -128,6 +128,23 @@ MUTATIONS = [
         "    shared = [x if x._k <= y._k else y for x, y in zip(cp1, cp2)]",
         ["tests/test_eigen.py::test_iso_verdicts_do_not_depend_on_the_order_of_the_pair"],
     ),
+    (
+        "zero grid read as the exact zero",
+        "serial.py",
+        "    if prec is None or prec is INF:",
+        "    if prec is None or prec is INF or not any(x.mant):",
+        [
+            "tests/test_cli.py::test_what_a_report_prints_parses_back",
+            "tests/test_cli.py::test_a_family_line_known_to_one_digit_is_refused_however_written",
+        ],
+    ),
+    (
+        "stated floor raised by a zero lowest pi-row",
+        "serial.py",
+        "    return x if x._k == k else make_element(desc, x.mant, x.shift, k)",
+        "    return x if x._k == k or any(x.mant) else make_element(desc, x.mant, x.shift, k)",
+        ["tests/test_cli.py::test_what_a_report_prints_parses_back"],
+    ),
 ]
 
 

@@ -28,7 +28,9 @@ Usage, from the repository root::
 
 It prints, per file and function, the lines that never run (with
 ``--tests``: that neither the system nor the tests run), then the totals.
-With ``--tests`` it exits 1 when some line is run by neither.
+With ``--tests`` it also prints, per file, the functions whose every line
+only the tests run: the public ones are names no command or workload
+uses.  It exits 1 when some line is run by neither.
 """
 from __future__ import annotations
 
@@ -185,19 +187,27 @@ def main(argv=None) -> int:
         threading.settrace(None)
 
     total = reached = tests_only = 0
+    only_tests = tests - system
+    census: dict[str, list[str]] = {}
     for path, funcs in executable_lines().items():
         shown = False
         for name, lines in funcs.items():
             total += len(lines)
             mine = {(path, ln) for ln in lines}
             reached += len(mine & system)
-            tests_only += len((mine & tests) - system)
+            tests_only += len(mine & only_tests)
+            if args.tests and mine <= only_tests:
+                census.setdefault(path, []).append(name)
             never = sorted(ln for ln in lines if (path, ln) not in system and (path, ln) not in tests)
             if never:
                 if not shown:
                     print(Path(path).relative_to(ROOT))
                     shown = True
                 print(f"  {name}: {_ranges(never)}")
+    if census:
+        print("functions whose every line only the tests run:")
+        for path, names in census.items():
+            print(f"  {Path(path).relative_to(ROOT)}: {', '.join(names)}")
     neither = total - reached - tests_only
     summary = f"executable {total}, reached by the system {reached}"
     if args.tests:
