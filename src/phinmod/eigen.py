@@ -4,7 +4,8 @@ Proper nonzero submodules of a slot module are line or plane bundles that
 are stable under every transition and every slot operator.  Stability under
 the full cycle pins the slot-0 fiber to a sum of cycle eigenspaces, so the
 search reduces to splitting the cycle's characteristic polynomial over the
-coefficient field and propagating candidates through the slots.
+coefficient field and propagating candidates through the slots.  Each
+piece's Newton number is read off the roots that span it.
 
 Ranks up to 3 are supported.  A scalar cycle with vanishing slot operators
 yields an infinite family of stable lines, reported as LineBundleFamily so
@@ -13,6 +14,7 @@ callers can treat the family symbolically.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import PhinError, PrecisionLoss, RootLiftingError, UnsupportedEnumeration
 from .linalg import (
@@ -24,12 +26,11 @@ from .linalg import (
     is_zero_matrix,
     mat_mul,
     mat_vec,
-    restrict_operator,
     right_kernel,
     trace,
     transpose,
 )
-from .modules import PhiNModule, frobenius_composite
+from .modules import PhiNModule, frobenius_composite, newton_number
 from .padic import INF, FieldElement, roots_in_field
 from .record import frozen
 
@@ -44,9 +45,13 @@ class LineBundleFamily:
 
 @frozen(eq=False)
 class StableSubmodule:
+    """A proper stable sub-(phi, N)-module D': its rank, its space at each
+    slot, and its Newton number t_N(D'), read off the cycle's spectrum by
+    enumerate_submodules."""
+
     rank: int
     slot_spaces: tuple[Subspace, ...]
-    module: PhiNModule
+    t_newton: Fraction
 
 
 def _is_diagonal(a: Matrix) -> bool:
@@ -92,34 +97,35 @@ def eigenline(a: Matrix, lam: FieldElement, error: type[PhinError]) -> Vector:
     return kern[0]
 
 
-def propagate_space(m: PhiNModule, space0: Subspace) -> tuple[Subspace, ...] | None:
+def propagate_space(m: PhiNModule, space0: Subspace, what: str) -> tuple[Subspace, ...] | None:
     """The slot spaces of the bundle through space0 at slot 0: its images
-    under phi[0], phi[0..1], ..., one per slot.  None unless the full cycle
-    carries space0 back onto itself at the working precision (a transition
-    that drops the dimension cannot)."""
+    under phi[0], phi[0..1], ..., one per slot, or None as soon as a slot's
+    N moves its slot space, before that space is carried further or
+    compared (on a scalar family N vanishes, so every line passes).  The
+    full cycle carries each sum of its eigenspaces back onto itself, so a
+    space0 it does not carry back at the working precision (a transition
+    that drops the dimension cannot) is lost precision: PrecisionLoss,
+    naming what space0 is."""
     spaces = [space0]
-    for a in m.phi:
-        spaces.append(spaces[-1].image(a))
-    return tuple(spaces[:-1]) if spaces[-1] == space0 else None
+    for i, a in enumerate(m.phi):
+        s = spaces[i]
+        if not all(s.contains_vector(mat_vec(m.nmat[i], g)) for g in s.gens):
+            return None
+        spaces.append(s.image(a))
+    if spaces[-1] != space0:
+        raise PrecisionLoss(f"{what} does not close up under the transitions")
+    return tuple(spaces[:-1])
 
 
-def _try_bundle(m: PhiNModule, space0: Subspace) -> StableSubmodule | None:
-    """The submodule through space0, a sum of cycle eigenspaces, or None
-    when a slot operator does not keep its slot space.  The full cycle maps
-    each of its eigenspaces onto itself, so a bundle that does not close up
-    means lost precision.  A transition that does not restrict counts as
-    one, though each image reduces against the echelon form rref built
-    from it by the same rule, to a residual zero at precision."""
-    spaces = propagate_space(m, space0)
-    f = m.shape.f
-    phi_r = None if spaces is None else [restrict_operator(m.phi[i], spaces[i], spaces[(i + 1) % f]) for i in range(f)]
-    if phi_r is None or None in phi_r:
-        raise PrecisionLoss("cycle eigenspace does not close up under the transitions")
-    n_r = [restrict_operator(m.nmat[i], spaces[i], spaces[i]) for i in range(f)]
-    if None in n_r:
-        return None
-    sub = PhiNModule(m.desc, m.shape, space0.dim, tuple(phi_r), tuple(n_r))
-    return StableSubmodule(space0.dim, spaces, sub)
+def _try_bundle(m: PhiNModule, space0: Subspace, t_newton: Fraction) -> StableSubmodule | None:
+    """The submodule through space0, a sum of cycle eigenspaces whose
+    Newton number is t_newton, or None when some slot's N moves its slot
+    space; that is tested slot by slot as space0 is carried round
+    (propagate_space), and a space N keeps everywhere that does not close
+    up raises PrecisionLoss.  Each transition image is the next slot space,
+    so the transitions restrict to the bundle by construction."""
+    spaces = propagate_space(m, space0, "cycle eigenspace")
+    return None if spaces is None else StableSubmodule(space0.dim, spaces, t_newton)
 
 
 def pull_to_slot_zero(m: PhiNModule, v: Vector, slot: int) -> Vector:
@@ -132,8 +138,15 @@ def pull_to_slot_zero(m: PhiNModule, v: Vector, slot: int) -> Vector:
 
 def enumerate_submodules(
     m: PhiNModule,
-) -> tuple[list[StableSubmodule], LineBundleFamily | None]:
-    """All proper nonzero stable submodules, plus an optional line family.
+) -> tuple[list[StableSubmodule], LineBundleFamily | None, Fraction]:
+    """All proper nonzero stable submodules, an optional line family, and
+    the Newton number t_N(D) of m itself.
+
+    Newton numbers come from the cycle's spectrum: a piece spanned by
+    eigenlines takes e times the valuations of their roots, summed, and so
+    does m when the cycle splits into d simple roots.  Otherwise t_N(D) is
+    newton_number's determinant, the rank-3 plane beside a single root r
+    takes t_N(D) - e v(r), and a line of a repeated root t_N(D)/2.
 
     Raises UnsupportedEnumeration when the rank exceeds 3 or the cycle
     spectrum cannot be split over the coefficient field.
@@ -142,14 +155,15 @@ def enumerate_submodules(
     if d > 3:
         raise UnsupportedEnumeration("submodule enumeration is implemented through rank 3")
     if d == 1:
-        return [], None
+        return [], None, newton_number(m)
     a = frobenius_composite(m)
     desc = m.desc
-    line_vecs: list[Vector] = []
-    planes: list[Subspace] = []
+    # (generators of a slot-0 candidate, its Newton number)
+    pieces: list[tuple[list[Vector], Fraction]] = []
     try:
         roots = cycle_roots(a)
     except RootLiftingError:
+        t_newton = newton_number(m)
         if d != 2:
             raise UnsupportedEnumeration(
                 "repeated cycle eigenvalues are handled only in rank 2"
@@ -158,7 +172,7 @@ def enumerate_submodules(
         b = _minus_scalar(a, lam)
         if is_zero_matrix(b):
             if all(is_zero_matrix(nm) for nm in m.nmat):
-                return [], LineBundleFamily(lam)
+                return [], LineBundleFamily(lam), t_newton
             slot = next(i for i, nm in enumerate(m.nmat) if not is_zero_matrix(nm))
             kern = right_kernel(m.nmat[slot])
             if len(kern) != 1:
@@ -169,25 +183,18 @@ def enumerate_submodules(
             line_vecs = kern
         else:
             raise UnsupportedEnumeration("cycle spectrum does not split at this precision") from None
+        pieces.append((line_vecs, t_newton / 2))
     else:
-        line_vecs = [eigenline(a, lam, UnsupportedEnumeration) for lam in roots]
-        if d == 3 and len(roots) == 1:
-            # the stable plane beside a simple root's line is the kernel of
-            # the covector that the cycle scales by that root
-            covector = eigenline(transpose(a), roots[0], UnsupportedEnumeration)
-            planes.append(Subspace.from_vectors(desc, 3, right_kernel((covector,))))
-    subs: list[StableSubmodule] = []
-    for v in line_vecs:
-        cand = _try_bundle(m, Subspace.from_vectors(desc, d, [v]))
-        if cand is not None:
-            subs.append(cand)
-    if d == 3:
-        for va, vb in itertools.combinations(line_vecs, 2):
-            cand = _try_bundle(m, Subspace.from_vectors(desc, 3, [va, vb]))
-            if cand is not None:
-                subs.append(cand)
-        for plane in planes:
-            cand = _try_bundle(m, plane)
-            if cand is not None:
-                subs.append(cand)
-    return subs, None
+        weights = [m.shape.e * lam.valuation() for lam in roots]
+        t_newton = sum(weights) if len(roots) == d else newton_number(m)
+        lines = [([eigenline(a, lam, UnsupportedEnumeration)], w) for lam, w in zip(roots, weights)]
+        pieces += lines
+        if d == 3:
+            pieces += [(va + vb, wa + wb) for (va, wa), (vb, wb) in itertools.combinations(lines, 2)]
+            if len(roots) == 1:
+                # the stable plane beside a simple root's line is the kernel
+                # of the covector that the cycle scales by that root
+                covector = eigenline(transpose(a), roots[0], UnsupportedEnumeration)
+                pieces.append((right_kernel((covector,)), t_newton - weights[0]))
+    subs = [_try_bundle(m, Subspace.from_vectors(desc, d, vecs), t) for vecs, t in pieces]
+    return [s for s in subs if s is not None], None, t_newton

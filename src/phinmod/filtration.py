@@ -21,7 +21,7 @@ from .eigen import (
 )
 from .errors import PrecisionLoss, ValidationError
 from .linalg import Subspace, right_kernel, rref, transpose
-from .modules import PhiNModule, newton_number
+from .modules import PhiNModule
 from .padic import LocalFieldDesc
 from .record import frozen
 
@@ -285,9 +285,7 @@ def _family_certificate(
             generic = cand
             break
     candidates = specials + ([(generic, None)] if generic is not None else [])
-    lines = [(propagate_space(m, c), origin) for c, origin in candidates]
-    if any(spaces is None for spaces, _ in lines):
-        raise PrecisionLoss("line bundle does not close up under the transitions")
+    lines = [(propagate_space(m, c, "line bundle"), origin) for c, origin in candidates]
     try:
         max_hodge = max(_line_bundle_hodge(fil, spaces, origin, loose) for spaces, origin in lines)
     except PrecisionLoss:
@@ -301,27 +299,26 @@ def _family_certificate(
 def is_admissible(m: PhiNModule, fil: Filtration) -> AdmissibilityVerdict:
     """Global balance t_N = t_H plus t_H(D') <= t_N(D') on every stable
     proper submodule D' that enumerate_submodules finds, or on every line
-    bundle of a scalar family.  Every t_H(D'), a family line's too, is read
-    off dim(D'_t ∩ Fil^j) for each embedding t and step j by one rule
-    (_intersection_dims), without building the induced filtration.  An
-    unbalanced module fails whatever D' gives, so there a certificate the
-    input does not decide is left out."""
+    bundle of a scalar family.  Every t_N, the module's own included, comes
+    with the submodules from the cycle's spectrum (e times the valuations of
+    the roots spanning a piece; the determinant where the cycle does not
+    split), and no restricted module is built.  Every t_H(D'), a family
+    line's too, is read off dim(D'_t ∩ Fil^j) for each embedding t and step
+    j by one rule (_intersection_dims), without building the induced
+    filtration.  An unbalanced module fails whatever D' gives, so there a
+    certificate the input does not decide is left out."""
     _check_fits(m, fil)
-    t_n = newton_number(m)
     t_h = hodge_number(fil)
-    subs, family = enumerate_submodules(m)
+    subs, family, t_n = enumerate_submodules(m)
     loose = _loose_input(m, fil)
     certs = []
     for sub in subs:
-        sub_tn = newton_number(sub.module)
         try:
             sub_th = _submodule_hodge(fil, sub, loose)
         except PrecisionLoss:
             if t_n == t_h:
                 raise
             continue
-        certs.append(
-            SubmoduleCertificate(sub.rank, sub.slot_spaces[0], sub_tn, sub_th, sub_tn >= sub_th)
-        )
+        certs.append(SubmoduleCertificate(sub.rank, sub.slot_spaces[0], sub.t_newton, sub_th, sub.t_newton >= sub_th))
     fam_cert = _family_certificate(m, fil, family, loose, t_n == t_h) if family is not None else None
     return AdmissibilityVerdict(t_n, t_h, t_n == t_h, tuple(certs), fam_cert)

@@ -161,16 +161,6 @@ def solve_columns(cols, v: Vector):
     return x
 
 
-def restrict_operator(op: Matrix, src: "Subspace", dst: "Subspace") -> Matrix | None:
-    """Matrix of op from src into dst, on their stored generators.
-
-    Column j is dst.coords of the image of src's generator j: one reduction
-    against dst's echelon generators both decides that the image lies in dst
-    and gives its coordinates there.  None when some image leaves dst."""
-    cols = [dst.coords(mat_vec(op, g)) for g in src.gens]
-    return None if None in cols else transpose(cols)
-
-
 def det(a: Matrix) -> FieldElement:
     """Determinant, division-free, so exact inputs give an exact answer and
     precision floors degrade only through the entry products involved."""

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from phinmod import eigen, isom, linalg, monodromy, padic, serial
-from phinmod.cli import Options, run
+from phinmod.cli import Options, execute, run
 from phinmod.coeff import GaloisShape
 from phinmod.eigen import (
     LineBundleFamily,
@@ -15,15 +17,27 @@ from phinmod.eigen import (
     propagate_space,
     pull_to_slot_zero,
 )
-from phinmod.errors import NotMonodromyType, PhinError, UnsupportedEnumeration
+from phinmod.errors import NotMonodromyType, PhinError, PrecisionLoss, UnsupportedEnumeration
 from phinmod.filtration import Filtration, is_admissible
 from phinmod.isom import is_isomorphic
-from phinmod.linalg import Subspace, charpoly, mat, right_kernel
+from phinmod.linalg import Subspace, charpoly, mat, mat_vec, right_kernel
 from phinmod.modules import PhiNModule, frobenius_composite, newton_number, tensor_module
 from phinmod.monodromy import build_degenerate, build_monodromy, end0_check
 from phinmod.padic import INF, _times_monomial, make_element, roots_in_field
 from phinmod.serial import Instance
-from util import agrees_with_lift, bench_gen, exact_lift, loose_q3_matrix, roots_by_charpoly, sample_element, transport
+from util import (
+    agrees_with_lift,
+    bench_gen,
+    exact_lift,
+    loose_q3_matrix,
+    newton_by_restriction,
+    roots_by_charpoly,
+    sample_element,
+    transport,
+    unram_gen,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def imat(desc, rows):
@@ -35,24 +49,31 @@ def onestot(desc, phi_rows, n_rows):
     return PhiNModule(desc, shape, len(phi_rows), (imat(desc, phi_rows),), (imat(desc, n_rows),))
 
 
+def line_value(m, sub):
+    """The cycle's eigenvalue on a stable line: the cycle's image of the
+    line's echelon generator, read at its unit pivot."""
+    ((g,), (pc,)) = sub.slot_spaces[0].gens, sub.slot_spaces[0].pivots
+    return mat_vec(frobenius_composite(m), g)[pc]
+
+
 def test_two_distinct_lines(q3):
     m = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [0, 0]])
-    subs, family = enumerate_submodules(m)
-    assert family is None
+    subs, family, t_newton = enumerate_submodules(m)
+    assert family is None and t_newton == 1
     assert [s.rank for s in subs] == [1, 1]
-    values = sorted(s.module.phi[0][0][0].coefficients()[0][0] for s in subs)
-    assert values == [1, 3]
+    values = sorted((line_value(m, s).coefficients()[0][0], s.t_newton) for s in subs)
+    assert values == [(1, 0), (3, 1)]
 
 
 def test_slot_operator_filters_lines(q3):
     m = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [1, 0]])
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert family is None
     assert len(subs) == 1
     only = subs[0]
     assert only.rank == 1
     assert only.slot_spaces[0].contains_vector((q3.zero(), q3.from_int(1)))
-    assert only.module.phi[0][0][0] == q3.from_int(1)
+    assert line_value(m, only) == q3.from_int(1) and only.t_newton == 0
 
 
 def test_rank3_lines_and_planes(q3):
@@ -61,7 +82,7 @@ def test_rank3_lines_and_planes(q3):
     phi = [[3, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 3)]]
     rows = mat([[q3.from_rational(Fraction(x)) for x in r] for r in phi])
     m = PhiNModule(q3, GaloisShape(1, 1), 3, (rows,), (imat(q3, [[0] * 3] * 3),))
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert family is None
     assert sorted(s.rank for s in subs) == [1, 1, 1, 2, 2, 2]
 
@@ -71,13 +92,13 @@ def test_rank3_root_plus_irreducible_quadratic(q3):
     # one root in Q3 and the complementary plane is the kernel of the
     # deflated quadratic evaluated at the cycle
     m = onestot(q3, [[3, 0, 0], [0, 0, 2], [0, 1, 0]], [[0] * 3] * 3)
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert family is None
     assert [s.rank for s in subs] == [1, 2]
     line, plane = subs
     one, zero = q3.from_int(1), q3.zero()
     assert line.slot_spaces[0].contains_vector((one, zero, zero))
-    assert line.module.phi[0][0][0] == q3.from_int(3)
+    assert line_value(m, line) == q3.from_int(3) and line.t_newton == 1
     assert plane.slot_spaces[0].contains_vector((zero, one, zero))
     assert plane.slot_spaces[0].contains_vector((zero, zero, one))
 
@@ -90,7 +111,7 @@ def test_rank4_unsupported(q3):
 
 def test_scalar_cycle_gives_line_family(q3):
     m = onestot(q3, [[2, 0], [0, 2]], [[0, 0], [0, 0]])
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert subs == []
     assert isinstance(family, LineBundleFamily)
     assert family.value == q3.from_int(2)
@@ -99,7 +120,7 @@ def test_scalar_cycle_gives_line_family(q3):
 def test_scalar_cycle_with_forced_kernel_line(q3):
     # not a coherent module, but exercises the kernel-pinned branch
     m = onestot(q3, [[1, 0], [0, 1]], [[0, 0], [1, 0]])
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert family is None
     assert len(subs) == 1
     assert subs[0].slot_spaces[0].contains_vector((q3.zero(), q3.from_int(1)))
@@ -107,7 +128,7 @@ def test_scalar_cycle_with_forced_kernel_line(q3):
 
 def test_jordan_cycle_single_line(q2):
     m = onestot(q2, [[1, 1], [0, 1]], [[0, 0], [0, 0]])
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert family is None
     assert len(subs) == 1
     assert subs[0].slot_spaces[0].contains_vector((q2.from_int(1), q2.zero()))
@@ -115,7 +136,7 @@ def test_jordan_cycle_single_line(q2):
 
 def test_irreducible_cycle_has_no_proper_subs(q3):
     m = onestot(q3, [[0, 1], [1, 1]], [[0, 0], [0, 0]])
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert subs == [] and family is None
 
 
@@ -125,7 +146,7 @@ def test_two_slot_propagation(q3):
     phi1 = imat(q3, [[0, 1], [3, 0]])
     z = imat(q3, [[0, 0], [0, 0]])
     m = PhiNModule(q3, shape, 2, (phi0, phi1), (z, z))
-    subs, family = enumerate_submodules(m)
+    subs, family, _ = enumerate_submodules(m)
     assert len(subs) == 2
     for s in subs:
         # slot-1 fiber is the swap image of the slot-0 fiber
@@ -156,11 +177,12 @@ def test_propagate_space_carries_a_stable_line_and_not_others(q3):
     # line closes up; phi0 = [[0, 1], [1, 0]] alone swaps the two axes
     m = PhiNModule(q3, GaloisShape(1, 2), 2, (imat(q3, [[1, 1], [0, 1]]), imat(q3, [[3, -3], [0, 3]])), (imat(q3, [[0, 0], [0, 0]]),) * 2)
     line = Subspace.from_vectors(q3, 2, [(q3.from_int(1, INF), q3.from_int(1, INF))])
-    spaces = propagate_space(m, line)
+    spaces = propagate_space(m, line, "line")
     assert spaces[0] == line and spaces[1] == Subspace.from_vectors(q3, 2, [(q3.from_int(2), q3.from_int(1))])
     swap = onestot(q3, [[0, 1], [1, 0]], [[0, 0], [0, 0]])
     axis = Subspace.from_vectors(q3, 2, [(q3.from_int(1, INF), q3.zero())])
-    assert propagate_space(swap, axis) is None
+    with pytest.raises(PrecisionLoss, match="line does not close up"):
+        propagate_space(swap, axis, "line")
 
 
 def test_enumeration_refuses_an_invertible_slot_operator(q3):
@@ -169,6 +191,146 @@ def test_enumeration_refuses_an_invertible_slot_operator(q3):
     m = onestot(q3, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
     with pytest.raises(UnsupportedEnumeration, match="slot operator kernel is not a line"):
         enumerate_submodules(m)
+
+
+def test_n_is_tested_at_every_slot(q3):
+    # the cycle diag(3, 1) sits on the second transition; N vanishes at
+    # slot 0, so it keeps both eigenlines there, and at slot 1 it maps e1
+    # to e2: the line of 3 is no submodule, the line of 1 is
+    shape = GaloisShape(1, 2)
+    phi = (imat(q3, [[1, 0], [0, 1]]), imat(q3, [[3, 0], [0, 1]]))
+    m = PhiNModule(q3, shape, 2, phi, (imat(q3, [[0, 0], [0, 0]]), imat(q3, [[0, 0], [1, 0]])))
+    subs, family, t_newton = enumerate_submodules(m)
+    assert family is None and t_newton == 1
+    (only,) = subs
+    assert only.slot_spaces[0].contains_vector((q3.zero(), q3.from_int(1))) and only.t_newton == 0
+
+
+# ---------------------------------------------------------------------------
+# Newton numbers from the spectrum: e times the valuations of the roots
+# spanning a piece, against the restricted module's determinant
+
+
+def _unit(desc, rng):
+    """An exact unit: an integer prime to p, plus theta times an integer on
+    an unramified step."""
+    a = rng.choice([c for c in range(-8, 9) if c % desc.p])
+    x = desc.from_int(a, INF)
+    if desc.f_l > 1:
+        x = x + desc.from_int(rng.randrange(-8, 9), INF) * unram_gen(desc, INF)
+    return x
+
+
+def _spectral_module(desc, shape, kind, rng):
+    """An exact module and its trivial filtration whose cycle is the block
+    B on the last transition, the others the identity:
+    - "split": distinct roots of distinct valuations, rank 2 or 3;
+    - "covector": a root r of nonzero valuation beside the companion of a
+      quadratic without roots (T^2 - 2, or T^2 - 1 - theta over Q9, whose
+      residue 1 + theta has order 8), rank 3;
+    - "jordan": a Jordan block, rank 2;
+    - "scalar": a scalar, with N the nilpotent E21 at one slot, rank 2.
+    N vanishes elsewhere, so all but the scalar kind pass validate_module."""
+    e_l = desc.e_l
+    d = {"split": rng.choice((2, 3)), "covector": 3}.get(kind, 2)
+    zero = [[0] * d for _ in range(d)]
+    nmat = [imat(desc, zero)] * shape.f
+    if kind == "split":
+        vals = rng.sample(range(-2 * e_l, 3 * e_l), d)
+        block = diag(desc, [_times_monomial(_unit(desc, rng), v) for v in vals])
+    elif kind == "covector":
+        r = _times_monomial(_unit(desc, rng), rng.choice((-2, -1, 1, 2, 3)) * e_l)
+        c = desc.from_int(1, INF) + unram_gen(desc, INF) if desc.f_l > 1 else desc.from_int(2, INF)
+        o, z = desc.from_int(1, INF), desc.zero()
+        block = mat([[r, z, z], [z, z, c], [z, o, z]])
+    else:
+        lam = _times_monomial(_unit(desc, rng), rng.randrange(-e_l, 2 * e_l))
+        o, z = desc.from_int(1, INF), desc.zero()
+        block = mat([[lam, o if kind == "jordan" else z], [z, lam]])
+        if kind == "scalar":
+            nmat[rng.randrange(shape.f)] = imat(desc, [[0, 0], [1, 0]])
+    phi = (imat(desc, [[int(i == j) for j in range(d)] for i in range(d)]),) * (shape.f - 1) + (block,)
+    full = Subspace.full(desc, d)
+    return PhiNModule(desc, shape, d, phi, tuple(nmat)), Filtration(desc, shape, d, ((((0, full),),) * shape.n))
+
+
+def _spectral_modules(fields, kinds, seed):
+    """Each kind on each field and shape (e, f) in {(1, 1), (1, 2), (2, 1)},
+    as drawn and transported by a random integral basis change."""
+    rng = random.Random(seed)
+    for desc in fields:
+        for shape in (GaloisShape(1, 1), GaloisShape(1, 2), GaloisShape(2, 1)):
+            for kind in kinds:
+                for t in range(2):
+                    mod, fil = _spectral_module(desc, shape, kind, rng)
+                    yield kind, mod, fil
+                    yield kind, *transport(mod, fil, 1000 * seed + 10 * t)
+
+
+def _fixture_modules():
+    """The module of every fixture that holds one or builds one, both
+    halves of a pair."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name.startswith("manifest"):
+            continue
+        instance = serial.parse_instance(path.read_bytes())
+        if instance.kind == "monodromy":
+            record = instance.objects["monodromy"]
+            yield (build_degenerate if record.degenerate else build_monodromy)(record, check=False)[0]
+        elif instance.kind == "module":
+            yield instance.objects["module"]
+        elif instance.kind == "pair":
+            yield from (instance.objects[key][0] for key in ("first", "second"))
+
+
+def _piece(sub, kind):
+    """Which rule gave sub its Newton number."""
+    if kind in ("jordan", "scalar"):
+        return "repeated-root line"
+    if sub.rank == 1:
+        return "line"
+    return "covector plane" if kind == "covector" else "two-root plane"
+
+
+def test_spectrum_newton_numbers_match_the_restricted_modules(q3, q3_ram, q9):
+    seen = Counter()
+    for m in _fixture_modules():
+        subs, _, _ = enumerate_submodules(m)
+        assert all(s.t_newton == newton_by_restriction(m, s) for s in subs)
+        seen["fixture"] += len(subs)
+    for kind, m, _ in _spectral_modules((q3, q3_ram, q9), ("split", "covector", "jordan", "scalar"), 7):
+        subs, family, t_newton = enumerate_submodules(m)
+        assert family is None and t_newton == newton_number(m)
+        for s in subs:
+            assert s.t_newton == newton_by_restriction(m, s)
+            seen[_piece(s, kind)] += 1
+    assert seen["fixture"] >= 5
+    assert all(seen[piece] >= 30 for piece in ("line", "two-root plane", "covector plane", "repeated-root line")), seen
+
+
+def test_newton_command_and_admissible_witness_agree(q3, q3_ram, q9, monkeypatch):
+    # newton reads the determinant of the cycle, admissible the spectrum:
+    # on a cycle that splits into simple roots the determinant is not taken
+    def determinant(m):
+        raise AssertionError("determinant route on a split cycle")
+
+    docs = [path.read_bytes() for path in sorted(FIXTURES.glob("*.json")) if not path.name.startswith("manifest")]
+    compared = Counter()
+    for doc in docs:
+        (newton, code_n), (adm, code_a) = (execute(command, doc, Options()) for command in ("newton", "admissible"))
+        if code_n == 0 and code_a in (0, 1):
+            assert newton["value"] == adm["witness"]["t_newton"]
+            compared["fixture"] += 1
+    monkeypatch.setattr(eigen, "newton_number", determinant)
+    pairs = list(_spectral_modules((q3, q3_ram, q9), ("split",), 8))
+    pairs += [("bench", *items) for _, _, items in _bench_items(5)]
+    for kind, m, fil in pairs:
+        instance = Instance(m.desc, m.shape, "module", {"module": m, "filtration": fil})
+        (newton, code_n), (adm, code_a) = (run(command, instance, Options()) for command in ("newton", "admissible"))
+        assert code_n == 0 and code_a in (0, 1), (newton, adm)
+        assert newton["value"] == adm["witness"]["t_newton"]
+        compared[kind] += 1
+    assert compared["fixture"] >= 5 and compared["split"] == 36 and compared["bench"] == 36
 
 
 # ---------------------------------------------------------------------------

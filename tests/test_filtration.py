@@ -89,7 +89,7 @@ def test_jump_at_picks_deepest_step(q3):
 
 def test_induced_filtration_on_kernel_line(q3):
     m = onestot(q3, [[3, 0], [0, 1]], [[0, 0], [1, 0]])
-    subs, _ = enumerate_submodules(m)
+    subs, _, _ = enumerate_submodules(m)
     assert len(subs) == 1
     sub = subs[0]  # the line through (0, 1)
     away = fil1(q3, 2, [(0, full(q3, 2)), (2, span(q3, 2, [1, 0]))])
@@ -112,7 +112,7 @@ def test_induced_steps_restrict_onto_each_slot(q3):
     line0, line1 = span(q3, 2, [1, 0]), span(q3, 2, [1, 1])
     shared = ((0, full(q3, 2)), (2, line0))
     fil = Filtration(q3, shape, 2, (shared, shared))
-    sub = StableSubmodule(1, (line0, line1), None)
+    sub = StableSubmodule(1, (line0, line1), Fraction(0))
     ind = induce_on_submodule(fil, sub)
     assert [[j for j, _ in sig] for sig in ind.steps] == [[2], [0]]
     assert hodge_number(ind) == 2
@@ -234,22 +234,31 @@ def _verdict_pairs(seed, prec):
 
 
 def test_certificates_match_the_induced_hodge_number():
-    compared = refused = 0
+    # the induced filtration counts a residual zero at the working precision
+    # as containment, as the rule does on an exact input; on a loose input
+    # the rule may refuse instead (not certified), and the verdict then
+    # refuses too or, unbalanced, leaves the certificate out
+    compared = refused = undecided = 0
     for prec in (60, 10, 4, 2, 1):
         for mod, fil in _verdict_pairs(5, prec):
             try:
-                subs, _ = enumerate_submodules(mod)
+                subs, _, _ = enumerate_submodules(mod)
             except PhinError:
                 refused += 1
                 continue
             want = [_outcome(_induced_hodge, fil, sub) for sub in subs]
             loose = _loose_input(mod, fil)
-            assert [_outcome(_submodule_hodge, fil, sub, loose) for sub in subs] == want
+            got = [_outcome(_submodule_hodge, fil, sub, loose) for sub in subs]
+            assert all(g == w or (loose and g == NOT_CERTIFIED) for g, w in zip(got, want))
             verdict = _outcome(is_admissible, mod, fil)
             if isinstance(verdict, AdmissibilityVerdict):
-                assert [c.t_hodge for c in verdict.certificates] == want
+                assert [c.t_hodge for c in verdict.certificates] == [g for g in got if g != NOT_CERTIFIED]
+                assert not verdict.balanced or NOT_CERTIFIED not in got
+            else:
+                assert NOT_CERTIFIED not in got or verdict == NOT_CERTIFIED
             compared += len(subs)
-    assert compared > 450 and refused
+            undecided += NOT_CERTIFIED in got
+    assert compared > 450 and refused and undecided <= 2
 
 
 def test_plane_meeting_two_steps_in_one_line(q3):
@@ -259,7 +268,7 @@ def test_plane_meeting_two_steps_in_one_line(q3):
     f = fil1(q3, 3, [(0, full(q3, 3)), (1, span(q3, 3, [1, 1, 0], [0, 0, 1])), (2, span(q3, 3, [1, 1, 0]))])
     plane = span(q3, 3, [1, 0, 0], [0, 1, 0])
     assert _intersection_dims(f.steps[0], plane, False) == [2, 1, 1]
-    subs, _ = enumerate_submodules(m)
+    subs, _, _ = enumerate_submodules(m)
     (sub,) = [s for s in subs if s.slot_spaces[0] == plane]
     assert _submodule_hodge(f, sub, False) == _induced_hodge(f, sub) == 2
     verdict = is_admissible(m, f)

@@ -1,10 +1,10 @@
 """Shared test helpers: seeded sampling of elements and invertible matrices,
 random basis transport of a (module, filtration) pair, the benchmark's input
 generator, reference routes to End0, to element construction, to
-equality, to cycle roots and to a line's jump, the kernel flag of a slot
-operator, a matrix with entries zero only at their floors, exact lifts of
-matrices and modules, and small views of package data that only the tests
-need."""
+equality, to cycle roots, to a line's jump and to a stable submodule's
+Newton number, the kernel flag of a slot operator, a matrix with entries
+zero only at their floors, exact lifts of matrices and modules, and small
+views of package data that only the tests need."""
 from __future__ import annotations
 
 import importlib.util
@@ -27,7 +27,7 @@ from phinmod.linalg import (
     solve_columns,
     transpose,
 )
-from phinmod.modules import PhiNModule, dual_module, end0_basis, tensor_module
+from phinmod.modules import PhiNModule, dual_module, end0_basis, newton_number, tensor_module
 from phinmod.errors import ValidationError
 from phinmod.padic import INF, FieldElement, LocalFieldDesc, _ceil_div, _times_monomial, _vp, make_element, roots_in_field
 
@@ -170,6 +170,23 @@ def jump_at(sig: SigmaSteps, space: Subspace) -> int:
         if v.contains(space):
             best = j
     return best
+
+
+def newton_by_restriction(m: PhiNModule, sub) -> Fraction:
+    """A stable submodule's Newton number the long way round, for comparison
+    with the spectrum rule of enumerate_submodules: every transition and
+    slot operator restricted to the submodule's slot spaces (column j holds
+    the target space's coordinates of the image of generator j), the
+    restricted module built and its newton_number taken.  Inputs known to
+    the working precision only."""
+    f, spaces = m.shape.f, sub.slot_spaces
+
+    def restrict(op: Matrix, src: Subspace, dst: Subspace) -> Matrix:
+        return transpose([dst.coords(mat_vec(op, g)) for g in src.gens])
+
+    phi = tuple(restrict(m.phi[i], spaces[i], spaces[(i + 1) % f]) for i in range(f))
+    nmat = tuple(restrict(m.nmat[i], spaces[i], spaces[i]) for i in range(f))
+    return newton_number(PhiNModule(m.desc, m.shape, sub.rank, phi, nmat))
 
 
 def n_kernel_flag(m: PhiNModule) -> tuple[Subspace, ...]:

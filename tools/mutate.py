@@ -105,6 +105,20 @@ MUTATIONS = [
         ],
     ),
     (
+        "two-root plane from one root",
+        "eigen.py",
+        "            pieces += [(va + vb, wa + wb) for (va, wa), (vb, wb) in itertools.combinations(lines, 2)]",
+        "            pieces += [(va + vb, wa) for (va, wa), (vb, wb) in itertools.combinations(lines, 2)]",
+        ["tests/test_eigen.py::test_spectrum_newton_numbers_match_the_restricted_modules"],
+    ),
+    (
+        "N tested at slot 0 only",
+        "eigen.py",
+        "        if not all(s.contains_vector(mat_vec(m.nmat[i], g)) for g in s.gens):",
+        "        if i == 0 and not all(s.contains_vector(mat_vec(m.nmat[i], g)) for g in s.gens):",
+        ["tests/test_eigen.py::test_n_is_tested_at_every_slot"],
+    ),
+    (
         "iso alignment on a loose zero",
         "isom.py",
         "    return True if (x1 if z1 else x2).is_exact_zero() else None",
