@@ -103,12 +103,15 @@ def propagate_space(m: PhiNModule, space0: Subspace, what: str) -> tuple[Subspac
     N moves its slot space, before that space is carried further or
     compared (on a scalar family N vanishes, so every line passes).  The
     full cycle carries each sum of its eigenspaces back onto itself, so a
-    space0 it does not carry back at the working precision (a transition
-    that drops the dimension cannot) is lost precision: PrecisionLoss,
-    naming what space0 is."""
+    space0 it does not carry back at the working precision is lost
+    precision: PrecisionLoss, naming what space0 is.  A slot space that
+    has lost a dimension (rref drops an image with no certified digit)
+    raises it there, before N is tested on what is left."""
     spaces = [space0]
     for i, a in enumerate(m.phi):
         s = spaces[i]
+        if s.dim != space0.dim:
+            raise PrecisionLoss(f"{what} does not close up under the transitions")
         if not all(s.contains_vector(mat_vec(m.nmat[i], g)) for g in s.gens):
             return None
         spaces.append(s.image(a))
@@ -121,9 +124,10 @@ def _try_bundle(m: PhiNModule, space0: Subspace, t_newton: Fraction) -> StableSu
     """The submodule through space0, a sum of cycle eigenspaces whose
     Newton number is t_newton, or None when some slot's N moves its slot
     space; that is tested slot by slot as space0 is carried round
-    (propagate_space), and a space N keeps everywhere that does not close
-    up raises PrecisionLoss.  Each transition image is the next slot space,
-    so the transitions restrict to the bundle by construction."""
+    (propagate_space), and a slot space that lost a dimension, or a space N
+    keeps everywhere that does not close up, raises PrecisionLoss.  Each
+    transition image is the next slot space, so the transitions restrict to
+    the bundle by construction."""
     spaces = propagate_space(m, space0, "cycle eigenspace")
     return None if spaces is None else StableSubmodule(space0.dim, spaces, t_newton)
 

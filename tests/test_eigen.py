@@ -206,6 +206,30 @@ def test_n_is_tested_at_every_slot(q3):
     assert only.slot_spaces[0].contains_vector((q3.zero(), q3.from_int(1))) and only.t_newton == 0
 
 
+def test_a_slot_space_that_lost_a_dimension_is_refused(q3):
+    # phi0 (det 3) carries the plane <e1, (0, 1, x)>, x = O(1), onto
+    # <e3, (3 + x, x, 0)>; the second generator has no certified digit, so
+    # the slot-1 space is the line <e3>.  N at slot 1 moves that line, yet
+    # keeps the image plane of the lift x = -3/2 and not that of x = 0: the
+    # input does not decide the candidate, so it is refused, not dropped
+    shape = GaloisShape(1, 2)
+    n1 = imat(q3, [[0, 0, 1], [0, 0, -1], [0, 0, 0]])
+    phi = (imat(q3, [[0, 3, 1], [0, 0, 1], [1, 0, 0]]), imat(q3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    m = PhiNModule(q3, shape, 3, phi, (imat(q3, [[0] * 3] * 3), n1))
+    one, zero = q3.from_int(1, INF), q3.zero()
+
+    def plane(x):
+        return Subspace.from_vectors(q3, 3, [(one, zero, zero), (zero, one, x)])
+
+    loose = plane(make_element(q3, (0,), 0, 0))
+    assert loose.dim == 2 and loose.image(phi[0]).dim == 1
+    with pytest.raises(PrecisionLoss, match="plane does not close up"):
+        propagate_space(m, loose, "plane")
+    for x, kept in ((Fraction(-3, 2), True), (Fraction(0), False)):
+        image = plane(q3.from_rational(x)).image(phi[0])
+        assert image.dim == 2 and all(image.contains_vector(mat_vec(n1, g)) for g in image.gens) == kept
+
+
 # ---------------------------------------------------------------------------
 # Newton numbers from the spectrum: e times the valuations of the roots
 # spanning a piece, against the restricted module's determinant

@@ -25,7 +25,7 @@ from phinmod.linalg import Subspace, mat
 from phinmod.modules import PhiNModule
 from phinmod.monodromy import build_degenerate, build_monodromy, build_w, end0_with_filtration
 from phinmod.padic import INF, LocalFieldDesc, make_element
-from util import bench_gen, exact_lift_module, jump_at, transport
+from util import bench_gen, exact_lift_module, jump_at, loose_entry, scalar_cycle_module, transport
 
 
 def imat(desc, rows):
@@ -208,57 +208,65 @@ def _induced_hodge(fil, sub):
 
 
 def _verdict_pairs(seed, prec):
-    """(module, filtration) pairs on the benchmark's verdict records at the
-    given precision: each record's transported module, its built module
-    and, for an end0 record, End0 and W with their transport twins.  What
-    does not parse or build at that precision is left out."""
+    """(record id, which, module, filtration) on the benchmark's verdict
+    records at the given precision: each record's transported module
+    ("moved"), its built module ("built") and, for an end0 record, End0 and
+    W with their transport twins ("end0", "end0-t", "w", "w-t").  What does
+    not parse or build at that precision is left out."""
     doc = bench_gen().verdict_inputs(seed, prec, True)
     for spec in doc["records"]:
         desc = serial.parse_field(doc["fields"][spec["tower"]])
         shape = serial.parse_shape(spec["shape"])
-        moved = spec["moved"]
+        moved, rid = spec["moved"], spec["id"]
         try:
             yield (
+                rid,
+                "moved",
                 serial.parse_module(desc, shape, moved["module"], "/module"),
                 serial.parse_filtration(desc, shape, 2, moved["filtration"], "/filtration"),
             )
             record = serial.parse_monodromy(desc, shape, spec["monodromy"], "/monodromy")
             built = (build_degenerate if record.degenerate else build_monodromy)(record, check=False)
-            yield built
+            yield rid, "built", *built
             if spec["end0"]:
-                for pair in (end0_with_filtration(*built), build_w(record.ell, record.k)):
-                    yield pair
-                    yield transport(*pair, seed)
+                for which, pair in (("end0", end0_with_filtration(*built)), ("w", build_w(record.ell, record.k))):
+                    yield rid, which, *pair
+                    yield rid, which + "-t", *transport(*pair, seed)
         except PhinError:
             continue
 
 
+# Two transported End0 pairs at precision 4 with a two-root plane that N
+# moves and that does not close up at the working precision: N is tested
+# before closure, so enumeration drops that plane and finds one line and
+# one other plane.  That plane meets a filtration step in a residual zero
+# at loose floors, which the induced filtration counts as containment and
+# the rule refuses; the verdict refuses too (exit 3).
+UNDECIDED_PLANES = {(4, "q3-11-end0", "end0-t"), (4, "q3-21-end0", "end0-t")}
+
+
 def test_certificates_match_the_induced_hodge_number():
-    # the induced filtration counts a residual zero at the working precision
-    # as containment, as the rule does on an exact input; on a loose input
-    # the rule may refuse instead (not certified), and the verdict then
-    # refuses too or, unbalanced, leaves the certificate out
-    compared = refused = undecided = 0
+    compared = refused = 0
+    undecided = set()
     for prec in (60, 10, 4, 2, 1):
-        for mod, fil in _verdict_pairs(5, prec):
+        for rid, which, mod, fil in _verdict_pairs(5, prec):
             try:
                 subs, _, _ = enumerate_submodules(mod)
             except PhinError:
                 refused += 1
                 continue
             want = [_outcome(_induced_hodge, fil, sub) for sub in subs]
-            loose = _loose_input(mod, fil)
-            got = [_outcome(_submodule_hodge, fil, sub, loose) for sub in subs]
-            assert all(g == w or (loose and g == NOT_CERTIFIED) for g, w in zip(got, want))
             verdict = _outcome(is_admissible, mod, fil)
+            if (prec, rid, which) in UNDECIDED_PLANES:
+                assert [sub.rank for sub in subs] == [1, 2] and verdict == NOT_CERTIFIED
+                want[1] = NOT_CERTIFIED
+                undecided.add((prec, rid, which))
+            loose = _loose_input(mod, fil)
+            assert [_outcome(_submodule_hodge, fil, sub, loose) for sub in subs] == want
             if isinstance(verdict, AdmissibilityVerdict):
-                assert [c.t_hodge for c in verdict.certificates] == [g for g in got if g != NOT_CERTIFIED]
-                assert not verdict.balanced or NOT_CERTIFIED not in got
-            else:
-                assert NOT_CERTIFIED not in got or verdict == NOT_CERTIFIED
+                assert [c.t_hodge for c in verdict.certificates] == want
             compared += len(subs)
-            undecided += NOT_CERTIFIED in got
-    assert compared > 450 and refused and undecided <= 2
+    assert compared > 450 and refused and undecided == UNDECIDED_PLANES
 
 
 def test_plane_meeting_two_steps_in_one_line(q3):
@@ -300,32 +308,20 @@ NOT_CERTIFIED = (PrecisionLoss, "intersection with a filtration step is not cert
 LOOSE_ZERO = make_element(Q3_20, (0,), 0, 1)
 
 
-def _entry(rng, desc, loose):
-    """±r·3^v with v < 3, a quarter of them zeros; when loose, known to one
-    to three digits, the zeros as O(π^k) for k = 1, 2, 3."""
-    if rng.random() < 0.25:
-        return make_element(desc, (0,) * desc.degree, 0, rng.randint(1, 3) if loose else INF)
-    v = rng.randrange(3)
-    c = rng.choice((1, -1)) * rng.choice((1, 2, 4, 5, 7, 8)) * 3**v
-    return desc.from_int(c, Fraction(desc.e_l * v + rng.randint(1, 3), desc.e_l) if loose else INF)
-
-
 def _scalar_family(desc, shape, lam, steps):
-    """Rank 2 with the cycle λ on the wrap transition, the identity
-    elsewhere and N = 0; steps holds (j0, j1, line) per embedding, the flag
-    full ⊃ line with jumps j0 < j1."""
-    phi = (imat(desc, [[1, 0], [0, 1]]),) * (shape.f - 1) + (imat(desc, [[lam, 0], [0, lam]]),)
-    m = PhiNModule(desc, shape, 2, phi, (imat(desc, [[0, 0], [0, 0]]),) * shape.f)
+    """scalar_cycle_module with steps holding (j0, j1, line) per embedding,
+    the flag full ⊃ line with jumps j0 < j1."""
     sigs = tuple(((j0, full(desc, 2)), (j1, Subspace.from_vectors(desc, 2, [line]))) for j0, j1, line in steps)
-    return m, Filtration(desc, shape, 2, sigs)
+    return scalar_cycle_module(desc, shape, lam), Filtration(desc, shape, 2, sigs)
 
 
 def _family_inputs(seed, count, loose):
     """Seeded scalar families over Q3 and Q3(√3) at precision 20, shapes
     (e, f) in {1, 2}², λ in {1, 3, 9}, jumps j0 in {-1, 0} and j1 - j0 in
-    {1, 2, 3}, line entries drawn by _entry; a line that vanishes is drawn
+    {1, 2, 3}, line entries drawn by loose_entry (when loose, known to one
+    to three digits, every zero O(π^k)); a line that vanishes is drawn
     again."""
-    rng = random.Random(seed)
+    rng, digits = random.Random(seed), (1, 3) if loose else None
     while count:
         desc = rng.choice((Q3_20, Q3_RAM_20))
         shape = GaloisShape(rng.randint(1, 2), rng.randint(1, 2))
@@ -333,7 +329,7 @@ def _family_inputs(seed, count, loose):
         steps = []
         for _ in range(shape.n):
             j0 = rng.choice((-1, 0))
-            steps.append((j0, j0 + rng.randint(1, 3), (_entry(rng, desc, loose), _entry(rng, desc, loose))))
+            steps.append((j0, j0 + rng.randint(1, 3), (loose_entry(rng, desc, digits), loose_entry(rng, desc, digits))))
         try:
             yield _scalar_family(desc, shape, lam, steps)
         except ValidationError:

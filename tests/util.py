@@ -3,8 +3,9 @@ random basis transport of a (module, filtration) pair, the benchmark's input
 generator, reference routes to End0, to element construction, to
 equality, to cycle roots, to a line's jump and to a stable submodule's
 Newton number, the kernel flag of a slot operator, a matrix with entries
-zero only at their floors, exact lifts of matrices and modules, and small
-views of package data that only the tests need."""
+zero only at their floors, seeded loose entries, the scalar-cycle module of
+a line family, exact lifts of matrices and modules, and small views of
+package data that only the tests need."""
 from __future__ import annotations
 
 import importlib.util
@@ -250,6 +251,29 @@ def loose_q3_matrix(q3: LocalFieldDesc) -> Matrix:
     with two entries that are zero only at their floors."""
     loose = [make_element(q3, [0], 0, k) for k in (2, 3)]
     return mat([[q3.from_rational(Fraction(1, 3), 2), loose[0]], [loose[1], q3.from_int(1, 7)]])
+
+
+def loose_entry(rng: random.Random, desc: LocalFieldDesc, digits=None, loose_zeros=1.0) -> FieldElement:
+    """±u·3^v with v < 3 and u in {1, 2, 4, 5, 7, 8}, a quarter of the
+    draws zeros.  With digits = (lo, hi) a nonzero entry is known to lo to
+    hi pi-digits past its valuation, and a share loose_zeros of the zeros
+    are O(pi^k) for k = 1, 2, 3 (a share below one takes one more draw per
+    zero); with digits None every entry is exact."""
+    if rng.random() < 0.25:
+        if digits is not None and (loose_zeros == 1 or rng.random() < loose_zeros):
+            return make_element(desc, (0,) * desc.degree, 0, rng.randint(1, 3))
+        return desc.zero()
+    v = rng.randrange(3)
+    c = rng.choice((1, -1)) * rng.choice((1, 2, 4, 5, 7, 8)) * 3**v
+    return desc.from_int(c, INF if digits is None else Fraction(desc.e_l * v + rng.randint(*digits), desc.e_l))
+
+
+def scalar_cycle_module(desc: LocalFieldDesc, shape, lam: int) -> PhiNModule:
+    """Rank 2 with the cycle lam on the wrap transition, the identity
+    elsewhere and N = 0: its stable lines are a LineBundleFamily."""
+    one, zero, scalar = desc.from_int(1, INF), desc.zero(), desc.from_int(lam, INF)
+    phi = (mat([[one, zero], [zero, one]]),) * (shape.f - 1) + (mat([[scalar, zero], [zero, scalar]]),)
+    return PhiNModule(desc, shape, 2, phi, (mat([[zero, zero], [zero, zero]]),) * shape.f)
 
 
 def exact_lift(a: Matrix, rng: random.Random) -> Matrix:

@@ -47,9 +47,9 @@ from phinmod.errors import PhinError  # noqa: E402
 from phinmod.filtration import Filtration  # noqa: E402
 from phinmod.linalg import Subspace, mat  # noqa: E402
 from phinmod.modules import PhiNModule, newton_number  # noqa: E402
-from phinmod.padic import INF, LocalFieldDesc, make_element  # noqa: E402
+from phinmod.padic import INF, LocalFieldDesc  # noqa: E402
 from phinmod.serial import Instance  # noqa: E402
-from util import exact_lift_module  # noqa: E402
+from util import exact_lift_module, loose_entry, scalar_cycle_module  # noqa: E402
 
 Q3 = LocalFieldDesc(3, 1, 1, (0, 1), ((-3,), (1,)), 20)
 LIFTS = 8
@@ -68,13 +68,9 @@ DISAGREE = OUTCOMES[1]
 
 
 def _entry(rng: random.Random):
-    """±u·3^v, v < 3, known to one to five digits; a quarter of the
-    entries are zeros, a quarter of those O(3^k)."""
-    if rng.random() < 0.25:
-        return make_element(Q3, (0,), 0, rng.randint(1, 3)) if rng.random() < 0.25 else Q3.zero()
-    v = rng.randrange(3)
-    c = rng.choice((1, -1)) * rng.choice((1, 2, 4, 5, 7, 8)) * 3**v
-    return Q3.from_int(c, v + rng.randint(1, 5))
+    """A loose entry: known to one to five digits, a quarter of the zeros
+    O(3^k)."""
+    return loose_entry(rng, Q3, (1, 5), 0.25)
 
 
 def _unit(rng: random.Random):
@@ -117,22 +113,18 @@ def _input(rng: random.Random):
     if kind == "random":
         d = rng.choice((2, 3))
         phi = tuple(mat([[_entry(rng) for _ in range(d)] for _ in range(d)]) for _ in range(f))
-        nmat = (mat([[Q3.zero()] * d] * d),) * f
+        m = PhiNModule(Q3, shape, d, phi, (mat([[Q3.zero()] * d] * d),) * f)
     elif kind == "monodromy":
-        d, zero, one, three = 2, Q3.zero(), Q3.from_int(1, INF), Q3.from_int(3, INF)
+        zero, one, three = Q3.zero(), Q3.from_int(1, INF), Q3.from_int(3, INF)
         phi = tuple(mat([[three * u, zero], [_entry(rng), u]]) for u in (_unit(rng) for _ in range(f)))
-        nmat = (mat([[zero, zero], [one, zero]]),) * f
+        m = PhiNModule(Q3, shape, 2, phi, (mat([[zero, zero], [one, zero]]),) * f)
     else:
-        d, zero, one = 2, Q3.zero(), Q3.from_int(1, INF)
-        lam = Q3.from_int(rng.choice((1, 3, 9)), INF)
-        phi = (mat([[one, zero], [zero, one]]),) * (f - 1) + (mat([[lam, zero], [zero, lam]]),)
-        nmat = (mat([[zero, zero], [zero, zero]]),) * f
-    m = PhiNModule(Q3, shape, d, phi, nmat)
+        m = scalar_cycle_module(Q3, shape, rng.choice((1, 3, 9)))
     try:
         t_newton = newton_number(m)
     except PhinError:
         t_newton = None
-    fil = _flag(rng, shape, d, t_newton)
+    fil = _flag(rng, shape, m.rank, t_newton)
     return None if fil is None else (m, fil)
 
 

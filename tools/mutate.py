@@ -119,6 +119,13 @@ MUTATIONS = [
         ["tests/test_eigen.py::test_n_is_tested_at_every_slot"],
     ),
     (
+        "N tested on a slot space that lost a dimension",
+        "eigen.py",
+        "        if s.dim != space0.dim:",
+        "        if False:",
+        ["tests/test_eigen.py::test_a_slot_space_that_lost_a_dimension_is_refused"],
+    ),
+    (
         "iso alignment on a loose zero",
         "isom.py",
         "    return True if (x1 if z1 else x2).is_exact_zero() else None",
